@@ -12,7 +12,7 @@ import numpy as np
 
 from . import textio
 from .association import build_report
-from .config import build_config, parse_config_file
+from .config import PipelineConfig, build_config, parse_config_file
 from .crosscorr import correlation_matrix
 from .errors import ConfigError, PipelineError
 from .panel import (CapitalizationTable, PricePanel, ReturnPanel,
@@ -144,8 +144,8 @@ def _cmd_returns(args):
 
 def _cmd_scaling(args):
     panel = ReturnPanel.read(args.returns)
-    n = int(round((args.q_max - args.q_min) / args.q_step)) + 1
-    q_grid = np.round(args.q_min + args.q_step * np.arange(n), 12)
+    q_grid = PipelineConfig(q_min=args.q_min, q_max=args.q_max,
+                            q_step=args.q_step).q_grid()
     results = estimate_scaling_panel(
         panel.returns, q_grid, np.arange(args.tau_min, args.tau_max + 1),
         tickers=panel.tickers)

@@ -27,10 +27,15 @@ class PipelineConfig:
     def validate(self):
         if not (0 < self.k <= 1):
             raise ConfigError(f"k={self.k} outside (0, 1]")
-        if self.tau_min < 1 or self.tau_max < self.tau_min:
-            raise ConfigError("tau range must satisfy 1 <= tau_min <= tau_max")
+        if self.tau_min < 1 or self.tau_max - self.tau_min < 2:
+            raise ConfigError("tau range must satisfy 1 <= tau_min and "
+                              "tau_max >= tau_min + 2 (at least 3 horizons)")
         if self.q_step <= 0 or self.q_max < self.q_min or self.q_min <= 0:
             raise ConfigError("q grid must be positive and non-empty")
+        if len(self.q_grid()) < 2:
+            raise ConfigError(
+                f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
+                "fewer than 2 values; the proxy fit needs at least 2")
         if self.significance_mode not in ("all", "filtered"):
             raise ConfigError(
                 f"significance_mode={self.significance_mode!r} not in "
@@ -46,7 +51,10 @@ class PipelineConfig:
         return np.arange(self.tau_min, self.tau_max + 1)
 
     def q_grid(self):
-        n = int(round((self.q_max - self.q_min) / self.q_step)) + 1
+        """q_min, q_min + q_step, ... up to q_max, never past it."""
+        # the 1e-9 keeps q_max when the span is an exact multiple of the
+        # step but the division rounds below it (0.9 / 0.1 = 8.999...)
+        n = int(np.floor((self.q_max - self.q_min) / self.q_step + 1e-9)) + 1
         return np.round(self.q_min + self.q_step * np.arange(n), 12)
 
     def to_pairs(self):

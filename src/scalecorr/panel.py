@@ -62,8 +62,7 @@ class PricePanel:
         textio.write_matrix(prices_path, self.dates, self.tickers, self.prices)
         if mask_path is not None:
             textio.write_matrix(mask_path, self.dates, self.tickers,
-                                self.fill_mask.astype(int),
-                                formatter=lambda v: str(int(v)))
+                                self.fill_mask, spec="%d")
 
     @classmethod
     def read(cls, prices_path, mask_path=None):

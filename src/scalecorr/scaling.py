@@ -6,8 +6,16 @@ least squares in log-log scale. The exponent curve is then fitted by the
 intercept-free quadratic zeta(q) = A*q + B*q^2; B is the curvature
 (multiscaling) proxy and A the linear one. A pure random walk gives
 A = 0.5, B = 0.
+
+The panel kernel (:func:`panel_moments`) evaluates the moments in column
+blocks of about ``BLOCK_BYTES`` each, one cumulative sum per block,
+spread over ``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Every
+column goes through the same operations in the same order whatever the block
+width or thread count, so the output does not depend on either.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +25,8 @@ from .errors import EstimationError
 DEFAULT_Q_GRID = np.round(np.arange(1, 11) * 0.1, 10)
 DEFAULT_TAU_RANGE = np.arange(1, 20)
 MIN_AGGREGATED_OBS = 30
+BLOCK_BYTES = 4 << 20          # float64 bytes per [T x block] column slice
+MAX_WORKERS = os.cpu_count() or 1
 
 
 @dataclass
@@ -139,32 +149,78 @@ def estimate_scaling(returns, q_grid=None, tau_range=None, ticker=None):
                          A_hat=A, B_hat=B, fit_rss=rss)
 
 
+def _column_blocks(T, N):
+    """Column slices of about BLOCK_BYTES for a [T x N] float64 panel.
+
+    No block is one column wide unless N == 1: numpy reduces a [T x 1] array
+    with pairwise summation but sums each column of a wider array in order,
+    so a lone column would not match the same column inside a wider block.
+    """
+    width = max(2, BLOCK_BYTES // (8 * T))
+    starts = list(range(0, N, width))
+    if len(starts) > 1 and N - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [N])]
+
+
+def panel_moments(X, q_grid, tau_range):
+    """The [Q, Tau, N] moments E[|r_tau|^q] of every column of X.
+
+    Each block of columns takes one cumulative sum for all horizons and
+    computes ``mean(exp(q * ln|r_tau|))`` per (q, tau); blocks run on up to
+    MAX_WORKERS threads and write disjoint slices of the result.
+    """
+    T, N = X.shape
+    moments = np.empty((len(q_grid), len(tau_range), N))
+
+    def fill(cols):
+        block = np.ascontiguousarray(X[:, cols])
+        csum = np.concatenate([np.zeros((1, block.shape[1])),
+                               np.cumsum(block, axis=0)])
+        for j, tau in enumerate(int(t) for t in tau_range):
+            # tau = 1 keeps the returns as they are: differencing the
+            # cumsum would round them
+            agg = block if tau == 1 else csum[tau:] - csum[:-tau]
+            with np.errstate(divide="ignore"):
+                ln_abs = np.log(np.abs(agg))  # -inf at zeros; exp(q*-inf) = 0
+            for i, q in enumerate(q_grid):
+                moments[i, j, cols] = np.mean(np.exp(q * ln_abs), axis=0)
+
+    blocks = _column_blocks(T, N)
+    with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(blocks))) as pool:
+        list(pool.map(fill, blocks))
+    return moments
+
+
 def estimate_scaling_panel(returns_matrix, q_grid=None, tau_range=None,
                            tickers=None):
-    """Vectorized per-column scaling estimation over a [time x stock] matrix.
+    """Per-column scaling estimation over a [time x stock] matrix.
 
-    Summation order within each column is fixed, so results are independent
-    of how columns are batched.
+    The [Q, Tau, N] moments come from :func:`panel_moments`; the log-log
+    and proxy fits then run on the whole panel.
     """
     X = np.asarray(returns_matrix, dtype=float)
     if X.ndim != 2:
         raise EstimationError("expected a 2-D [time x stock] matrix")
     q_grid = DEFAULT_Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     tau_range = DEFAULT_TAU_RANGE if tau_range is None else np.asarray(tau_range)
+    if len(np.unique(q_grid)) < 2:
+        raise EstimationError("proxy fit needs at least 2 distinct q values")
+    if len(np.unique(tau_range)) < 3:
+        raise EstimationError(
+            f"need at least 3 distinct horizons, got {len(np.unique(tau_range))}")
+    if tau_range.min() < 1:
+        raise EstimationError(f"horizon tau={tau_range.min()} must be >= 1")
     T, N = X.shape
+    if N == 0:
+        raise EstimationError("panel has no stock columns")
     if T - tau_range.max() + 1 < MIN_AGGREGATED_OBS:
         raise EstimationError(
             f"series length {T} leaves fewer than {MIN_AGGREGATED_OBS} "
             f"observations at tau={tau_range.max()}")
     names = list(tickers) if tickers is not None else [str(i) for i in range(N)]
 
-    moments = np.empty((len(q_grid), len(tau_range), N))
-    for j, tau in enumerate(tau_range):
-        abs_agg = np.abs(aggregate_returns(X, int(tau)))
-        with np.errstate(divide="ignore"):
-            ln_abs = np.log(abs_agg)  # -inf at exact zeros; exp(q*-inf) = 0
-        for i, q in enumerate(q_grid):
-            moments[i, j] = np.mean(np.exp(q * ln_abs), axis=0)
+    moments = panel_moments(X, q_grid, tau_range)
     bad = np.argwhere(moments == 0.0)
     if bad.size:
         i, j, n = bad[0]

@@ -1,8 +1,13 @@
 """Tab-delimited text serialization used by every stage.
 
 All floats are written with 17 significant digits so that a written value
-round-trips bit-exactly and re-runs produce byte-identical files.
+round-trips bit-exactly and re-runs produce byte-identical files. Labelled
+matrices are written with one ``%`` format per row over a whole-row spec and
+read back by a single ``np.loadtxt`` over the numeric block.
 """
+
+import itertools
+import re
 
 import numpy as np
 
@@ -17,40 +22,68 @@ def fmt(x) -> str:
 
 
 def write_matrix(path, row_labels, col_labels, matrix, corner="date",
-                 formatter=fmt):
+                 spec="%.17g"):
     """Write a labelled matrix: header row of column labels, first column of
-    row labels."""
+    row labels. ``spec`` is the ``%`` format of one value (``%d`` for
+    integer or boolean matrices)."""
     matrix = np.asarray(matrix)
+    row_fmt = DELIM.join(["%s"] + [spec] * matrix.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(DELIM.join([corner] + list(col_labels)) + "\n")
         for label, row in zip(row_labels, matrix):
-            fh.write(DELIM.join([str(label)] + [formatter(v) for v in row]) + "\n")
+            fh.write(row_fmt % (label, *row.tolist()))
 
 
-def read_matrix(path, parser=float):
+def read_matrix(path):
     """Read a labelled matrix written by :func:`write_matrix`.
 
-    Returns (row_labels, col_labels, matrix).
+    Blank lines are skipped. The file is streamed once: each data line has
+    its field count checked and its label collected as ``np.loadtxt`` pulls
+    it. Returns (row_labels, col_labels, matrix); raises DataError for a file
+    without a header, value columns or data rows, a row with the wrong
+    number of fields, a cell that is not a number, or a NaN or infinite cell.
     """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0].split(DELIM)
-    col_labels = header[1:]
-    row_labels = []
-    rows = []
-    for i, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(DELIM)
-        if len(parts) != len(header):
-            raise DataError(f"{path}: line {i} has {len(parts)} fields, "
-                            f"expected {len(header)}")
-        row_labels.append(parts[0])
+        numbered = ((i, ln) for i, ln in enumerate(fh, start=1) if ln.strip())
+        _, first = next(numbered, (0, ""))
+        header = first.rstrip("\n").split(DELIM)
+        if len(header) < 2:
+            raise DataError(f"{path}: empty file or no value columns")
+        col_labels = header[1:]
+        linenos, row_labels = [], []
+
+        def data_lines():
+            for i, ln in numbered:
+                n_fields = ln.count(DELIM) + 1
+                if n_fields != len(header):
+                    raise DataError(f"{path}: line {i} has {n_fields} fields, "
+                                    f"expected {len(header)}")
+                linenos.append(i)
+                row_labels.append(ln.partition(DELIM)[0])
+                yield ln
+
+        rows = data_lines()
+        first_row = next(rows, None)
+        if first_row is None:
+            raise DataError(f"{path}: no data rows")
         try:
-            rows.append([parser(v) for v in parts[1:]])
+            values = np.loadtxt(itertools.chain([first_row], rows), dtype=float,
+                                delimiter=DELIM, comments=None,
+                                usecols=range(1, len(header)), ndmin=2)
         except ValueError as exc:
-            raise DataError(f"{path}: line {i}: {exc}") from exc
-    return row_labels, col_labels, np.array(rows)
+            where = re.search(r"at row (\d+), column (\d+)", str(exc))
+            if where is None:
+                raise DataError(f"{path}: {exc}") from exc
+            row, col = int(where.group(1)), int(where.group(2))
+            raise DataError(f"{path}: line {linenos[row]} field {col}: "
+                            f"{str(exc)[:where.start()].strip()}") from exc
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(f"{path}: line {linenos[row]}: non-finite value "
+                        f"{float(values[row, col])} in column "
+                        f"{col_labels[col]!r}")
+    return row_labels, col_labels, values
 
 
 def write_table(path, header, rows):

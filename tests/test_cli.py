@@ -6,6 +6,9 @@ import pytest
 
 from scalecorr import textio
 from scalecorr.cli import main
+from scalecorr.config import PipelineConfig
+from scalecorr.errors import ConfigError
+from scalecorr.scaling import DEFAULT_Q_GRID
 from scalecorr.panel import ReturnPanel
 
 
@@ -97,6 +100,46 @@ class TestExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["returns", "--panel", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "x.tsv")]) == 2
+
+
+class TestGridValidation:
+    def test_q_grid_stops_at_q_max(self):
+        assert list(PipelineConfig(q_step=0.35).q_grid()) == [0.1, 0.45, 0.8]
+        assert list(PipelineConfig().q_grid()) == list(DEFAULT_Q_GRID)
+
+    def test_q_step_past_q_max_run(self, returns_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file, "--q-step", "0.35",
+                     "--output-dir", str(out)]) == 0
+        header = (out / "proxies.tsv").read_text().splitlines()[0]
+        assert header.split("\t")[4:] == ["zeta_q0.1", "zeta_q0.45",
+                                          "zeta_q0.8"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--q-min", "0.5", "--q-max", "0.5"],
+        ["--q-min", "0.1", "--q-max", "0.3", "--q-step", "0.5"],
+        ["--tau-min", "1", "--tau-max", "2"],
+        ["--tau-min", "4", "--tau-max", "4"],
+    ])
+    def test_degenerate_grid_is_config_error(self, returns_file, tmp_path,
+                                             capsys, flags):
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file, "--output-dir",
+                     str(out)] + flags) == 2
+        assert "associate" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degenerate_grid_rejected_by_validate(self):
+        with pytest.raises(ConfigError):
+            PipelineConfig(returns="r.tsv", q_min=0.5, q_max=0.5).validate()
+        with pytest.raises(ConfigError):
+            PipelineConfig(returns="r.tsv", tau_min=3, tau_max=4).validate()
+
+    def test_scaling_command_single_q_is_estimation_error(self, returns_file,
+                                                          tmp_path):
+        assert main(["scaling", "--returns", returns_file, "--q-min", "0.5",
+                     "--q-max", "0.5",
+                     "--out", str(tmp_path / "p.tsv")]) == 3
 
 
 class TestRun:

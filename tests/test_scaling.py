@@ -1,14 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scalecorr import scaling
 from scalecorr.errors import EstimationError
-from scalecorr.scaling import (DEFAULT_Q_GRID, MomentCurve, aggregate_returns,
-                               estimate_scaling, estimate_scaling_panel,
-                               estimate_zeta, fit_proxies, structure_function)
+from scalecorr.scaling import (DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, MomentCurve,
+                               aggregate_returns, estimate_scaling,
+                               estimate_scaling_panel, estimate_zeta,
+                               fit_proxies, panel_moments, structure_function)
 
 
 class TestAggregateReturns:
@@ -138,6 +141,20 @@ class TestPanelEstimation:
         with pytest.raises(EstimationError, match="BAD"):
             estimate_scaling_panel(X, tickers=["OK", "BAD"])
 
+    def test_needs_two_distinct_q(self, rng):
+        X = rng.standard_normal((200, 3))
+        with pytest.raises(EstimationError, match="2 distinct q"):
+            estimate_scaling_panel(X, q_grid=[0.5, 0.5])
+        with pytest.raises(EstimationError, match="2 distinct q"):
+            estimate_scaling_panel(X, q_grid=[0.5])
+
+    def test_needs_three_horizons(self, rng):
+        X = rng.standard_normal((200, 3))
+        with pytest.raises(EstimationError, match="3 distinct horizons"):
+            estimate_scaling_panel(X, tau_range=np.array([1, 2]))
+        with pytest.raises(EstimationError, match="3 distinct horizons"):
+            estimate_scaling_panel(X, tau_range=np.array([2, 2, 5, 5]))
+
     def test_student_t_concavity_sign(self):
         # concave zeta(q): B < 0 together with A > 0.5
         Bs, As = [], []
@@ -149,3 +166,55 @@ class TestPanelEstimation:
             As.append(r.A_hat)
         assert np.median(Bs) < 0
         assert np.median(As) > 0.5
+
+
+def _unblocked_moments(X, q_grid, tau_range):
+    """The whole-panel formula the blocked kernel replaced."""
+    moments = np.empty((len(q_grid), len(tau_range), X.shape[1]))
+    for j, tau in enumerate(tau_range):
+        abs_agg = np.abs(aggregate_returns(X, int(tau)))
+        with np.errstate(divide="ignore"):
+            ln_abs = np.log(abs_agg)
+        for i, q in enumerate(q_grid):
+            moments[i, j] = np.mean(np.exp(q * ln_abs), axis=0)
+    return moments
+
+
+class TestBlockedKernel:
+    """panel_moments is bit-identical to the unblocked formula for any block
+    width and worker count."""
+
+    T = 120
+
+    @pytest.fixture
+    def panel(self):
+        g = np.random.default_rng(7)
+        X = g.standard_t(3, size=(self.T, 23)) * 0.01
+        X[5:9, 4] = 0.0       # exact zeros take the ln|x| = -inf path
+        return X
+
+    @pytest.mark.parametrize("width", [2, 4, 5, 22, 1000])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 21, 23])
+    def test_bit_identical(self, panel, monkeypatch, width, workers, n):
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * self.T * width)
+        monkeypatch.setattr(scaling, "MAX_WORKERS", workers)
+        X = panel[:, :n]
+        got = panel_moments(X, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        want = _unblocked_moments(X, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        assert np.array_equal(got, want)
+
+    def test_many_threads_stress(self, panel, monkeypatch):
+        # more workers than cores, two-column blocks and a short switch
+        # interval: a lost or misplaced block write breaks bit-identity
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * self.T * 2)
+        monkeypatch.setattr(scaling, "MAX_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [panel_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+                   for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        want = _unblocked_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        assert all(np.array_equal(g, want) for g in got)
