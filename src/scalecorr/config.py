@@ -7,6 +7,9 @@ import numpy as np
 
 from .errors import ConfigError
 
+# upper bound on the q grid's size; the paper's grid has 10 values
+MAX_Q_VALUES = 10_000
+
 
 @dataclass
 class PipelineConfig:
@@ -30,8 +33,9 @@ class PipelineConfig:
         if self.tau_min < 1 or self.tau_max - self.tau_min < 2:
             raise ConfigError("tau range must satisfy 1 <= tau_min and "
                               "tau_max >= tau_min + 2 (at least 3 horizons)")
-        if self.q_step <= 0 or self.q_max < self.q_min or self.q_min <= 0:
-            raise ConfigError("q grid must be positive and non-empty")
+        if not (0 < self.q_min <= self.q_max < np.inf
+                and 0 < self.q_step < np.inf):
+            raise ConfigError("q grid must be positive, finite and non-empty")
         if len(self.q_grid()) < 2:
             raise ConfigError(
                 f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
@@ -51,11 +55,18 @@ class PipelineConfig:
         return np.arange(self.tau_min, self.tau_max + 1)
 
     def q_grid(self):
-        """q_min, q_min + q_step, ... up to q_max, never past it."""
+        """q_min, q_min + q_step, ... up to q_max, never past it.
+
+        Raises ConfigError, before allocating, for more than MAX_Q_VALUES.
+        """
         # the 1e-9 keeps q_max when the span is an exact multiple of the
         # step but the division rounds below it (0.9 / 0.1 = 8.999...)
-        n = int(np.floor((self.q_max - self.q_min) / self.q_step + 1e-9)) + 1
-        return np.round(self.q_min + self.q_step * np.arange(n), 12)
+        n = np.floor((self.q_max - self.q_min) / self.q_step + 1e-9) + 1
+        if n > MAX_Q_VALUES:
+            raise ConfigError(
+                f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
+                f"more than {MAX_Q_VALUES} values")
+        return np.round(self.q_min + self.q_step * np.arange(int(n)), 12)
 
     def to_pairs(self):
         out = []

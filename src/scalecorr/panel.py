@@ -6,6 +6,12 @@ starts at the latest first trading date among the survivors, the date axis is
 the union of the survivors' trading dates from that start, and every gap is
 filled by dragging the last available price. Demeaned one-day log-returns and
 per-ticker median capitalizations are derived from the cleaned panel.
+
+Record files are read column-wise: the plain ``ticker,date,value`` lines are
+split in bulk, values and dates are parsed into arrays, and records are
+grouped, sorted and checked with array operations. Only lines that are not
+plain records (comments, blank lines, whitespace delimiters, padded fields)
+get per-line work, and that work only normalises them into the same columns.
 """
 
 import datetime as dt
@@ -18,6 +24,15 @@ from .errors import DataError, EstimationError
 from . import textio
 
 DEFAULT_LENGTH_FRACTION = 0.90
+# record lines split per bulk step; bounds the Python strings alive at once
+CHUNK_LINES = 1 << 16
+# ordinal stand-in for an unparseable date; real ordinals start at 1
+_BAD_DAY = 0
+
+
+def _ordinals(dates):
+    """Proleptic Gregorian ordinals of a sequence of dates."""
+    return np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
 
 
 @dataclass(frozen=True)
@@ -31,11 +46,13 @@ class RawPriceSeries:
     def __post_init__(self):
         if len(self.dates) != len(self.prices):
             raise DataError(f"{self.ticker}: dates/prices length mismatch")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise DataError(f"{self.ticker}: dates not strictly increasing")
-        if np.any(np.asarray(self.prices) <= 0):
+        if np.any(np.diff(_ordinals(self.dates)) <= 0):
+            raise DataError(f"{self.ticker}: dates not strictly increasing")
+        prices = np.asarray(self.prices)
+        if np.any(prices <= 0):
             raise DataError(f"{self.ticker}: non-positive price")
+        if not np.all(np.isfinite(prices)):
+            raise DataError(f"{self.ticker}: non-finite price")
 
 
 @dataclass
@@ -121,54 +138,216 @@ def _parse_date(text):
         raise DataError(f"unparseable date {text!r}") from exc
 
 
-def _iter_records(source, what="price"):
-    """Yield (lineno, ticker, date, value) from a path or iterable of lines."""
+@dataclass
+class _Records:
+    """(ticker, date, value) records read column-wise from one source.
+
+    Records are not in file order; ``line`` holds each one's 1-based line
+    number. ``code`` indexes ``tickers`` (sorted names) and ``date_code``
+    indexes ``dates``: the parsed date of each distinct date text, or the
+    error message for a text that does not parse. A record whose date does
+    not parse has ``day == _BAD_DAY``; one whose value does not parse has a
+    NaN value. ``error`` is (line, message) of the first line the reader
+    itself rejects (field count, value or date), or None.
+    """
+
+    tickers: list
+    code: np.ndarray
+    dates: list
+    date_code: np.ndarray
+    day: np.ndarray
+    value: np.ndarray
+    line: np.ndarray
+    error: tuple
+
+    def ticker(self, i):
+        return self.tickers[self.code[i]]
+
+    def raise_first(self, *rules):
+        """Raise DataError for the first faulty line in file order.
+
+        Each rule is (mask over records, message of record i); rules are
+        given in the order a line is checked in, after the reader's checks.
+        """
+        first = self.error
+        for mask, message in rules:
+            hits = np.flatnonzero(mask)
+            if hits.size:
+                i = hits[np.argmin(self.line[hits])]
+                if first is None or self.line[i] < first[0]:
+                    first = (self.line[i], message(i))
+        if first is not None:
+            raise DataError(first[1])
+
+
+class _Codes(dict):
+    """Maps each text to a consecutive code, given on its first lookup."""
+
+    def __missing__(self, text):
+        self[text] = code = len(self)
+        return code
+
+
+def _count_between(positions, starts, ends):
+    """How many of the sorted ``positions`` fall in each [start, end)."""
+    return np.searchsorted(positions, ends) - np.searchsorted(positions, starts)
+
+
+def _parse_floats(texts):
+    """Parse texts as floats; on a bad text, also return its index.
+
+    The values from the bad text on are NaN.
+    """
+    try:
+        return np.array(texts, dtype=float), None
+    except ValueError:
+        values = np.full(len(texts), np.nan)
+        for j, text in enumerate(texts):
+            try:
+                values[j] = float(text)
+            except ValueError:
+                return values, j
+        raise
+
+
+def _read_records(source, what):
+    """Read (ticker, date, value) records from a path or iterable of lines.
+
+    Lines are comma- or whitespace-delimited; blank lines and lines starting
+    with ``#`` are skipped. Plain printable-ASCII ``a,b,c`` lines are split
+    in bulk; any other line is stripped and split on its own, then joins the
+    same columns. The reader's own faults (field count, value, date) are
+    collected, not raised, so that callers can report the first faulty line
+    across their own checks too (:meth:`_Records.raise_first`).
+    """
+    lines = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source) as fh:
-            yield from _iter_records(fh.readlines(), what)
-        return
-    for lineno, line in enumerate(source, start=1):
+            text = fh.read()
+    else:
+        lines = list(source) or [""]  # no lines reads as one blank line
+        text = "\n".join(lines)
+        if text.count("\n") != len(lines) - 1:
+            # some line holds a line break of its own: scan a stand-in with
+            # the same numbering; that line is normalised from ``lines``
+            text = "\n".join(ln.replace("\n", "\0") for ln in lines)
+    raw = text.encode("utf-8", "surrogatepass")
+    del text
+    buf = np.frombuffer(raw, np.uint8)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    starts = np.r_[0, breaks + 1]
+    ends = np.r_[breaks, buf.size]
+    # bytes outside '!'..'~': blanks, controls, line breaks, non-ASCII
+    odd = np.flatnonzero((buf - ord("!")) > ord("~") - ord("!"))
+    commas = np.flatnonzero(buf == ord(","))
+    plain = ((ends > starts) & (_count_between(odd, starts, ends) == 0)
+             & (_count_between(commas, starts, ends) == 2))
+    plain[plain] = buf[starts[plain]] != ord("#")
+
+    tickers, date_code = _Codes(), _Codes()
+    columns = {"code": [np.empty(0, np.intp)], "date": [np.empty(0, np.intp)],
+               "value": [np.empty(0)], "line": [np.empty(0, np.int64)]}
+    errors = []  # (line, rank within the line, message)
+
+    def add(ticker_texts, date_texts, value_texts, line_numbers):
+        n = len(ticker_texts)
+        values, bad = _parse_floats(value_texts)
+        if bad is not None:
+            errors.append((line_numbers[bad], 0, f"line {line_numbers[bad]}: "
+                           f"bad {what} {value_texts[bad]!r}"))
+        columns["code"].append(np.fromiter(map(tickers.__getitem__,
+                                               ticker_texts), np.intp, n))
+        columns["date"].append(np.fromiter(map(date_code.__getitem__,
+                                               date_texts), np.intp, n))
+        columns["value"].append(values)
+        columns["line"].append(np.asarray(line_numbers, np.int64))
+
+    rows = np.flatnonzero(plain)
+    for k in range(0, rows.size, CHUNK_LINES):
+        part = rows[k:k + CHUNK_LINES]
+        # one byte slice per run of consecutive plain lines
+        cut = np.flatnonzero(np.diff(part) != 1) + 1
+        spans = map(slice, starts[part[np.r_[0, cut]]].tolist(),
+                    ends[part[np.r_[cut - 1, part.size - 1]]].tolist())
+        fields = (b"\n".join(map(raw.__getitem__, spans)).decode("ascii")
+                  .replace("\n", ",").split(","))
+        add(fields[0::3], fields[1::3], fields[2::3], part + 1)
+
+    loose = ([], [], [], [])
+    for i in np.flatnonzero(~plain).tolist():
+        line = (lines[i] if lines is not None else
+                raw[starts[i]:ends[i]].decode("utf-8", "surrogatepass"))
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in (line.split(",") if "," in line
                                      else line.split())]
         if len(parts) != 3:
-            raise DataError(f"line {lineno}: expected 3 fields "
-                            f"(ticker, date, {what}), got {len(parts)}")
-        ticker, date_text, value_text = parts
+            # no later line can hold the first fault
+            errors.append((i + 1, 0, f"line {i + 1}: expected 3 fields "
+                           f"(ticker, date, {what}), got {len(parts)}"))
+            break
+        for column, value in zip(loose, parts + [i + 1]):
+            column.append(value)
+    if loose[0]:
+        add(*loose)
+
+    names = sorted(tickers)
+    rank = np.empty(len(names), np.intp)
+    rank[[tickers[t] for t in names]] = np.arange(len(names))
+    cat = {k: np.concatenate(v) for k, v in columns.items()}
+    dates = []
+    for text in date_code:
         try:
-            value = float(value_text)
-        except ValueError as exc:
-            raise DataError(f"line {lineno}: bad {what} {value_text!r}") from exc
-        yield lineno, ticker, _parse_date(date_text), value
+            dates.append(_parse_date(text))
+        except DataError as exc:
+            dates.append(str(exc))
+    day = np.array([d.toordinal() if isinstance(d, dt.date) else _BAD_DAY
+                    for d in dates], np.int64)[cat["date"]]
+    bad_day = np.flatnonzero(day == _BAD_DAY)
+    if bad_day.size:
+        i = bad_day[np.argmin(cat["line"][bad_day])]
+        errors.append((cat["line"][i], 1, dates[cat["date"][i]]))
+    first = min(errors, default=None)
+    return _Records(tickers=names, code=rank[cat["code"]], dates=dates,
+                    date_code=cat["date"], day=day, value=cat["value"],
+                    line=cat["line"],
+                    error=None if first is None else (first[0], first[2]))
 
 
 def load_prices(source):
     """Parse (ticker, ISO date, close) records into per-ticker series.
 
-    Accepts a path or an iterable of lines; comma- or whitespace-delimited.
+    Accepts a path or an iterable of lines; comma- or whitespace-delimited,
+    ``#`` comments and blank lines skipped. Raises DataError for the first
+    faulty line in file order: a wrong field count, an unparseable close or
+    date, a non-finite or non-positive close, or a repeated (ticker, date).
     """
-    by_ticker = {}
-    seen = set()
-    for lineno, ticker, date, close in _iter_records(source, "close"):
-        if close <= 0:
-            raise DataError(f"line {lineno}: non-positive close {close} "
-                            f"for {ticker}")
-        if (ticker, date) in seen:
-            raise DataError(f"line {lineno}: duplicate record for "
-                            f"({ticker}, {date})")
-        seen.add((ticker, date))
-        by_ticker.setdefault(ticker, []).append((date, close))
-    series = []
-    for ticker in sorted(by_ticker):
-        obs = sorted(by_ticker[ticker])
-        series.append(RawPriceSeries(
-            ticker=ticker,
-            dates=tuple(d for d, _ in obs),
-            prices=np.array([p for _, p in obs]),
-        ))
-    return series
+    rec = _read_records(source, "close")
+    value, line = rec.value, rec.line
+    order = np.lexsort((line, rec.day, rec.code))
+    code, day = rec.code[order], rec.day[order]
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[order[1:]] = (code[1:] == code[:-1]) & (day[1:] == day[:-1])
+    rec.raise_first(
+        (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite close "
+         f"{float(value[i])} for {rec.ticker(i)}"),
+        (value <= 0, lambda i: f"line {line[i]}: non-positive close "
+         f"{float(value[i])} for {rec.ticker(i)}"),
+        (repeat, lambda i: f"line {line[i]}: duplicate record for "
+         f"({rec.ticker(i)}, {rec.dates[rec.date_code[i]]})"))
+    dates = np.array(rec.dates, dtype=object)[rec.date_code[order]]
+    prices = value[order]
+    bounds = _group_bounds(rec)
+    return [RawPriceSeries(ticker=t, dates=tuple(dates[a:b]),
+                           prices=prices[a:b])
+            for t, a, b in zip(rec.tickers, bounds, bounds[1:])]
+
+
+def _group_bounds(rec):
+    """Start of each ticker's block in code-sorted order, then the end."""
+    counts = np.bincount(rec.code, minlength=len(rec.tickers))
+    return np.r_[0, np.cumsum(counts)].tolist()
 
 
 def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
@@ -189,24 +368,20 @@ def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
         raise DataError("length filter removed every series")
     survivors = sorted(survivors, key=lambda s: s.ticker)
 
-    start = max(s.dates[0] for s in survivors)
-    ref_dates = sorted({d for s in survivors for d in s.dates if d >= start})
+    days = [_ordinals(s.dates) for s in survivors]
+    start = max(d[0] for d in days)
+    ref = np.unique(np.concatenate([d[d >= start] for d in days]))
+    ref_dates = [dt.date.fromordinal(o) for o in ref.tolist()]
 
     T, N = len(ref_dates), len(survivors)
     prices = np.empty((T, N))
-    mask = np.zeros((T, N), dtype=bool)
-    for i, s in enumerate(survivors):
-        own = dict(zip(s.dates, s.prices))
-        # last observation at or before the start; guaranteed to exist
+    mask = np.empty((T, N), dtype=bool)
+    for i, (s, d) in enumerate(zip(survivors, days)):
+        # last own observation at or before each reference date; one exists
         # because start is the maximum of the survivors' first dates
-        last = next(p for d, p in reversed(list(zip(s.dates, s.prices)))
-                    if d <= start)
-        for t, d in enumerate(ref_dates):
-            if d in own:
-                last = own[d]
-            else:
-                mask[t, i] = True
-            prices[t, i] = last
+        last = np.searchsorted(d, ref, side="right") - 1
+        prices[:, i] = np.asarray(s.prices)[last]
+        mask[:, i] = d[last] != ref
 
     return PricePanel(dates=ref_dates, tickers=[s.ticker for s in survivors],
                       prices=prices, fill_mask=mask)
@@ -223,14 +398,25 @@ def compute_returns(panel):
 
 
 def load_capitalizations(source):
-    """Parse (ticker, ISO date, capitalization) records into per-ticker lists."""
-    by_ticker = {}
-    for lineno, ticker, date, value in _iter_records(source, "capitalization"):
-        if value < 0:
-            raise DataError(f"line {lineno}: negative capitalization {value} "
-                            f"for {ticker}")
-        by_ticker.setdefault(ticker, []).append((date, value))
-    return {t: [v for _, v in sorted(obs)] for t, obs in by_ticker.items()}
+    """Parse (ticker, ISO date, capitalization) records into per-ticker lists.
+
+    Tickers keep the order of their first record; each list is sorted by
+    date. Raises DataError for the first faulty line in file order, as
+    :func:`load_prices` does, for a non-finite or negative capitalization.
+    """
+    rec = _read_records(source, "capitalization")
+    value, line = rec.value, rec.line
+    rec.raise_first(
+        (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite "
+         f"capitalization {float(value[i])} for {rec.ticker(i)}"),
+        (value < 0, lambda i: f"line {line[i]}: negative capitalization "
+         f"{float(value[i])} for {rec.ticker(i)}"))
+    order = np.lexsort((line, value, rec.day, rec.code))
+    bounds = _group_bounds(rec)
+    first_line = np.minimum.reduceat(line[order], bounds[:-1])
+    values = value[order].tolist()
+    return {rec.tickers[k]: values[bounds[k]:bounds[k + 1]]
+            for k in np.argsort(first_line).tolist()}
 
 
 def median_capitalization(records):
@@ -245,5 +431,9 @@ def median_capitalization(records):
             raise DataError(f"{ticker}: negative capitalization value")
         if not obs:
             continue
-        values[ticker] = float(np.median(obs))
+        median = float(np.median(obs))
+        if not 0 < median < math.inf:
+            raise DataError(f"{ticker}: median capitalization {median} has "
+                            "no finite logarithm")
+        values[ticker] = median
     return CapitalizationTable(values=values)

@@ -10,6 +10,7 @@ digests. Outputs are byte-identical across re-runs with the same inputs.
 
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import textio
 from .association import build_report
 from .config import PipelineConfig
 from .crosscorr import correlation_matrix
-from .errors import ConfigError, PipelineError
+from .errors import ConfigError, DataError, PipelineError
 from .panel import (ReturnPanel, compute_returns, load_capitalizations,
                     load_prices, median_capitalization, preprocess)
 from .scaling import estimate_scaling_panel
@@ -56,15 +57,36 @@ def write_proxies_table(path, tickers, results):
 
 
 def read_proxies_table(path):
-    """Read the proxy table back as {ticker: (A_hat, B_hat)}."""
+    """Read the proxy table back as {ticker: (A_hat, B_hat)}.
+
+    Raises DataError naming the file and line for an empty file, a header
+    without an ``A_hat`` or ``B_hat`` column, a row whose field count differs
+    from the header's, or an A_hat/B_hat that is not a finite number.
+    """
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(textio.DELIM)
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1)
+                 if ln.strip()]
+    if not lines:
+        raise DataError(f"{path}: empty file")
+    header = lines[0][1].split(textio.DELIM)
+    for column in ("A_hat", "B_hat"):
+        if column not in header:
+            raise DataError(f"{path}: line {lines[0][0]}: no {column} column")
     ia, ib = header.index("A_hat"), header.index("B_hat")
     out = {}
-    for ln in lines[1:]:
+    for i, ln in lines[1:]:
         parts = ln.split(textio.DELIM)
-        out[parts[0]] = (float(parts[ia]), float(parts[ib]))
+        if len(parts) != len(header):
+            raise DataError(f"{path}: line {i} has {len(parts)} fields, "
+                            f"expected {len(header)}")
+        try:
+            a, b = float(parts[ia]), float(parts[ib])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {i}: {exc}") from exc
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DataError(f"{path}: line {i}: non-finite A_hat/B_hat "
+                            f"({a}, {b})")
+        out[parts[0]] = (a, b)
     return out
 
 

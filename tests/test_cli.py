@@ -101,6 +101,61 @@ class TestExitCodes:
         assert main(["returns", "--panel", str(tmp_path / "nope.tsv"),
                      "--out", str(tmp_path / "x.tsv")]) == 2
 
+    def test_directory_input_is_2(self, tmp_path, capsys):
+        assert main(["run", "--prices", str(tmp_path),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_close_is_1_and_writes_nothing(self, prices_file,
+                                                       tmp_path, capsys,
+                                                       token):
+        lines = open(prices_file).read().splitlines()
+        lines[30] = lines[30].rpartition(",")[0] + "," + token
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["run", "--prices", str(bad), "--output-dir",
+                     str(out)]) == 1
+        assert "line 31: non-finite close" in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_zero_median_cap_is_1(self, returns_file, tmp_path, capsys):
+        caps = tmp_path / "caps.csv"
+        caps.write_text("".join(f"S{i:04d},2020-01-01,{0 if i == 3 else 5}\n"
+                                for i in range(8)))
+        assert main(["run", "--returns", returns_file, "--capitalization",
+                     str(caps), "--output-dir", str(tmp_path / "o")]) == 1
+        assert "S0003: median capitalization 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda rows: rows[:2] + [rows[2].split("\t")[0]] + rows[3:],
+         "line 3 has 1 fields"),
+        (lambda rows: [rows[0].replace("B_hat", "C_hat")] + rows[1:],
+         "line 1: no B_hat column"),
+        (lambda rows: rows[:4] + [rows[4].replace("\t", "\tx", 1)] + rows[5:],
+         "line 5: could not convert"),
+        (lambda rows: rows[:4] + ["\t".join(["S", "nan"] + rows[4].split(
+            "\t")[2:])] + rows[5:], "line 5: non-finite"),
+        (lambda rows: [], "empty file"),
+    ])
+    def test_malformed_proxies_table_is_1(self, returns_file, tmp_path,
+                                          capsys, edit, where):
+        proxies = tmp_path / "proxies.tsv"
+        rho_bar = str(tmp_path / "rho_bar.tsv")
+        assert main(["scaling", "--returns", returns_file,
+                     "--out", str(proxies)]) == 0
+        assert main(["xcorr", "--returns", returns_file,
+                     "--rho-out", str(tmp_path / "rho.tsv"),
+                     "--rho-bar-out", rho_bar]) == 0
+        rows = proxies.read_text().splitlines()
+        proxies.write_text("".join(r + "\n" for r in edit(rows)))
+        assert main(["associate", "--proxies", str(proxies), "--rho-bar",
+                     rho_bar, "--out", str(tmp_path / "r.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert str(proxies) in err and where in err
+
 
 class TestGridValidation:
     def test_q_grid_stops_at_q_max(self):
@@ -128,6 +183,20 @@ class TestGridValidation:
                      str(out)] + flags) == 2
         assert "associate" not in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_grid_is_config_error(self, returns_file, tmp_path):
+        # 1e-12 steps from 0.1 to 1.0 would be ~9e11 values (6.5 TiB)
+        assert main(["run", "--returns", returns_file, "--q-step", "1e-12",
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        with pytest.raises(ConfigError, match="more than 10000 values"):
+            PipelineConfig(returns="r.tsv", q_step=1e-300).validate()
+        assert len(PipelineConfig(q_min=1e-4, q_max=1.0,
+                                  q_step=1e-4).q_grid()) == 10_000
+
+    @pytest.mark.parametrize("field", ["q_min", "q_max", "q_step"])
+    def test_nan_grid_bound_is_config_error(self, field):
+        with pytest.raises(ConfigError, match="finite"):
+            PipelineConfig(returns="r.tsv", **{field: float("nan")}).validate()
 
     def test_degenerate_grid_rejected_by_validate(self):
         with pytest.raises(ConfigError):

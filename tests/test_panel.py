@@ -1,5 +1,7 @@
 import datetime as dt
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 
 from scalecorr.errors import DataError, EstimationError
 from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
-                             load_prices, median_capitalization, preprocess)
+                             load_capitalizations, load_prices,
+                             median_capitalization, preprocess)
 
 from conftest import PRICE_FIXTURE
 
@@ -47,6 +50,251 @@ class TestLoadPrices:
         extra = ["CCC,2020-01-01,5", "CCC,2020-01-02,6"]
         out = load_prices(PRICE_FIXTURE.splitlines() + extra)
         assert len(out) == 3
+
+
+# Reference record parser: the per-line reader the columnar one replaced,
+# kept verbatim except for the non-finite checks (marked), which the
+# columnar reader adds at the same point of a line's checks.
+def _reference_parse_date(text):
+    try:
+        return dt.date.fromisoformat(str(text).strip())
+    except ValueError as exc:
+        raise DataError(f"unparseable date {text!r}") from exc
+
+
+def _reference_iter_records(source, what="price"):
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source) as fh:
+            yield from _reference_iter_records(fh.readlines(), what)
+        return
+    for lineno, line in enumerate(source, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in (line.split(",") if "," in line
+                                     else line.split())]
+        if len(parts) != 3:
+            raise DataError(f"line {lineno}: expected 3 fields "
+                            f"(ticker, date, {what}), got {len(parts)}")
+        ticker, date_text, value_text = parts
+        try:
+            value = float(value_text)
+        except ValueError as exc:
+            raise DataError(f"line {lineno}: bad {what} {value_text!r}") from exc
+        yield lineno, ticker, _reference_parse_date(date_text), value
+
+
+def _reference_load_prices(source):
+    by_ticker = {}
+    seen = set()
+    for lineno, ticker, date, close in _reference_iter_records(source, "close"):
+        if not math.isfinite(close):  # added: non-finite check
+            raise DataError(f"line {lineno}: non-finite close {close} "
+                            f"for {ticker}")
+        if close <= 0:
+            raise DataError(f"line {lineno}: non-positive close {close} "
+                            f"for {ticker}")
+        if (ticker, date) in seen:
+            raise DataError(f"line {lineno}: duplicate record for "
+                            f"({ticker}, {date})")
+        seen.add((ticker, date))
+        by_ticker.setdefault(ticker, []).append((date, close))
+    series = []
+    for ticker in sorted(by_ticker):
+        obs = sorted(by_ticker[ticker])
+        series.append(RawPriceSeries(
+            ticker=ticker,
+            dates=tuple(d for d, _ in obs),
+            prices=np.array([p for _, p in obs]),
+        ))
+    return series
+
+
+def _reference_load_capitalizations(source):
+    by_ticker = {}
+    for lineno, ticker, date, value in _reference_iter_records(
+            source, "capitalization"):
+        if not math.isfinite(value):  # added: non-finite check
+            raise DataError(f"line {lineno}: non-finite capitalization "
+                            f"{value} for {ticker}")
+        if value < 0:
+            raise DataError(f"line {lineno}: negative capitalization {value} "
+                            f"for {ticker}")
+        by_ticker.setdefault(ticker, []).append((date, value))
+    return {t: [v for _, v in sorted(obs)] for t, obs in by_ticker.items()}
+
+
+def _reference_preprocess(series, k):
+    """The dict-lookup forward fill the vectorised one replaced."""
+    max_len = max(len(s.dates) for s in series)
+    survivors = sorted((s for s in series if len(s.dates) >= k * max_len),
+                       key=lambda s: s.ticker)
+    start = max(s.dates[0] for s in survivors)
+    ref_dates = sorted({d for s in survivors for d in s.dates if d >= start})
+    T, N = len(ref_dates), len(survivors)
+    prices = np.empty((T, N))
+    mask = np.zeros((T, N), dtype=bool)
+    for i, s in enumerate(survivors):
+        own = dict(zip(s.dates, s.prices))
+        last = next(p for d, p in reversed(list(zip(s.dates, s.prices)))
+                    if d <= start)
+        for t, d in enumerate(ref_dates):
+            if d in own:
+                last = own[d]
+            else:
+                mask[t, i] = True
+            prices[t, i] = last
+    return ref_dates, [s.ticker for s in survivors], prices, mask
+
+
+def _bits(values):
+    """Floats as exact, sign-aware keys (so -0.0 differs from 0.0)."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+def _outcome(loader, source):
+    try:
+        out = loader(source)
+    except DataError as exc:
+        return "error", str(exc)
+    if isinstance(out, dict):
+        return "ok", [(t, _bits(v)) for t, v in out.items()]
+    return "ok", [(s.ticker, s.dates, _bits(s.prices.tolist()),
+                   s.prices.dtype) for s in out]
+
+
+_DAY0 = D(2020, 1, 1)
+_TICKERS = st.sampled_from(["AAA", "BB", "C", "D_1", "\u00c41"])
+_DATES = st.one_of(
+    st.integers(0, 40).map(lambda k: (_DAY0 + dt.timedelta(k)).isoformat()),
+    st.integers(0, 40).map(lambda k: (_DAY0 + dt.timedelta(k))
+                           .strftime("%Y%m%d")),
+    st.sampled_from(["2020-02-30", "2020-1-1", "soon", ""]))
+_VALUES = st.one_of(
+    st.floats(0.01, 1e4).map(repr), st.integers(1, 999).map(str),
+    st.sampled_from(["0", "-0", "-2.5", "nan", "-inf", "inf", "1e400",
+                     "1_000", "x1", "", "\u0661\u0662"]))
+_LAYOUTS = st.sampled_from(
+    ["{t},{d},{v}"] * 8 + [
+        "{t} {d} {v}", "{t}\t{d}\t{v}", " {t} , {d},{v} ", "{t},{d},{v}\r",
+        "{t},{d},{v}\u2003", "\x0b{t}\x0c{d}\x1c{v}", "{t},{d} {v}",
+        "{t},{d}", "{t},{d},{v},", "{t} {d}", "# {t},{d},{v}", "#", "",
+        "   ", "{t},{d},{v}\n", "{t}{d}{v}", "{t},{d},{v}#x",
+        "#{t},{d},{v}"])
+
+
+@st.composite
+def record_files(draw):
+    """Record lines in any order, with irregular lines and bad tokens; some
+    records repeat, laid out anew, with the same or another value."""
+    records = [(draw(_TICKERS), draw(_DATES), draw(_VALUES))
+               for _ in range(draw(st.integers(0, 20)))]
+    for t, d, v in draw(st.lists(st.sampled_from(records), max_size=3)
+                        if records else st.just([])):
+        records.append((t, d, draw(st.sampled_from([v, "0", "-0", "3"]))))
+    lines = [draw(_LAYOUTS).format(t=t, d=d, v=v)
+             for t, d, v in draw(st.permutations(records))]
+    return lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
+class TestColumnarReaderMatchesReference:
+    """The columnar reader gives the per-line reader's series or error."""
+
+    @staticmethod
+    def _check(lines, newline):
+        for new, old in ((load_prices, _reference_load_prices),
+                         (load_capitalizations,
+                          _reference_load_capitalizations)):
+            assert _outcome(new, lines) == _outcome(old, lines)
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "records.csv")
+                with open(path, "w", newline="") as fh:
+                    fh.write(newline.join(lines) + newline)
+                assert _outcome(new, path) == _outcome(old, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_files())
+    def test_generated_files(self, drawn):
+        self._check(*drawn)
+
+    @pytest.mark.parametrize("lines", [
+        # first faulty line wins across kinds: value on line 2, date on 3
+        ["AAA,2020-01-01,1", "AAA,2020-01-02,x", "AAA,bad,1"],
+        ["AAA,bad,1", "AAA,2020-01-02,x"],
+        # within a line: value before date, date before sign
+        ["AAA,bad,x"], ["AAA,bad,-1"], ["AAA,2020-01-01,nan"],
+        # a duplicate spelled differently is still a duplicate; the later
+        # line is the one reported, and equal caps keep their file order
+        ["AAA,2020-01-01,1", "AAA 20200101 2"],
+        ["AAA 2020-01-01 1", "AAA,2020-01-01,2"],
+        ["AAA 2020-01-01 0", "AAA,2020-01-01,-0"],
+        # a field-count error after an earlier duplicate
+        ["AAA,2020-01-01,1", "AAA,2020-01-01,2", "AAA,2020-01-03"],
+        # irregular lines between plain ones, late starter
+        ["# header", "BBB,2020-01-05,3", "", " AAA , 2020-01-02 , 1 ",
+         "AAA\t2020-01-01\t2", "AAA,2020-01-03,4\r"],
+        [],
+    ])
+    def test_hand_cases(self, lines):
+        self._check(lines, "\n")
+
+    def test_chunked_file_matches(self, tmp_path, monkeypatch):
+        # more plain lines than one bulk step, split around irregular ones
+        import scalecorr.panel as panel
+        monkeypatch.setattr(panel, "CHUNK_LINES", 7)
+        lines = [f"T{i % 5},{(_DAY0 + dt.timedelta(i // 5)).isoformat()},"
+                 f"{1 + i}" for i in range(100)]
+        lines[40] = "# note"
+        lines[41] = f"  {lines[41]}  "
+        self._check(lines, "\n")
+        lines[77] = "T2,2020-01-01,5"  # duplicate past several chunks
+        self._check(lines, "\n")
+
+
+class TestNonFiniteAndZero:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_close_rejected(self, token):
+        with pytest.raises(DataError, match="line 2: non-finite close"):
+            load_prices(["AAA,2020-01-01,1", f"AAA,2020-01-02,{token}"])
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_cap_rejected(self, token):
+        with pytest.raises(DataError,
+                           match="line 1: non-finite capitalization"):
+            load_capitalizations([f"AAA,2020-01-01,{token}"])
+
+    def test_non_finite_series_rejected(self):
+        with pytest.raises(DataError, match="non-finite price"):
+            series("AAA", [(1, 1.0), (2, float("nan"))])
+
+    def test_zero_median_cap_names_ticker(self):
+        with pytest.raises(DataError, match="ZZZ: median capitalization 0"):
+            median_capitalization({"A": [1.0], "ZZZ": [0.0, 0.0, 5.0]})
+
+
+class TestPreprocessMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sets(st.integers(0, 60), min_size=1, max_size=40),
+                    min_size=1, max_size=6),
+           st.sampled_from([0.3, 0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
+    def test_vectorised_fill_equals_dict_fill(self, day_sets, k, seed):
+        rng = np.random.default_rng(seed)
+        raw = [RawPriceSeries(f"S{i}", tuple(_DAY0 + dt.timedelta(d)
+                                             for d in sorted(days)),
+                              rng.uniform(1, 100, len(days)))
+               for i, days in enumerate(day_sets)]
+        panel = preprocess(raw, k)
+        dates, tickers, prices, mask = _reference_preprocess(raw, k)
+        assert panel.dates == dates
+        assert panel.tickers == tickers
+        assert np.array_equal(panel.prices, prices)
+        assert np.array_equal(panel.fill_mask, mask)
+
+    def test_unsorted_dates_rejected(self):
+        with pytest.raises(DataError, match="strictly increasing"):
+            series("AAA", [(2, 1.0), (2, 2.0)])
+        with pytest.raises(DataError, match="strictly increasing"):
+            series("AAA", [(3, 1.0), (1, 2.0)])
 
 
 class TestPreprocess:
