@@ -17,11 +17,9 @@ from .errors import ConfigError, DataError, EstimationError, PipelineError
 from .panel import (CapitalizationTable, PricePanel, RawPriceSeries,
                     ReturnPanel, compute_returns, load_capitalizations,
                     load_prices, median_capitalization, preprocess)
-from .pipeline import compare_reports, run
+from .pipeline import __version__, compare_reports, run
 from .scaling import (MomentCurve, ScalingResult, aggregate_returns,
                       estimate_scaling, estimate_scaling_panel, estimate_zeta,
                       fit_proxies, structure_function)
 from .surrogates import SurrogateSpec, marginal_gaussianize, synchronous_shuffle
 from .synth import MarketRecipe, generate, stylized_fact_experiment
-
-__version__ = "0.1.0"

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import textio
 from .association import build_report
-from .config import PipelineConfig, build_config, parse_config_file
+from .config import (FIELD_TYPES, SIGNIFICANCE_MODES, PipelineConfig,
+                     build_config, parse_config_file)
 from .crosscorr import correlation_matrix
 from .errors import ConfigError, PipelineError
 from .panel import (CapitalizationTable, PricePanel, ReturnPanel,
@@ -26,29 +27,23 @@ from .synth import KINDS, MarketRecipe, generate
 
 
 def _add_config_args(p):
+    """``--config`` and one flag per PipelineConfig field (``--tau-min`` for
+    tau_min), unset by default so that file values and defaults apply."""
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--prices")
-    p.add_argument("--returns")
-    p.add_argument("--capitalization")
-    p.add_argument("--k", type=float)
-    p.add_argument("--tau-min", dest="tau_min", type=int)
-    p.add_argument("--tau-max", dest="tau_max", type=int)
-    p.add_argument("--q-min", dest="q_min", type=float)
-    p.add_argument("--q-max", dest="q_max", type=float)
-    p.add_argument("--q-step", dest="q_step", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--significance-mode", dest="significance_mode",
-                   choices=["all", "filtered"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--output-dir", dest="output_dir")
+    for name, parse in FIELD_TYPES.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                       choices=(SIGNIFICANCE_MODES
+                                if name == "significance_mode" else None))
+
+
+def _config(args, *fields):
+    """A PipelineConfig holding the named arguments, defaults elsewhere."""
+    return PipelineConfig(**{f: getattr(args, f) for f in fields})
 
 
 def _config_from_args(args):
     file_values = parse_config_file(args.config) if args.config else {}
-    keys = ["prices", "returns", "capitalization", "k", "tau_min", "tau_max",
-            "q_min", "q_max", "q_step", "alpha", "significance_mode", "seed",
-            "output_dir"]
-    overrides = {k: getattr(args, k, None) for k in keys}
+    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
     return build_config(file_values, overrides)
 
 
@@ -61,7 +56,7 @@ def make_parser():
 
     p = sub.add_parser("clean", help="raw price records -> forward-filled panel")
     p.add_argument("--prices", required=True)
-    p.add_argument("--k", type=float, default=0.90)
+    p.add_argument("--k", type=float, default=PipelineConfig.k)
     p.add_argument("--out", required=True, help="panel output path")
     p.add_argument("--mask-out", help="fill-mask output path")
 
@@ -71,18 +66,18 @@ def make_parser():
 
     p = sub.add_parser("scaling", help="return panel -> proxy table")
     p.add_argument("--returns", required=True)
-    p.add_argument("--tau-min", type=int, default=1)
-    p.add_argument("--tau-max", type=int, default=19)
-    p.add_argument("--q-min", type=float, default=0.1)
-    p.add_argument("--q-max", type=float, default=1.0)
-    p.add_argument("--q-step", type=float, default=0.1)
+    p.add_argument("--tau-min", type=int, default=PipelineConfig.tau_min)
+    p.add_argument("--tau-max", type=int, default=PipelineConfig.tau_max)
+    p.add_argument("--q-min", type=float, default=PipelineConfig.q_min)
+    p.add_argument("--q-max", type=float, default=PipelineConfig.q_max)
+    p.add_argument("--q-step", type=float, default=PipelineConfig.q_step)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("xcorr", help="return panel -> correlation summary")
     p.add_argument("--returns", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--significance-mode", choices=["all", "filtered"],
-                   default="filtered")
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    p.add_argument("--significance-mode", choices=SIGNIFICANCE_MODES,
+                   default=PipelineConfig.significance_mode)
     p.add_argument("--rho-out", required=True)
     p.add_argument("--pvalue-out")
     p.add_argument("--rho-bar-out")
@@ -99,7 +94,7 @@ def make_parser():
     p.add_argument("--returns", required=True)
     p.add_argument("--kind", choices=["synchronous_shuffle",
                                       "marginal_gaussianize"], required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--spec-out", help="sidecar metadata path")
 
@@ -112,10 +107,11 @@ def make_parser():
     p.add_argument("--beta-min", type=float, default=0.2)
     p.add_argument("--beta-max", type=float, default=1.5)
     p.add_argument("--tail", choices=["gaussian", "student_t"],
-                   default="gaussian")
-    p.add_argument("--tail-nu", type=float, default=3.0)
-    p.add_argument("--depth", type=int, default=10)
-    p.add_argument("--multiplier-sigma", type=float, default=0.3)
+                   default=MarketRecipe.tail)
+    p.add_argument("--tail-nu", type=float, default=MarketRecipe.tail_nu)
+    p.add_argument("--depth", type=int, default=MarketRecipe.depth)
+    p.add_argument("--multiplier-sigma", type=float,
+                   default=MarketRecipe.multiplier_sigma)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="full pipeline into an output directory")
@@ -126,14 +122,15 @@ def make_parser():
     p = sub.add_parser("compare", help="difference table of two reports")
     p.add_argument("report_a")
     p.add_argument("report_b")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
     p.add_argument("--out", help="write the table here instead of stdout")
 
     return parser
 
 
 def _cmd_clean(args):
-    panel = preprocess(load_prices(args.prices), args.k)
+    cfg = _config(args, "prices", "k").validate()
+    panel = preprocess(load_prices(cfg.prices), cfg.k)
     panel.write(args.out, args.mask_out)
 
 
@@ -143,18 +140,19 @@ def _cmd_returns(args):
 
 
 def _cmd_scaling(args):
+    # not validate(): a grid the estimator rejects is an estimation error
+    cfg = _config(args, "q_min", "q_max", "q_step", "tau_min", "tau_max")
+    q_grid, tau_range = cfg.q_grid(), cfg.tau_range()
     panel = ReturnPanel.read(args.returns)
-    q_grid = PipelineConfig(q_min=args.q_min, q_max=args.q_max,
-                            q_step=args.q_step).q_grid()
-    results = estimate_scaling_panel(
-        panel.returns, q_grid, np.arange(args.tau_min, args.tau_max + 1),
-        tickers=panel.tickers)
+    results = estimate_scaling_panel(panel.returns, q_grid, tau_range,
+                                     tickers=panel.tickers)
     write_proxies_table(args.out, panel.tickers, results)
 
 
 def _cmd_xcorr(args):
-    panel = ReturnPanel.read(args.returns)
-    corr = correlation_matrix(panel, args.alpha, args.significance_mode)
+    cfg = _config(args, "returns", "alpha", "significance_mode").validate()
+    panel = ReturnPanel.read(cfg.returns)
+    corr = correlation_matrix(panel, cfg.alpha, cfg.significance_mode)
     corr.write(args.rho_out, args.pvalue_out, args.rho_bar_out)
 
 

@@ -5,10 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .errors import ConfigError
 
 # upper bound on the q grid's size; the paper's grid has 10 values
 MAX_Q_VALUES = 10_000
+SIGNIFICANCE_MODES = ("all", "filtered")
 
 
 @dataclass
@@ -33,17 +35,14 @@ class PipelineConfig:
         if self.tau_min < 1 or self.tau_max - self.tau_min < 2:
             raise ConfigError("tau range must satisfy 1 <= tau_min and "
                               "tau_max >= tau_min + 2 (at least 3 horizons)")
-        if not (0 < self.q_min <= self.q_max < np.inf
-                and 0 < self.q_step < np.inf):
-            raise ConfigError("q grid must be positive, finite and non-empty")
         if len(self.q_grid()) < 2:
             raise ConfigError(
                 f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
                 "fewer than 2 values; the proxy fit needs at least 2")
-        if self.significance_mode not in ("all", "filtered"):
+        if self.significance_mode not in SIGNIFICANCE_MODES:
             raise ConfigError(
                 f"significance_mode={self.significance_mode!r} not in "
-                "{'all', 'filtered'}")
+                f"{SIGNIFICANCE_MODES}")
         if not (0 < self.alpha < 1):
             raise ConfigError(f"alpha={self.alpha} outside (0, 1)")
         if self.prices is None and self.returns is None:
@@ -57,8 +56,11 @@ class PipelineConfig:
     def q_grid(self):
         """q_min, q_min + q_step, ... up to q_max, never past it.
 
-        Raises ConfigError, before allocating, for more than MAX_Q_VALUES.
-        """
+        Raises ConfigError for a bound or step that is not positive and
+        finite, q_min > q_max, or (before allocating) > MAX_Q_VALUES values."""
+        if not (0 < self.q_min <= self.q_max < np.inf
+                and 0 < self.q_step < np.inf):
+            raise ConfigError("q grid must be positive, finite and non-empty")
         # the 1e-9 keeps q_max when the span is an exact multiple of the
         # step but the division rounds below it (0.9 / 0.1 = 8.999...)
         n = np.floor((self.q_max - self.q_min) / self.q_step + 1e-9) + 1
@@ -77,7 +79,7 @@ class PipelineConfig:
         return out
 
 
-_FIELD_TYPES = {
+FIELD_TYPES = {
     f.name: (f.type if isinstance(f.type, type) else
              {"float": float, "int": int, "str": str}.get(str(f.type), str))
     for f in dataclasses.fields(PipelineConfig)
@@ -87,15 +89,15 @@ _FIELD_TYPES = {
 def parse_config_file(path):
     """Read key=value lines (``#`` comments allowed) into a dict."""
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    lines = textio.read_text(path, ConfigError).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -107,9 +109,9 @@ def build_config(file_values=None, overrides=None):
             merged[key] = value
     cfg = PipelineConfig()
     for key, value in merged.items():
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        parser = _FIELD_TYPES[key]
+        parser = FIELD_TYPES[key]
         try:
             setattr(cfg, key, parser(value) if isinstance(value, str) else value)
         except ValueError as exc:

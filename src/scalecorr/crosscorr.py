@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .config import SIGNIFICANCE_MODES as MODES, PipelineConfig
 from .errors import EstimationError
 from . import textio
 
-DEFAULT_ALPHA = 0.05
-MODES = ("all", "filtered")
+DEFAULT_ALPHA = PipelineConfig.alpha
 
 
 @dataclass
@@ -76,7 +76,8 @@ def pearson_pvalue(rho, n):
     return float(2.0 * stats.t.sf(abs(t), n - 2))
 
 
-def correlation_matrix(panel, alpha=DEFAULT_ALPHA, significance_mode="filtered"):
+def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
+                       significance_mode=PipelineConfig.significance_mode):
     """Full rho / p-value matrices and the rho_bar vector for a return panel.
 
     ``panel`` is a ReturnPanel or any object with .returns and .tickers.

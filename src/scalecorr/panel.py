@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DataError, EstimationError
 from . import textio
 
-DEFAULT_LENGTH_FRACTION = 0.90
+DEFAULT_LENGTH_FRACTION = PipelineConfig.k
 # record lines split per bulk step; bounds the Python strings alive at once
 CHUNK_LINES = 1 << 16
 # ordinal stand-in for an unparseable date; real ordinals start at 1
@@ -222,8 +223,7 @@ def _read_records(source, what):
     """
     lines = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            text = fh.read()
+        text = textio.read_text(source)
     else:
         lines = list(source) or [""]  # no lines reads as one blank line
         text = "\n".join(lines)

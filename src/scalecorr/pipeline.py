@@ -8,6 +8,7 @@ report, scatter data, and a manifest that pins config, seed, and input
 digests. Outputs are byte-identical across re-runs with the same inputs.
 """
 
+import ctypes
 import hashlib
 import json
 import math
@@ -38,6 +39,18 @@ def _sha256(path):
     return h.hexdigest()
 
 
+def _release_free_heap():
+    """Return the C heap's free pages to the OS (glibc's ``malloc_trim``).
+
+    Whether glibc keeps what record ingest frees (~140 MB for 500 tickers x
+    2500 days) depends on the heap's layout; when it does, the scaling
+    threads, which allocate in heaps of their own, add ~50 MB to peak RSS.
+    """
+    libc = ctypes.CDLL(None) if os.name == "posix" else None
+    if hasattr(libc, "malloc_trim"):  # glibc
+        libc.malloc_trim(0)
+
+
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -63,9 +76,8 @@ def read_proxies_table(path):
     without an ``A_hat`` or ``B_hat`` column, a row whose field count differs
     from the header's, or an A_hat/B_hat that is not a finite number.
     """
-    with open(path) as fh:
-        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1)
-                 if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(
+        textio.read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
     header = lines[0][1].split(textio.DELIM)
@@ -109,6 +121,7 @@ def run(config: PipelineConfig, mode="raw"):
     else:
         digests["prices"] = _sha256(config.prices)
         series = _stage("load", load_prices, config.prices)
+        _release_free_heap()
         panel = _stage("clean", preprocess, series, config.k)
         paths["panel"] = os.path.join(outdir, "panel.tsv")
         paths["fill_mask"] = os.path.join(outdir, "fill_mask.tsv")
@@ -196,7 +209,7 @@ def run(config: PipelineConfig, mode="raw"):
     return paths
 
 
-def compare_reports(pairs_a, pairs_b, alpha=0.05):
+def compare_reports(pairs_a, pairs_b, alpha=PipelineConfig.alpha):
     """Difference table between two association key-value reports.
 
     Returns rows (key, value_a, value_b, abs_diff, both_significant); the

@@ -7,11 +7,12 @@ intercept-free quadratic zeta(q) = A*q + B*q^2; B is the curvature
 (multiscaling) proxy and A the linear one. A pure random walk gives
 A = 0.5, B = 0.
 
-The panel kernel (:func:`panel_moments`) evaluates the moments in column
-blocks of about ``BLOCK_BYTES`` each, one cumulative sum per block,
-spread over ``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Every
-column goes through the same operations in the same order whatever the block
-width or thread count, so the output does not depend on either.
+The per-series functions are the panel estimator run on one column. Its
+kernel (:func:`panel_moments`) evaluates the moments in column blocks of
+about ``BLOCK_BYTES`` each, one cumulative sum per block, spread over
+``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Every column goes
+through the same operations in the same order whatever the block width or
+thread count, so the output does not depend on either.
 """
 
 import os
@@ -20,10 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import EstimationError
 
-DEFAULT_Q_GRID = np.round(np.arange(1, 11) * 0.1, 10)
-DEFAULT_TAU_RANGE = np.arange(1, 20)
+DEFAULT_Q_GRID = PipelineConfig().q_grid()
+DEFAULT_TAU_RANGE = PipelineConfig().tau_range()
 MIN_AGGREGATED_OBS = 30
 BLOCK_BYTES = 4 << 20          # float64 bytes per [T x block] column slice
 MAX_WORKERS = os.cpu_count() or 1
@@ -67,86 +69,34 @@ def aggregate_returns(returns, tau):
 
 def structure_function(returns, q_grid=None, tau_range=None, ticker=None):
     """Sample moments E[|r_tau|^q] over the (q, tau) grid, one curve per q."""
-    returns = np.asarray(returns, dtype=float)
-    q_grid = DEFAULT_Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
-    tau_range = DEFAULT_TAU_RANGE if tau_range is None else np.asarray(tau_range)
-    name = f" ({ticker})" if ticker else ""
-    T = returns.shape[0]
-    if T - tau_range.max() + 1 < MIN_AGGREGATED_OBS:
-        raise EstimationError(
-            f"series length {T}{name} leaves fewer than {MIN_AGGREGATED_OBS} "
-            f"observations at tau={tau_range.max()}")
-    moments = np.empty((len(q_grid), len(tau_range)))
-    for j, tau in enumerate(tau_range):
-        abs_agg = np.abs(aggregate_returns(returns, int(tau)))
-        for i, q in enumerate(q_grid):
-            moments[i, j] = np.mean(abs_agg ** q)
-    for i, q in enumerate(q_grid):
-        for j, tau in enumerate(tau_range):
-            if moments[i, j] == 0.0:
-                raise EstimationError(
-                    f"zero moment at (q={q}, tau={tau}){name}: degenerate series")
-    return [MomentCurve(q=float(q), taus=tau_range.astype(float), moments=moments[i])
+    q_grid, tau_range, moments = _checked_moments(
+        np.asarray(returns, dtype=float)[:, None], q_grid, tau_range,
+        None if ticker is None else [ticker])
+    return [MomentCurve(q=float(q), taus=tau_range.astype(float),
+                        moments=moments[i, :, 0])
             for i, q in enumerate(q_grid)]
-
-
-def _loglog_slope(ln_tau, ln_moment):
-    xc = ln_tau - ln_tau.mean()
-    sxx = np.dot(xc, xc)
-    if sxx == 0.0:
-        raise EstimationError("singular log-log regression: all tau equal")
-    slope = np.dot(xc, ln_moment) / sxx
-    intercept = ln_moment.mean() - slope * ln_tau.mean()
-    resid = ln_moment - slope * ln_tau - intercept
-    tss = np.dot(ln_moment - ln_moment.mean(), ln_moment - ln_moment.mean())
-    r2 = 1.0 - np.dot(resid, resid) / tss if tss > 0 else 1.0
-    return slope, intercept, r2
 
 
 def estimate_zeta(curves):
     """OLS of ln(moment) on ln(tau) per q: slopes zeta(q), intercepts ln K(q)."""
-    zeta = np.empty(len(curves))
-    lnK = np.empty(len(curves))
-    r2 = np.empty(len(curves))
-    for i, curve in enumerate(curves):
-        if len(curve.taus) < 3:
-            raise EstimationError(
-                f"q={curve.q}: need at least 3 horizons, got {len(curve.taus)}")
-        if np.any(curve.moments <= 0):
-            raise EstimationError(f"q={curve.q}: non-positive moment")
-        zeta[i], lnK[i], r2[i] = _loglog_slope(np.log(curve.taus),
-                                               np.log(curve.moments))
-    return zeta, lnK, r2
+    fits = [_loglog_fit(c.taus, np.reshape(c.moments, (1, -1, 1)))
+            for c in curves]
+    return tuple(np.array(fits).reshape(len(curves), 3).T)
 
 
 def fit_proxies(q_grid, zeta):
-    """Least-squares fit of zeta(q) = A*q + B*q^2 with no constant term.
-
-    Solves the 2x2 normal equations in closed form; returns (A, B, rss).
-    """
-    q = np.asarray(q_grid, dtype=float)
-    z = np.asarray(zeta, dtype=float)
-    if len(np.unique(q)) < 2:
-        raise EstimationError("proxy fit needs at least 2 distinct q values")
-    s2, s3, s4 = np.sum(q ** 2), np.sum(q ** 3), np.sum(q ** 4)
-    b1, b2 = np.dot(q, z), np.dot(q ** 2, z)
-    det = s2 * s4 - s3 * s3
-    if det == 0.0:
-        raise EstimationError("singular normal equations in proxy fit")
-    A = (s4 * b1 - s3 * b2) / det
-    B = (s2 * b2 - s3 * b1) / det
-    resid = z - A * q - B * q ** 2
-    return float(A), float(B), float(np.dot(resid, resid))
+    """Least-squares fit of zeta(q) = A*q + B*q^2 with no constant term;
+    returns (A, B, rss)."""
+    A, B, rss = _proxy_fit(np.asarray(q_grid, dtype=float),
+                           np.asarray(zeta, dtype=float)[:, None])
+    return float(A[0]), float(B[0]), float(rss[0])
 
 
 def estimate_scaling(returns, q_grid=None, tau_range=None, ticker=None):
-    """Full per-series estimation: structure function -> zeta -> proxies."""
-    curves = structure_function(returns, q_grid, tau_range, ticker=ticker)
-    zeta, lnK, r2 = estimate_zeta(curves)
-    q = np.array([c.q for c in curves])
-    A, B, rss = fit_proxies(q, zeta)
-    return ScalingResult(q_grid=q, zeta=zeta, lnK=lnK, per_q_r2=r2,
-                         A_hat=A, B_hat=B, fit_rss=rss)
+    """Full per-series estimation: the panel estimator on one column."""
+    return estimate_scaling_panel(
+        np.asarray(returns, dtype=float)[:, None], q_grid, tau_range,
+        tickers=None if ticker is None else [ticker])[0]
 
 
 def _column_blocks(T, N):
@@ -192,47 +142,47 @@ def panel_moments(X, q_grid, tau_range):
     return moments
 
 
-def estimate_scaling_panel(returns_matrix, q_grid=None, tau_range=None,
-                           tickers=None):
-    """Per-column scaling estimation over a [time x stock] matrix.
-
-    The [Q, Tau, N] moments come from :func:`panel_moments`; the log-log
-    and proxy fits then run on the whole panel.
-    """
+def _checked_moments(returns_matrix, q_grid, tau_range, tickers):
+    """q grid, horizons (defaults where None) and [Q, Tau, N] moments of a
+    2-D panel with >= 1 column, horizons >= 1 leaving MIN_AGGREGATED_OBS
+    values, and no zero moment (named by its column's ticker or index)."""
     X = np.asarray(returns_matrix, dtype=float)
     if X.ndim != 2:
         raise EstimationError("expected a 2-D [time x stock] matrix")
     q_grid = DEFAULT_Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     tau_range = DEFAULT_TAU_RANGE if tau_range is None else np.asarray(tau_range)
-    if len(np.unique(q_grid)) < 2:
-        raise EstimationError("proxy fit needs at least 2 distinct q values")
-    if len(np.unique(tau_range)) < 3:
-        raise EstimationError(
-            f"need at least 3 distinct horizons, got {len(np.unique(tau_range))}")
-    if tau_range.min() < 1:
+    if tau_range.size and tau_range.min() < 1:
         raise EstimationError(f"horizon tau={tau_range.min()} must be >= 1")
     T, N = X.shape
     if N == 0:
         raise EstimationError("panel has no stock columns")
-    if T - tau_range.max() + 1 < MIN_AGGREGATED_OBS:
+    if tau_range.size and T - tau_range.max() + 1 < MIN_AGGREGATED_OBS:
         raise EstimationError(
             f"series length {T} leaves fewer than {MIN_AGGREGATED_OBS} "
             f"observations at tau={tau_range.max()}")
-    names = list(tickers) if tickers is not None else [str(i) for i in range(N)]
-
     moments = panel_moments(X, q_grid, tau_range)
     bad = np.argwhere(moments == 0.0)
     if bad.size:
         i, j, n = bad[0]
+        name = tickers[n] if tickers is not None else n
         raise EstimationError(
             f"zero moment at (q={q_grid[i]}, tau={tau_range[j]}) "
-            f"for {names[n]}: degenerate series")
+            f"for {name}: degenerate series")
+    return q_grid, tau_range, moments
 
-    ln_tau = np.log(tau_range.astype(float))
+
+def _loglog_fit(taus, moments):
+    """OLS of ln(moment) on ln(tau) over [Q, Tau, N] positive, finite
+    moments and >= 3 distinct horizons: [Q, N] slopes zeta, ln K and R^2."""
+    n_taus = len(np.unique(taus))
+    if n_taus < 3:
+        raise EstimationError(
+            f"need at least 3 distinct horizons, got {n_taus}")
+    if not np.all((moments > 0) & (moments < np.inf)):
+        raise EstimationError("non-positive or infinite moment")
+    ln_tau = np.log(np.asarray(taus, dtype=float))
     xc = ln_tau - ln_tau.mean()
     sxx = np.dot(xc, xc)
-    if sxx == 0.0:
-        raise EstimationError("singular log-log regression: all tau equal")
     Y = np.log(moments)  # [Q, Tau, N]
     zeta = np.tensordot(xc, Y, axes=(0, 1)) / sxx          # [Q, N]
     ybar = Y.mean(axis=1)
@@ -241,19 +191,39 @@ def estimate_scaling_panel(returns_matrix, q_grid=None, tau_range=None,
     tss = np.sum((Y - ybar[:, None, :]) ** 2, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         r2 = np.where(tss > 0, 1.0 - np.sum(resid ** 2, axis=1) / tss, 1.0)
+    return zeta, lnK, r2
 
-    q = q_grid
+
+def _proxy_fit(q, zeta):
+    """Fit zeta(q) = A*q + B*q^2 to each column of the [Q, N] exponents by
+    the 2x2 normal equations in closed form: [N] arrays A, B and the RSS."""
+    if len(np.unique(q)) < 2:
+        raise EstimationError("proxy fit needs at least 2 distinct q values")
     s2, s3, s4 = np.sum(q ** 2), np.sum(q ** 3), np.sum(q ** 4)
     det = s2 * s4 - s3 * s3
+    if det == 0.0:
+        raise EstimationError("singular normal equations in proxy fit")
     b1 = q @ zeta        # [N]
     b2 = (q ** 2) @ zeta
     A = (s4 * b1 - s3 * b2) / det
     B = (s2 * b2 - s3 * b1) / det
     pres = zeta - A[None, :] * q[:, None] - B[None, :] * (q ** 2)[:, None]
-    rss = np.sum(pres ** 2, axis=0)
+    return A, B, np.sum(pres ** 2, axis=0)
 
+
+def estimate_scaling_panel(returns_matrix, q_grid=None, tau_range=None,
+                           tickers=None):
+    """Per-column scaling estimation over a [time x stock] matrix.
+
+    The [Q, Tau, N] moments come from :func:`panel_moments`; the log-log
+    and proxy fits then run on the whole panel.
+    """
+    q, tau_range, moments = _checked_moments(returns_matrix, q_grid,
+                                             tau_range, tickers)
+    zeta, lnK, r2 = _loglog_fit(tau_range, moments)
+    A, B, rss = _proxy_fit(q, zeta)
     return [ScalingResult(q_grid=q.copy(), zeta=zeta[:, n].copy(),
                           lnK=lnK[:, n].copy(), per_q_r2=r2[:, n].copy(),
                           A_hat=float(A[n]), B_hat=float(B[n]),
                           fit_rss=float(rss[n]))
-            for n in range(N)]
+            for n in range(moments.shape[2])]

@@ -58,6 +58,16 @@ def synchronous_shuffle(panel, seed, permutation=None):
                               permutation=permutation)
 
 
+def mid_rank_levels(X):
+    """(rank + 0.5) / T per column of a [T x N] array, ranks 0..T-1 with
+    ties broken by time index (stable sort)."""
+    T, N = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    ranks = np.empty(X.shape)
+    ranks[order, np.arange(N)[None, :]] = np.arange(T, dtype=float)[:, None]
+    return (ranks + 0.5) / T
+
+
 def marginal_gaussianize(panel, seed=0):
     """Replace each column by the normal quantiles of its mid-ranks.
 
@@ -65,16 +75,12 @@ def marginal_gaussianize(panel, seed=0):
     sort), so a fixed input maps to a fixed output regardless of seed.
     """
     X = np.asarray(panel.returns, dtype=float)
-    T, N = X.shape
-    if T < 10:
+    if X.shape[0] < 10:
         raise EstimationError("gaussianization needs at least 10 time points")
     const = np.flatnonzero(np.ptp(X, axis=0) == 0.0)
     if const.size:
         raise EstimationError(
             f"ranks undefined for constant column {panel.tickers[const[0]]}")
-    order = np.argsort(X, axis=0, kind="stable")
-    ranks = np.empty_like(X)
-    ranks[order, np.arange(N)[None, :]] = np.arange(T, dtype=float)[:, None]
-    out = stats.norm.ppf((ranks + 0.5) / T)
+    out = stats.norm.ppf(mid_rank_levels(X))
     return ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
                        returns=out)

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import build_report
+from .config import PipelineConfig
 from .crosscorr import correlation_matrix
 from .errors import ConfigError
 from .panel import CapitalizationTable, ReturnPanel
 from .scaling import estimate_scaling_panel
+from .surrogates import mid_rank_levels
 
 KINDS = ("gaussian_iid", "student_t", "one_factor", "cascade")
 _EPOCH = dt.date(2000, 1, 3)
@@ -154,13 +156,10 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
     f = rng.standard_normal(n_days)
     eps = rng.standard_normal((n_days, n_stocks))
     Z = betas[None, :] * f[:, None] + eps
-    order = np.argsort(Z, axis=0, kind="stable")
-    ranks = np.empty_like(Z)
-    ranks[order, np.arange(n_stocks)[None, :]] = \
-        np.arange(n_days, dtype=float)[:, None]
+    levels = mid_rank_levels(Z)
     X = np.empty_like(Z)
     for i in range(n_stocks):
-        quantiles = stats.t.ppf((ranks[:, i] + 0.5) / n_days, nus[i])
+        quantiles = stats.t.ppf(levels[:, i], nus[i])
         X[:, i] = quantiles / math.sqrt(nus[i] / (nus[i] - 2.0))
     X -= X.mean(axis=0)
     tickers = [f"S{i:04d}" for i in range(n_stocks)]
@@ -168,7 +167,8 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
 
 
 def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,
-                             alpha=0.05, significance_mode="filtered",
+                             alpha=PipelineConfig.alpha,
+                             significance_mode=PipelineConfig.significance_mode,
                              caps=None):
     """End-to-end control: generate a market, run the pipeline, report.
 

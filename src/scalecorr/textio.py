@@ -21,6 +21,15 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def read_text(path, error=DataError):
+    """The text of a file; ``error``, naming the file, if it does not decode."""
+    with open(path) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: {exc}") from exc
+
+
 def write_matrix(path, row_labels, col_labels, matrix, corner="date",
                  spec="%.17g"):
     """Write a labelled matrix: header row of column labels, first column of
@@ -45,7 +54,10 @@ def read_matrix(path):
     """
     with open(path) as fh:
         numbered = ((i, ln) for i, ln in enumerate(fh, start=1) if ln.strip())
-        _, first = next(numbered, (0, ""))
+        try:
+            _, first = next(numbered, (0, ""))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
         header = first.rstrip("\n").split(DELIM)
         if len(header) < 2:
             raise DataError(f"{path}: empty file or no value columns")
@@ -63,10 +75,11 @@ def read_matrix(path):
                 yield ln
 
         rows = data_lines()
-        first_row = next(rows, None)
-        if first_row is None:
-            raise DataError(f"{path}: no data rows")
         try:
+            # an undecodable line raises UnicodeDecodeError, a ValueError
+            first_row = next(rows, None)
+            if first_row is None:
+                raise DataError(f"{path}: no data rows")
             values = np.loadtxt(itertools.chain([first_row], rows), dtype=float,
                                 delimiter=DELIM, comments=None,
                                 usecols=range(1, len(header)), ndmin=2)
@@ -103,11 +116,8 @@ def write_keyvalues(path, pairs):
 
 def read_keyvalues(path):
     pairs = {}
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.rstrip("\n")
-            if not ln.strip():
-                continue
+    for ln in read_text(path).split("\n"):
+        if ln.strip():
             key, _, value = ln.partition(DELIM)
             pairs[key] = value
     return pairs

@@ -210,6 +210,57 @@ class TestGridValidation:
                      "--q-max", "0.5",
                      "--out", str(tmp_path / "p.tsv")]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["xcorr", "--returns", "{returns}", "--alpha", "7",
+         "--rho-out", "{out}"],
+        ["scaling", "--returns", "{returns}", "--q-step", "0",
+         "--out", "{out}"],
+        ["scaling", "--returns", "{returns}", "--q-min", "-1",
+         "--out", "{out}"],
+        ["clean", "--prices", "{prices}", "--k", "1.5", "--out", "{out}"],
+    ])
+    def test_subcommands_check_ranges_like_run(self, returns_file,
+                                               prices_file, tmp_path, capsys,
+                                               argv):
+        out = tmp_path / "out.tsv"
+        argv = [a.format(returns=returns_file, prices=prices_file, out=out)
+                for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 text is a one-line error naming the file."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["clean", "--prices", "{bad}", "--out", "{out}"], 1),
+        (["run", "--returns", "{returns}", "--capitalization", "{bad}",
+          "--output-dir", "{out}"], 1),
+        (["run", "--config", "{bad}", "--output-dir", "{out}"], 2),
+        (["compare", "{bad}", "{bad}"], 1),
+        (["associate", "--proxies", "{bad}", "--rho-bar", "{returns}",
+          "--out", "{out}"], 1),
+        (["scaling", "--returns", "{bad}", "--out", "{out}"], 1),
+    ])
+    @pytest.mark.parametrize("where", ["first line", "last line"])
+    def test_non_utf8_file(self, returns_file, tmp_path, capsys, argv, code,
+                           where):
+        data = bytearray(open(returns_file, "rb").read())
+        # the returns file is longer than one read buffer, so the last
+        # line is decoded in a later chunk than the first
+        assert len(data) > 1 << 16
+        data[2 if where == "first line" else -3] = 0xFF
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(bytes(data))
+        argv = [a.format(bad=bad, returns=returns_file, out=tmp_path / "o")
+                for a in argv]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
+
 
 class TestRun:
     def test_bundle_and_determinism(self, returns_file, tmp_path):

@@ -168,6 +168,37 @@ class TestPanelEstimation:
         assert np.median(As) > 0.5
 
 
+class TestOneEstimator:
+    """The per-series API runs the panel estimator on one column, so a bad
+    input raises the same error through both entry points."""
+
+    SERIES = {
+        "gaussian": lambda g: g.standard_normal(200),
+        "short": lambda g: g.standard_normal(40),
+        "zeros": lambda g: np.zeros(200),
+        "large": lambda g: 1e3 * g.standard_normal(200),
+    }
+
+    @pytest.mark.parametrize("series, kwargs, match", [
+        ("gaussian", {"q_grid": [0.0, 0.5]}, "singular normal equations"),
+        ("gaussian", {"q_grid": [0.5]}, "at least 2 distinct q"),
+        ("gaussian", {"tau_range": [1, 2]}, "3 distinct horizons, got 2"),
+        ("gaussian", {"tau_range": [0, 1, 2, 3]}, "tau=0 must be >= 1"),
+        ("short", {}, "fewer than 30 observations at tau=19"),
+        ("zeros", {}, r"zero moment at \(q=0.1, tau=1\) for X"),
+        # |x|^q overflows: the moments are infinite
+        ("large", {"q_grid": [200.0, 300.0]}, "infinite moment"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_same_error(self, series, kwargs, match):
+        x = self.SERIES[series](np.random.default_rng(3))
+        with pytest.raises(EstimationError, match=match) as scalar:
+            estimate_scaling(x, ticker="X", **kwargs)
+        with pytest.raises(EstimationError) as panel:
+            estimate_scaling_panel(x[:, None], tickers=["X"], **kwargs)
+        assert str(panel.value) == str(scalar.value)
+
+
 def _unblocked_moments(X, q_grid, tau_range):
     """The whole-panel formula the blocked kernel replaced."""
     moments = np.empty((len(q_grid), len(tau_range), X.shape[1]))
