@@ -7,13 +7,13 @@ the two OLS residual vectors with log-capitalization as the control.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .crosscorr import pearson, pearson_pvalue
-from .errors import ConfigError, EstimationError
+from .crosscorr import pearson, pearson_pvalue, t_pvalue
+from .errors import EstimationError
 from . import textio
 
 
@@ -123,10 +123,8 @@ def simple_ols(x, y):
 
 
 def partial_correlation(a, b, control):
-    """Pearson correlation of a and b after regressing both on the control.
-
-    p-value from the Pearson t-test with n-3 degrees of freedom.
-    """
+    """Pearson correlation of a and b after regressing both on the control,
+    and its :func:`t_pvalue` with n-3 degrees of freedom."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     control = np.asarray(control, dtype=float)
@@ -138,11 +136,7 @@ def partial_correlation(a, b, control):
     _, _, res_a, _ = simple_ols(control, a)
     _, _, res_b, _ = simple_ols(control, b)
     r = pearson(res_a, res_b)
-    if abs(r) >= 1.0:
-        return r, 0.0
-    t = r * math.sqrt((n - 3) / (1.0 - r * r))
-    p = float(2.0 * stats.t.sf(abs(t), n - 3))
-    return r, p
+    return r, float(t_pvalue(r, n - 3))
 
 
 @dataclass
@@ -210,42 +204,29 @@ class AssociationReport:
         return "\n".join(out) + "\n"
 
 
-def build_report(scaling_by_ticker, corr, caps=None):
-    """Assemble the association report from per-stock estimates.
+def build_report(A, B, rho_bar, ln_cap=None):
+    """Assemble the association report from per-stock arrays.
 
-    ``scaling_by_ticker`` maps ticker -> ScalingResult, ``corr`` is a
-    CorrelationSummary; ``caps`` an optional CapitalizationTable.
+    ``A``, ``B`` (the proxies), ``rho_bar`` and the optional ``ln_cap`` (log
+    median capitalization, NaN for a stock without data) run over the same
+    stocks. The capitalization block needs at least 4 stocks with data.
     """
-    tickers = [t for t in corr.tickers if t in scaling_by_ticker]
-    if not tickers:
-        raise ConfigError("no common tickers between scaling and correlation "
-                          "results")
-    idx = {t: i for i, t in enumerate(corr.tickers)}
-    rho_bar = np.array([corr.rho_bar[idx[t]] for t in tickers])
-    B = np.array([scaling_by_ticker[t].B_hat for t in tickers])
-    A = np.array([scaling_by_ticker[t].A_hat for t in tickers])
-
-    report = AssociationReport(
-        kendall_B_rho=kendall_tau(B, rho_bar),
-        kendall_A_rho=kendall_tau(A, rho_bar),
-        n_stocks=len(tickers),
-    )
-
-    if caps is not None:
-        have = [t for t in tickers if caps.get(t) is not None]
-        if len(have) >= 4:
-            sub = [tickers.index(t) for t in have]
-            lncap = np.array([caps.log_value(t) for t in have])
-            Bs, rs = B[sub], rho_bar[sub]
-            _, _, _, r2_rho = simple_ols(lncap, rs)
-            _, _, _, r2_B = simple_ols(lncap, Bs)
-            report.cap_block_available = True
-            report.n_used = len(have)
-            rB = pearson(Bs, lncap)
-            rr = pearson(rs, lncap)
-            report.pearson_B_lncap = (rB, pearson_pvalue(rB, len(have)))
-            report.pearson_rho_lncap = (rr, pearson_pvalue(rr, len(have)))
-            report.partial_corr = partial_correlation(Bs, rs, lncap)
-            report.r2_rho_bar = r2_rho
-            report.r2_B_hat = r2_B
+    A, B, rho_bar = (np.asarray(v, dtype=float) for v in (A, B, rho_bar))
+    report = AssociationReport(kendall_B_rho=kendall_tau(B, rho_bar),
+                               kendall_A_rho=kendall_tau(A, rho_bar),
+                               n_stocks=len(rho_bar))
+    have = ~np.isnan(ln_cap) if ln_cap is not None else []
+    n_used = int(np.sum(have))
+    if n_used < 4:
+        return report
+    lncap, Bs, rs = np.asarray(ln_cap)[have], B[have], rho_bar[have]
+    report.r2_rho_bar = simple_ols(lncap, rs)[3]
+    report.r2_B_hat = simple_ols(lncap, Bs)[3]
+    rB = pearson(Bs, lncap)
+    rr = pearson(rs, lncap)
+    report.cap_block_available = True
+    report.n_used = n_used
+    report.pearson_B_lncap = (rB, pearson_pvalue(rB, n_used))
+    report.pearson_rho_lncap = (rr, pearson_pvalue(rr, n_used))
+    report.partial_corr = partial_correlation(Bs, rs, lncap)
     return report

@@ -16,13 +16,14 @@ from .config import (FIELD_TYPES, SIGNIFICANCE_MODES, PipelineConfig,
                      build_config, parse_config_file)
 from .crosscorr import correlation_matrix
 from .errors import ConfigError, PipelineError
-from .panel import (CapitalizationTable, PricePanel, ReturnPanel,
-                    compute_returns, load_capitalizations, load_prices,
-                    median_capitalization, preprocess)
+from .panel import (PricePanel, ReturnPanel, compute_returns,
+                    load_capitalizations, load_prices, median_capitalization,
+                    preprocess)
 from .pipeline import (compare_reports, read_proxies_table, run,
                        write_proxies_table)
 from .scaling import estimate_scaling_panel
-from .surrogates import marginal_gaussianize, synchronous_shuffle
+from .surrogates import (SurrogateSpec, marginal_gaussianize,
+                         synchronous_shuffle)
 from .synth import KINDS, MarketRecipe, generate
 
 
@@ -157,22 +158,20 @@ def _cmd_xcorr(args):
 
 
 def _cmd_associate(args):
+    # the stocks are the rho_bar file's tickers, in order, that have proxies
     proxies = read_proxies_table(args.proxies)
     rows, _, values = textio.read_matrix(args.rho_bar)
-    caps = None
+    common = [i for i, t in enumerate(rows) if t in proxies]
+    if not common:
+        raise ConfigError(f"no common tickers between {args.proxies} and "
+                          f"{args.rho_bar}")
+    tickers = [rows[i] for i in common]
+    A, B = np.array([proxies[t] for t in tickers]).T
+    ln_cap = None
     if args.capitalization:
-        caps = median_capitalization(load_capitalizations(args.capitalization))
-
-    class _Corr:
-        tickers = rows
-        rho_bar = values[:, 0]
-
-    class _Scaling:
-        def __init__(self, a, b):
-            self.A_hat, self.B_hat = a, b
-
-    scaling = {t: _Scaling(*ab) for t, ab in proxies.items()}
-    report = build_report(scaling, _Corr(), caps)
+        ln_cap = median_capitalization(load_capitalizations(
+            args.capitalization)).log_values(tickers)
+    report = build_report(A, B, values[common, 0], ln_cap)
     textio.write_keyvalues(args.out, report.to_pairs())
     if args.text_out:
         with open(args.text_out, "w", newline="\n") as fh:
@@ -183,13 +182,12 @@ def _cmd_surrogate(args):
     panel = ReturnPanel.read(args.returns)
     if args.kind == "synchronous_shuffle":
         out, spec = synchronous_shuffle(panel, args.seed)
-        spec_pairs = spec.to_pairs()
     else:
         out = marginal_gaussianize(panel, args.seed)
-        spec_pairs = [("kind", args.kind), ("seed", str(args.seed))]
+        spec = SurrogateSpec(kind=args.kind, seed=args.seed)
     out.write(args.out)
     if args.spec_out:
-        textio.write_keyvalues(args.spec_out, spec_pairs)
+        textio.write_keyvalues(args.spec_out, spec.to_pairs())
 
 
 def _cmd_synth(args):

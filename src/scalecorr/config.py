@@ -57,7 +57,8 @@ class PipelineConfig:
         """q_min, q_min + q_step, ... up to q_max, never past it.
 
         Raises ConfigError for a bound or step that is not positive and
-        finite, q_min > q_max, or (before allocating) > MAX_Q_VALUES values."""
+        finite, q_min > q_max, > MAX_Q_VALUES values (before allocating) or
+        a q_min that rounds to 0 at the grid's 12 decimals."""
         if not (0 < self.q_min <= self.q_max < np.inf
                 and 0 < self.q_step < np.inf):
             raise ConfigError("q grid must be positive, finite and non-empty")
@@ -68,7 +69,10 @@ class PipelineConfig:
             raise ConfigError(
                 f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
                 f"more than {MAX_Q_VALUES} values")
-        return np.round(self.q_min + self.q_step * np.arange(int(n)), 12)
+        grid = np.round(self.q_min + self.q_step * np.arange(int(n)), 12)
+        if grid[0] <= 0:
+            raise ConfigError(f"q_min={self.q_min} rounds to 0 in the q grid")
+        return grid
 
     def to_pairs(self):
         out = []

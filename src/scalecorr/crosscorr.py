@@ -32,16 +32,13 @@ class CorrelationSummary:
     n_obs: int
 
     def write(self, rho_path=None, pvalue_path=None, rho_bar_path=None):
-        if rho_path:
-            textio.write_matrix(rho_path, self.tickers, self.tickers,
-                                self.rho, corner="ticker")
-        if pvalue_path:
-            textio.write_matrix(pvalue_path, self.tickers, self.tickers,
-                                self.pvalue, corner="ticker")
-        if rho_bar_path:
-            textio.write_table(rho_bar_path, ["ticker", "rho_bar"],
-                               [(t, textio.fmt(v))
-                                for t, v in zip(self.tickers, self.rho_bar)])
+        for path, columns, values in (
+                (rho_path, self.tickers, self.rho),
+                (pvalue_path, self.tickers, self.pvalue),
+                (rho_bar_path, ["rho_bar"], self.rho_bar[:, None])):
+            if path:
+                textio.write_matrix(path, self.tickers, columns, values,
+                                    corner="ticker")
 
 
 def pearson(x, y):
@@ -61,19 +58,24 @@ def pearson(x, y):
     return float(np.clip(np.dot(xc, yc) / (sx * sy), -1.0, 1.0))
 
 
-def pearson_pvalue(rho, n):
-    """Two-sided p-value of a Pearson coefficient under the uncorrelated null.
+def t_pvalue(r, dof):
+    """Two-sided p-value of correlation coefficient(s) under the
+    uncorrelated null, elementwise: 2*sf(|t|) of Student's t with ``dof``
+    degrees of freedom, t = r * sqrt(dof/(1-r^2)), and 0 where |r| = 1."""
+    r = np.asarray(r, dtype=float)
+    with np.errstate(divide="ignore"):  # |r| = 1: t = inf, sf(inf) = 0
+        t = np.abs(r) * np.sqrt(dof / (1.0 - r * r))
+    return 2.0 * stats.t.sf(t, dof)
 
-    Uses t = rho * sqrt((n-2)/(1-rho^2)) with n-2 degrees of freedom.
-    """
+
+def pearson_pvalue(rho, n):
+    """Two-sided p-value of a Pearson coefficient of n observations under
+    the uncorrelated null (:func:`t_pvalue` with n-2 degrees of freedom)."""
     if n < 3:
         raise EstimationError("pearson_pvalue: need n >= 3")
     if abs(rho) > 1:
         raise EstimationError(f"pearson_pvalue: |rho|={abs(rho)} > 1")
-    if abs(rho) >= 1.0:
-        return 0.0
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return float(2.0 * stats.t.sf(abs(t), n - 2))
+    return float(t_pvalue(rho, n - 2))
 
 
 def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
@@ -103,21 +105,13 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
     rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tstat = rho * np.sqrt((T - 2) / (1.0 - rho * rho))
-    pvalue = np.where(np.abs(rho) >= 1.0, 0.0,
-                      2.0 * stats.t.sf(np.abs(np.nan_to_num(tstat, posinf=np.inf,
-                                                            neginf=-np.inf)),
-                                       T - 2))
-    pvalue = (pvalue + pvalue.T) / 2.0
-    np.fill_diagonal(pvalue, 0.0)
+    # symmetric with a zero diagonal, as rho is exactly symmetric with ones
+    pvalue = t_pvalue(rho, T - 2)
 
     work = rho.copy()
     np.fill_diagonal(work, 0.0)
     if significance_mode == "filtered":
-        off_null = pvalue >= alpha
-        np.fill_diagonal(off_null, False)
-        work[off_null] = 0.0
+        work[pvalue >= alpha] = 0.0
     rho_bar = work.sum(axis=0) / (N - 1)
 
     return CorrelationSummary(tickers=tickers, rho=rho, pvalue=pvalue,

@@ -131,6 +131,11 @@ class CapitalizationTable:
         v = self.values.get(ticker)
         return math.log(v) if v is not None else None
 
+    def log_values(self, tickers):
+        """ln median capitalization per ticker, NaN where a ticker has none."""
+        logs = (self.log_value(t) for t in tickers)
+        return np.array([math.nan if v is None else v for v in logs])
+
 
 def _parse_date(text):
     try:

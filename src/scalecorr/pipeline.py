@@ -24,7 +24,8 @@ from .errors import ConfigError, DataError, PipelineError
 from .panel import (ReturnPanel, compute_returns, load_capitalizations,
                     load_prices, median_capitalization, preprocess)
 from .scaling import estimate_scaling_panel
-from .surrogates import marginal_gaussianize, synchronous_shuffle
+from .surrogates import (SurrogateSpec, marginal_gaussianize,
+                         synchronous_shuffle)
 
 __version__ = "0.1.0"
 
@@ -51,6 +52,17 @@ def _release_free_heap():
         libc.malloc_trim(0)
 
 
+def _remove_stale(outdir, written, inputs):
+    """Delete the bundle files that only some runs write and this one did
+    not, so an earlier run's do not pass for this one's; keep its inputs."""
+    for name in ("panel.tsv", "fill_mask.tsv", "returns.tsv", "median_cap.tsv",
+                 "surrogate_spec.tsv", "surrogate_returns.tsv"):
+        path = os.path.join(outdir, name)
+        if (name not in written and os.path.exists(path)
+                and not any(os.path.samefile(path, p) for p in inputs if p)):
+            os.remove(path)
+
+
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -61,12 +73,10 @@ def _stage(name, fn, *args, **kwargs):
 
 def write_proxies_table(path, tickers, results):
     q_cols = [f"zeta_q{q:g}" for q in results[0].q_grid]
-    header = ["ticker", "A_hat", "B_hat", "fit_rss"] + q_cols
-    rows = []
-    for t, r in zip(tickers, results):
-        rows.append([t, textio.fmt(r.A_hat), textio.fmt(r.B_hat),
-                     textio.fmt(r.fit_rss)] + [textio.fmt(z) for z in r.zeta])
-    textio.write_table(path, header, rows)
+    values = np.array([[r.A_hat, r.B_hat, r.fit_rss, *r.zeta]
+                       for r in results])
+    textio.write_matrix(path, tickers, ["A_hat", "B_hat", "fit_rss"] + q_cols,
+                        values, corner="ticker")
 
 
 def read_proxies_table(path):
@@ -128,19 +138,17 @@ def run(config: PipelineConfig, mode="raw"):
         panel.write(paths["panel"], paths["fill_mask"])
         returns = _stage("returns", compute_returns, panel)
 
-    surrogate_pairs = None
+    spec = None
     if mode == "shuffled":
         returns, spec = _stage("surrogate", synchronous_shuffle, returns,
                                config.seed)
-        surrogate_pairs = spec.to_pairs()
     elif mode == "gaussianized":
         returns = _stage("surrogate", marginal_gaussianize, returns,
                          config.seed)
-        surrogate_pairs = [("kind", "marginal_gaussianize"),
-                           ("seed", str(config.seed))]
-    if surrogate_pairs is not None:
+        spec = SurrogateSpec(kind="marginal_gaussianize", seed=config.seed)
+    if spec is not None:
         paths["surrogate_spec"] = os.path.join(outdir, "surrogate_spec.tsv")
-        textio.write_keyvalues(paths["surrogate_spec"], surrogate_pairs)
+        textio.write_keyvalues(paths["surrogate_spec"], spec.to_pairs())
         paths["surrogate_returns"] = os.path.join(outdir,
                                                   "surrogate_returns.tsv")
         returns.write(paths["surrogate_returns"])
@@ -161,19 +169,21 @@ def run(config: PipelineConfig, mode="raw"):
     paths["rho_bar"] = os.path.join(outdir, "rho_bar.tsv")
     corr.write(paths["corr_matrix"], paths["corr_pvalues"], paths["rho_bar"])
 
-    caps = None
+    ln_cap = np.full(len(returns.tickers), np.nan)
     if config.capitalization is not None:
         digests["capitalization"] = _sha256(config.capitalization)
         records = _stage("capitalization", load_capitalizations,
                          config.capitalization)
         caps = _stage("capitalization", median_capitalization, records)
         paths["capitalization"] = os.path.join(outdir, "median_cap.tsv")
-        textio.write_table(paths["capitalization"], ["ticker", "median_cap"],
-                           [(t, textio.fmt(v))
-                            for t, v in sorted(caps.values.items())])
+        names = sorted(caps.values)
+        medians = np.array([caps.values[t] for t in names])
+        textio.write_matrix(paths["capitalization"], names, ["median_cap"],
+                            medians[:, None], corner="ticker")
+        ln_cap = caps.log_values(returns.tickers)
 
-    scaling_by_ticker = dict(zip(returns.tickers, results))
-    report = _stage("associate", build_report, scaling_by_ticker, corr, caps)
+    A, B = np.array([(r.A_hat, r.B_hat) for r in results]).T
+    report = _stage("associate", build_report, A, B, corr.rho_bar, ln_cap)
     paths["association_txt"] = os.path.join(outdir, "association.txt")
     paths["association_kv"] = os.path.join(outdir, "association.tsv")
     with open(paths["association_txt"], "w", newline="\n") as fh:
@@ -181,15 +191,12 @@ def run(config: PipelineConfig, mode="raw"):
     textio.write_keyvalues(paths["association_kv"], report.to_pairs())
 
     # scatter data behind the rho_bar vs proxy plots, ln cap as third column
-    for proxy_name, attr in (("B", "B_hat"), ("A", "A_hat")):
+    ln_cap_text = ["NA" if math.isnan(c) else textio.fmt(c) for c in ln_cap]
+    for proxy_name, proxy in (("B", B), ("A", A)):
         key = f"scatter_{proxy_name}"
         paths[key] = os.path.join(outdir, f"scatter_{proxy_name}.tsv")
-        rows = []
-        for i, t in enumerate(returns.tickers):
-            lncap = caps.log_value(t) if caps is not None else None
-            rows.append([t, textio.fmt(corr.rho_bar[i]),
-                         textio.fmt(getattr(results[i], attr)),
-                         textio.fmt(lncap) if lncap is not None else "NA"])
+        rows = [[t, textio.fmt(r), textio.fmt(p), c] for t, r, p, c in
+                zip(returns.tickers, corr.rho_bar, proxy, ln_cap_text)]
         textio.write_table(paths[key],
                            ["ticker", "rho_bar", f"{proxy_name}_hat", "ln_cap"],
                            rows)
@@ -206,6 +213,8 @@ def run(config: PipelineConfig, mode="raw"):
     with open(paths["manifest"], "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _remove_stale(outdir, manifest["outputs"],
+                  [config.prices, config.returns, config.capitalization])
     return paths
 
 

@@ -123,6 +123,9 @@ def panel_moments(X, q_grid, tau_range):
     T, N = X.shape
     moments = np.empty((len(q_grid), len(tau_range), N))
 
+    # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp that overflows
+    # gives inf, which _loglog_fit rejects (errstate holds per thread)
+    @np.errstate(divide="ignore", over="ignore")
     def fill(cols):
         block = np.ascontiguousarray(X[:, cols])
         csum = np.concatenate([np.zeros((1, block.shape[1])),
@@ -131,8 +134,7 @@ def panel_moments(X, q_grid, tau_range):
             # tau = 1 keeps the returns as they are: differencing the
             # cumsum would round them
             agg = block if tau == 1 else csum[tau:] - csum[:-tau]
-            with np.errstate(divide="ignore"):
-                ln_abs = np.log(np.abs(agg))  # -inf at zeros; exp(q*-inf) = 0
+            ln_abs = np.log(np.abs(agg))
             for i, q in enumerate(q_grid):
                 moments[i, j, cols] = np.mean(np.exp(q * ln_abs), axis=0)
 

@@ -25,13 +25,13 @@ class SurrogateSpec:
     permutation: np.ndarray = None
 
     def digest(self):
-        if self.permutation is None:
-            return ""
         return hashlib.sha256(self.permutation.astype(np.int64).tobytes()).hexdigest()
 
     def to_pairs(self):
-        return [("kind", self.kind), ("seed", str(self.seed)),
-                ("permutation_digest", self.digest())]
+        pairs = [("kind", self.kind), ("seed", str(self.seed))]
+        if self.permutation is None:
+            return pairs
+        return pairs + [("permutation_digest", self.digest())]
 
 
 def synchronous_shuffle(panel, seed, permutation=None):

@@ -18,7 +18,7 @@ from .association import build_report
 from .config import PipelineConfig
 from .crosscorr import correlation_matrix
 from .errors import ConfigError
-from .panel import CapitalizationTable, ReturnPanel
+from .panel import ReturnPanel
 from .scaling import estimate_scaling_panel
 from .surrogates import mid_rank_levels
 
@@ -168,8 +168,7 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
 
 def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,
                              alpha=PipelineConfig.alpha,
-                             significance_mode=PipelineConfig.significance_mode,
-                             caps=None):
+                             significance_mode=PipelineConfig.significance_mode):
     """End-to-end control: generate a market, run the pipeline, report.
 
     The coupled construction guarantees a positive Kendall tau between the
@@ -179,7 +178,5 @@ def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,
     results = estimate_scaling_panel(panel.returns, tickers=panel.tickers)
     corr = correlation_matrix(panel, alpha=alpha,
                               significance_mode=significance_mode)
-    scaling = dict(zip(panel.tickers, results))
-    if caps is None:
-        caps = CapitalizationTable(values={})
-    return build_report(scaling, corr, caps)
+    return build_report([r.A_hat for r in results],
+                        [r.B_hat for r in results], corr.rho_bar)

@@ -30,6 +30,17 @@ def read_text(path, error=DataError):
             raise error(f"{path}: {exc}") from exc
 
 
+def _nonblank_lines(fh):
+    """Numbered non-blank lines of an open text file; a byte that does not
+    decode is a DataError naming its offset in the file, not in the
+    stream's read chunk."""
+    try:
+        yield from ((i, ln) for i, ln in enumerate(fh, start=1) if ln.strip())
+    except UnicodeDecodeError:
+        read_text(fh.name)  # decodes the whole file at once and raises
+        raise
+
+
 def write_matrix(path, row_labels, col_labels, matrix, corner="date",
                  spec="%.17g"):
     """Write a labelled matrix: header row of column labels, first column of
@@ -53,11 +64,8 @@ def read_matrix(path):
     number of fields, a cell that is not a number, or a NaN or infinite cell.
     """
     with open(path) as fh:
-        numbered = ((i, ln) for i, ln in enumerate(fh, start=1) if ln.strip())
-        try:
-            _, first = next(numbered, (0, ""))
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        numbered = _nonblank_lines(fh)
+        _, first = next(numbered, (0, ""))
         header = first.rstrip("\n").split(DELIM)
         if len(header) < 2:
             raise DataError(f"{path}: empty file or no value columns")
@@ -76,7 +84,6 @@ def read_matrix(path):
 
         rows = data_lines()
         try:
-            # an undecodable line raises UnicodeDecodeError, a ValueError
             first_row = next(rows, None)
             if first_row is None:
                 raise DataError(f"{path}: no data rows")

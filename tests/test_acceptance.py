@@ -248,7 +248,8 @@ def test_criterion_10_desk_scale():
                                   betas=np.linspace(0.2, 1.5, 1202)))
     results = estimate_scaling_panel(panel.returns)
     corr = correlation_matrix(panel)
-    report = build_report(dict(zip(panel.tickers, results)), corr)
+    report = build_report([r.A_hat for r in results],
+                          [r.B_hat for r in results], corr.rho_bar)
     elapsed = time.time() - start
     assert report.n_stocks == 1202
     assert elapsed < 120

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from scalecorr.association import (build_report, kendall_tau,
                                    partial_correlation, simple_ols)
-from scalecorr.crosscorr import CorrelationSummary, pearson
-from scalecorr.errors import ConfigError, EstimationError
+from scalecorr.crosscorr import pearson
+from scalecorr.errors import EstimationError
 from scalecorr.panel import CapitalizationTable
-from scalecorr.scaling import ScalingResult
 
 
 def brute_force_tau(x, y):
@@ -168,37 +167,17 @@ class TestPartialCorrelation:
             partial_correlation([1.0, 2, 3], [1.0, 2, 3], [1.0, 3, 2])
 
 
-def _scaling_result(a, b):
-    q = np.arange(0.1, 1.05, 0.1)
-    return ScalingResult(q_grid=q, zeta=a * q + b * q ** 2, lnK=np.zeros(10),
-                         per_q_r2=np.ones(10), A_hat=a, B_hat=b, fit_rss=0.0)
-
-
-def _corr_summary(tickers, rho_bar):
-    n = len(tickers)
-    return CorrelationSummary(tickers=tickers, rho=np.eye(n),
-                              pvalue=np.zeros((n, n)),
-                              rho_bar=np.asarray(rho_bar, dtype=float),
-                              significance_mode="filtered", alpha=0.05,
-                              n_obs=100)
-
-
 class TestBuildReport:
     def test_monotone_proxy_gives_tau_one(self):
-        tickers = [f"T{i}" for i in range(8)]
+        i = np.arange(8)
         rho_bar = np.linspace(0.1, 0.5, 8)
-        scaling = {t: _scaling_result(0.5 + 0.01 * i, -0.2 + 0.02 * i)
-                   for i, t in enumerate(tickers)}
-        report = build_report(scaling, _corr_summary(tickers, rho_bar))
+        report = build_report(0.5 + 0.01 * i, -0.2 + 0.02 * i, rho_bar)
         assert report.kendall_B_rho[0] == 1.0
 
     def test_all_caps_absent_flags_block(self):
-        tickers = [f"T{i}" for i in range(6)]
-        scaling = {t: _scaling_result(0.5 + 0.01 * i, -0.01 * i)
-                   for i, t in enumerate(tickers)}
-        report = build_report(scaling,
-                              _corr_summary(tickers, np.linspace(0, 0.5, 6)),
-                              CapitalizationTable(values={}))
+        i = np.arange(6)
+        report = build_report(0.5 + 0.01 * i, -0.01 * i,
+                              np.linspace(0, 0.5, 6), np.full(6, np.nan))
         assert not report.cap_block_available
         assert "unavailable" in report.to_text()
         keys = dict(report.to_pairs())
@@ -211,11 +190,9 @@ class TestBuildReport:
         lncap = np.linspace(1.0, 10.0, 30)
         rho_bar = 0.05 * lncap + 0.05 * g.standard_normal(30)
         B = 0.02 * lncap - 0.3 + 0.02 * g.standard_normal(30)
-        scaling = {t: _scaling_result(0.5 - B[i], B[i])
-                   for i, t in enumerate(tickers)}
         caps = CapitalizationTable(
             values={t: math.exp(lncap[i]) for i, t in enumerate(tickers)})
-        report = build_report(scaling, _corr_summary(tickers, rho_bar), caps)
+        report = build_report(0.5 - B, B, rho_bar, caps.log_values(tickers))
         assert report.cap_block_available
         assert report.n_used == 30
         assert report.pearson_B_lncap[0] > 0.5
@@ -223,7 +200,3 @@ class TestBuildReport:
         assert 0.0 <= report.r2_rho_bar <= 1.0
         assert 0.0 <= report.r2_B_hat <= 1.0
 
-    def test_empty_overlap_errors(self):
-        scaling = {"X": _scaling_result(0.5, 0.0)}
-        with pytest.raises(ConfigError):
-            build_report(scaling, _corr_summary(["A", "B"], [0.1, 0.2]))

@@ -1,15 +1,18 @@
 import filecmp
+import json
 import os
 
 import numpy as np
 import pytest
 
 from scalecorr import textio
+from scalecorr.association import build_report
 from scalecorr.cli import main
 from scalecorr.config import PipelineConfig
 from scalecorr.errors import ConfigError
 from scalecorr.scaling import DEFAULT_Q_GRID
 from scalecorr.panel import ReturnPanel
+from scalecorr.pipeline import read_proxies_table
 
 
 @pytest.fixture
@@ -61,6 +64,33 @@ class TestStageCommands:
         assert "kendall_B_rho.tau" in kv
         assert abs(float(kv["kendall_B_rho.tau"])) <= 1.0
 
+    def test_associate_joins_by_ticker(self, returns_file, tmp_path):
+        """The stocks are the rho_bar file's rows, in its order, that the
+        proxy table also holds."""
+        proxies = str(tmp_path / "proxies.tsv")
+        rho_bar = str(tmp_path / "rho_bar.tsv")
+        assert main(["scaling", "--returns", returns_file,
+                     "--out", proxies]) == 0
+        assert main(["xcorr", "--returns", returns_file, "--rho-out",
+                     str(tmp_path / "rho.tsv"), "--rho-bar-out", rho_bar]) == 0
+        rows, _, values = textio.read_matrix(rho_bar)
+        # reversed, one ticker dropped and one the proxy table lacks
+        keep = [len(rows) - 1 - i for i in range(len(rows) - 1)]
+        joined = tmp_path / "joined.tsv"
+        textio.write_matrix(str(joined), [rows[i] for i in keep] + ["ZZZ"],
+                            ["rho_bar"],
+                            np.append(values[keep, 0], 0.5)[:, None],
+                            corner="ticker")
+        report = tmp_path / "report.tsv"
+        assert main(["associate", "--proxies", proxies, "--rho-bar",
+                     str(joined), "--out", str(report)]) == 0
+        table = read_proxies_table(proxies)
+        expected = build_report([table[rows[i]][0] for i in keep],
+                                [table[rows[i]][1] for i in keep],
+                                values[keep, 0])
+        assert textio.read_keyvalues(report) == dict(expected.to_pairs())
+        assert expected.n_stocks == len(rows) - 1
+
     def test_surrogate_command(self, returns_file, tmp_path):
         out = str(tmp_path / "shuf.tsv")
         spec = str(tmp_path / "spec.tsv")
@@ -96,6 +126,18 @@ class TestExitCodes:
               "--n-days", "64", "--seed", "0", "--out", out])
         assert main(["run", "--returns", out,
                      "--output-dir", str(tmp_path / "o")]) == 3
+
+    def test_empty_overlap_errors(self, returns_file, tmp_path, capsys):
+        proxies = str(tmp_path / "proxies.tsv")
+        assert main(["scaling", "--returns", returns_file,
+                     "--out", proxies]) == 0
+        rho_bar = tmp_path / "rho_bar.tsv"
+        rho_bar.write_text("ticker\trho_bar\nA\t0.1\nB\t0.2\n")
+        out = tmp_path / "r.tsv"
+        assert main(["associate", "--proxies", proxies, "--rho-bar",
+                     str(rho_bar), "--out", str(out)]) == 2
+        assert "no common tickers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_is_2(self, tmp_path):
         assert main(["returns", "--panel", str(tmp_path / "nope.tsv"),
@@ -203,6 +245,19 @@ class TestGridValidation:
             PipelineConfig(returns="r.tsv", q_min=0.5, q_max=0.5).validate()
         with pytest.raises(ConfigError):
             PipelineConfig(returns="r.tsv", tau_min=3, tau_max=4).validate()
+
+    @pytest.mark.parametrize("command", ["run", "scaling"])
+    def test_q_min_rounding_to_zero_is_config_error(self, returns_file,
+                                                    tmp_path, capsys, command):
+        # the grid is rounded to 12 decimals, so q_min = 1e-13 becomes 0
+        out = tmp_path / "o"
+        target = ["--output-dir"] if command == "run" else ["--out"]
+        assert main([command, "--returns", returns_file, "--q-min", "1e-13",
+                     "--q-max", "0.5", "--q-step", "0.5"]
+                    + target + [str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "q_min=1e-13 rounds to 0" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_scaling_command_single_q_is_estimation_error(self, returns_file,
                                                           tmp_path):
@@ -317,6 +372,30 @@ class TestRun:
         with open(os.path.join(out, "scatter_B.tsv")) as fh:
             rows = [ln.split("\t") for ln in fh.read().splitlines()[1:]]
         assert all(r[3] != "NA" for r in rows)
+
+    def test_rerun_leaves_only_the_new_bundle(self, returns_file, tmp_path):
+        caps = tmp_path / "caps.csv"
+        caps.write_text("".join(f"S{i:04d},2020-01-01,{1e9 * (i + 1)}\n"
+                                for i in range(8)))
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file, "--capitalization",
+                     str(caps), "--output-dir", str(out)]) == 0
+        assert (out / "median_cap.tsv").exists()
+        assert main(["run", "--returns", returns_file, "--mode", "shuffled",
+                     "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                                 + ["manifest.json"])
+        assert "returns.tsv" not in manifest["outputs"]
+
+    def test_rerun_keeps_its_input(self, returns_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(out)]) == 0
+        before = (out / "returns.tsv").read_bytes()
+        assert main(["run", "--mode", "shuffled", "--returns",
+                     str(out / "returns.tsv"), "--output-dir", str(out)]) == 0
+        assert (out / "returns.tsv").read_bytes() == before
 
     def test_gaussianized_mode_runs(self, returns_file, tmp_path):
         out = str(tmp_path / "g")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from scalecorr.crosscorr import (correlation_matrix, pearson, pearson_pvalue)
+from scalecorr.crosscorr import (correlation_matrix, pearson, pearson_pvalue,
+                                 t_pvalue)
 from scalecorr.errors import EstimationError
 
 from conftest import make_return_panel
@@ -63,6 +64,24 @@ class TestPearsonPvalue:
     def test_small_n_errors(self):
         with pytest.raises(EstimationError):
             pearson_pvalue(0.5, 2)
+
+
+class TestTPvalue:
+    def test_elementwise_two_sided(self):
+        r = np.array([[-1.0, -0.5, 0.0], [0.5, 0.999, 1.0]])
+        p = t_pvalue(r, 18)
+        assert p.shape == r.shape
+        assert p[0, 0] == p[1, 2] == 0.0
+        assert p[0, 2] == 1.0
+        assert p[0, 1] == p[1, 0] == pearson_pvalue(0.5, 20)
+        assert abs(p[1, 0] - 0.0246) < 5e-4
+
+    def test_matrix_pvalues_are_t_pvalues_of_rho(self, rng):
+        panel = make_return_panel(rng.standard_normal((50, 5)))
+        c = correlation_matrix(panel)
+        np.testing.assert_array_equal(c.pvalue, t_pvalue(c.rho, 48))
+        np.testing.assert_array_equal(c.pvalue, c.pvalue.T)
+        assert np.all(np.diag(c.pvalue) == 0.0)
 
 
 class TestCorrelationMatrix:

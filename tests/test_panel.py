@@ -19,9 +19,11 @@ D = dt.date
 
 
 def series(ticker, day_price_pairs):
+    """Day d is 2020-01-d for d <= 31 and keeps counting into February."""
     return RawPriceSeries(
         ticker=ticker,
-        dates=tuple(D(2020, 1, d) for d, _ in day_price_pairs),
+        dates=tuple(D(2019, 12, 31) + dt.timedelta(d)
+                    for d, _ in day_price_pairs),
         prices=np.array([p for _, p in day_price_pairs], dtype=float),
     )
 
@@ -435,3 +437,11 @@ class TestMedianCapitalization:
     def test_log_value(self):
         table = median_capitalization({"A": [math.e]})
         assert abs(table.log_value("A") - 1.0) < 1e-12
+
+    def test_log_values_nan_where_absent(self):
+        table = median_capitalization({"A": [math.e], "B": []})
+        logs = table.log_values(["B", "A", "C"])
+        assert logs.shape == (3,)
+        assert np.isnan(logs[0]) and np.isnan(logs[2])
+        assert logs[1] == table.log_value("A")
+        assert table.log_values([]).shape == (0,)

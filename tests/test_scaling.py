@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,16 @@ class TestOneEstimator:
         with pytest.raises(EstimationError) as panel:
             estimate_scaling_panel(x[:, None], tickers=["X"], **kwargs)
         assert str(panel.value) == str(scalar.value)
+
+
+def test_overflowing_moment_raises_without_warning():
+    """|x|^q overflows inside the worker threads; the error is the one
+    line, with no RuntimeWarning before it."""
+    X = 1e3 * np.random.default_rng(3).standard_normal((200, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="infinite moment"):
+            estimate_scaling_panel(X, q_grid=[200.0, 300.0])
 
 
 def _unblocked_moments(X, q_grid, tau_range):

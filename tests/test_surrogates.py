@@ -3,7 +3,8 @@ import pytest
 
 from scalecorr.crosscorr import correlation_matrix
 from scalecorr.errors import EstimationError
-from scalecorr.surrogates import marginal_gaussianize, synchronous_shuffle
+from scalecorr.surrogates import (SurrogateSpec, marginal_gaussianize,
+                                  synchronous_shuffle)
 
 from conftest import make_return_panel
 
@@ -56,6 +57,16 @@ class TestSynchronousShuffle:
         b, sb = synchronous_shuffle(panel, seed=77)
         np.testing.assert_array_equal(a.returns, b.returns)
         assert sa.digest() == sb.digest()
+
+    def test_spec_pairs(self, rng):
+        _, spec = synchronous_shuffle(
+            make_return_panel(rng.standard_normal((10, 2))), seed=4)
+        assert spec.to_pairs() == [("kind", "synchronous_shuffle"),
+                                   ("seed", "4"),
+                                   ("permutation_digest", spec.digest())]
+        # no permutation, no digest line
+        assert SurrogateSpec("marginal_gaussianize", 4).to_pairs() == [
+            ("kind", "marginal_gaussianize"), ("seed", "4")]
 
     def test_bad_permutation_rejected(self, rng):
         panel = make_return_panel(rng.standard_normal((10, 2)))

@@ -73,6 +73,21 @@ class TestReadMatrix:
         with pytest.raises(DataError, match=r"m\.tsv: no data rows"):
             textio.read_matrix(path)
 
+    def test_undecodable_byte_reports_file_offset(self, tmp_path):
+        # wider than one 8 KB read chunk, bad byte in a later chunk
+        header = "date\t" + "\t".join(f"c{j}" for j in range(1500)) + "\n"
+        row = "\t".join(["0.25"] * 1500) + "\n"
+        data = bytearray((header + "".join(f"d{i}\t{row}" for i in range(3)))
+                         .encode())
+        offset = len(data) - 100
+        assert offset > 3 * 8192
+        data[offset] = 0xFF
+        path = tmp_path / "m.tsv"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError,
+                           match=f"byte 0xff in position {offset}:"):
+            textio.read_matrix(str(path))
+
     def test_cli_exit_code_is_1(self, tmp_path):
         rows = "".join(f"d{i}\t{0.01 * (-1) ** i}\t{0.02 * i}\n"
                        for i in range(100))
