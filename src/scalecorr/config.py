@@ -75,12 +75,9 @@ class PipelineConfig:
         return grid
 
     def to_pairs(self):
-        out = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                out.append((f.name, str(v)))
-        return out
+        pairs = ((f.name, getattr(self, f.name))
+                 for f in dataclasses.fields(self))
+        return [(name, str(v)) for name, v in pairs if v is not None]
 
 
 FIELD_TYPES = {

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .surrogates import (SurrogateSpec, marginal_gaussianize,
 __version__ = "0.1.0"
 
 MODES = ("raw", "shuffled", "gaussianized")
+STAGING_DIR = ".scalecorr-staging"
 
 
 def _sha256(path):
@@ -52,17 +54,6 @@ def _release_free_heap():
         libc.malloc_trim(0)
 
 
-def _remove_stale(outdir, written, inputs):
-    """Delete the bundle files that only some runs write and this one did
-    not, so an earlier run's do not pass for this one's; keep its inputs."""
-    for name in ("panel.tsv", "fill_mask.tsv", "returns.tsv", "median_cap.tsv",
-                 "surrogate_spec.tsv", "surrogate_returns.tsv"):
-        path = os.path.join(outdir, name)
-        if (name not in written and os.path.exists(path)
-                and not any(os.path.samefile(path, p) for p in inputs if p)):
-            os.remove(path)
-
-
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -80,51 +71,37 @@ def write_proxies_table(path, tickers, results):
 
 
 def read_proxies_table(path):
-    """Read the proxy table back as {ticker: (A_hat, B_hat)}.
-
-    Raises DataError naming the file and line for an empty file, a header
-    without an ``A_hat`` or ``B_hat`` column, a row whose field count differs
-    from the header's, or an A_hat/B_hat that is not a finite number.
-    """
-    lines = [(i, ln) for i, ln in enumerate(
-        textio.read_text(path).split("\n"), start=1) if ln.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = lines[0][1].split(textio.DELIM)
+    """Read the proxy table back as {ticker: (A_hat, B_hat)}; a table
+    without an ``A_hat`` or ``B_hat`` column is a DataError."""
+    tickers, columns, values = textio.read_matrix(path)
     for column in ("A_hat", "B_hat"):
-        if column not in header:
-            raise DataError(f"{path}: line {lines[0][0]}: no {column} column")
-    ia, ib = header.index("A_hat"), header.index("B_hat")
-    out = {}
-    for i, ln in lines[1:]:
-        parts = ln.split(textio.DELIM)
-        if len(parts) != len(header):
-            raise DataError(f"{path}: line {i} has {len(parts)} fields, "
-                            f"expected {len(header)}")
-        try:
-            a, b = float(parts[ia]), float(parts[ib])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {i}: {exc}") from exc
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DataError(f"{path}: line {i}: non-finite A_hat/B_hat "
-                            f"({a}, {b})")
-        out[parts[0]] = (a, b)
-    return out
+        if column not in columns:
+            raise DataError(f"{path}: line 1: no {column} column")
+    A, B = values[:, [columns.index("A_hat"), columns.index("B_hat")]].T
+    return dict(zip(tickers, zip(A.tolist(), B.tolist())))
 
 
-def run(config: PipelineConfig, mode="raw"):
-    """Execute the full pipeline and write the output bundle.
+def _previous_outputs(outdir):
+    """The files the manifest in ``outdir`` lists; ConfigError unless they
+    are plain names, so that a run never removes a file outside ``outdir``."""
+    path = os.path.join(outdir, "manifest.json")
+    if not os.path.exists(path):
+        return []
+    try:
+        manifest = json.loads(textio.read_text(path, ConfigError))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    outputs = manifest.get("outputs") if isinstance(manifest, dict) else None
+    if not isinstance(outputs, list) or not all(
+            isinstance(name, str) and name not in ("", os.curdir, os.pardir)
+            and os.path.basename(name) == name for name in outputs):
+        raise ConfigError(f"{path}: 'outputs' must list plain file names")
+    return outputs
 
-    Returns a dict of the written file paths.
-    """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    config.validate()
-    outdir = config.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    paths = {}
+
+def _write_bundle(config, mode, out):
+    """Run every stage, writing to ``out(name)``; returns the input digests."""
     digests = {}
-
     if config.returns is not None:
         digests["returns"] = _sha256(config.returns)
         returns = _stage("load", ReturnPanel.read, config.returns)
@@ -133,9 +110,7 @@ def run(config: PipelineConfig, mode="raw"):
         series = _stage("load", load_prices, config.prices)
         _release_free_heap()
         panel = _stage("clean", preprocess, series, config.k)
-        paths["panel"] = os.path.join(outdir, "panel.tsv")
-        paths["fill_mask"] = os.path.join(outdir, "fill_mask.tsv")
-        panel.write(paths["panel"], paths["fill_mask"])
+        panel.write(out("panel.tsv"), out("fill_mask.tsv"))
         returns = _stage("returns", compute_returns, panel)
 
     spec = None
@@ -147,27 +122,20 @@ def run(config: PipelineConfig, mode="raw"):
                          config.seed)
         spec = SurrogateSpec(kind="marginal_gaussianize", seed=config.seed)
     if spec is not None:
-        paths["surrogate_spec"] = os.path.join(outdir, "surrogate_spec.tsv")
-        textio.write_keyvalues(paths["surrogate_spec"], spec.to_pairs())
-        paths["surrogate_returns"] = os.path.join(outdir,
-                                                  "surrogate_returns.tsv")
-        returns.write(paths["surrogate_returns"])
+        textio.write_keyvalues(out("surrogate_spec.tsv"), spec.to_pairs())
+        returns.write(out("surrogate_returns.tsv"))
     else:
-        paths["returns"] = os.path.join(outdir, "returns.tsv")
-        returns.write(paths["returns"])
+        returns.write(out("returns.tsv"))
 
     results = _stage("scaling", estimate_scaling_panel, returns.returns,
                      config.q_grid(), config.tau_range(),
                      tickers=returns.tickers)
-    paths["proxies"] = os.path.join(outdir, "proxies.tsv")
-    write_proxies_table(paths["proxies"], returns.tickers, results)
+    write_proxies_table(out("proxies.tsv"), returns.tickers, results)
 
     corr = _stage("xcorr", correlation_matrix, returns, config.alpha,
                   config.significance_mode)
-    paths["corr_matrix"] = os.path.join(outdir, "corr_matrix.tsv")
-    paths["corr_pvalues"] = os.path.join(outdir, "corr_pvalues.tsv")
-    paths["rho_bar"] = os.path.join(outdir, "rho_bar.tsv")
-    corr.write(paths["corr_matrix"], paths["corr_pvalues"], paths["rho_bar"])
+    corr.write(out("corr_matrix.tsv"), out("corr_pvalues.tsv"),
+               out("rho_bar.tsv"))
 
     ln_cap = np.full(len(returns.tickers), np.nan)
     if config.capitalization is not None:
@@ -175,47 +143,72 @@ def run(config: PipelineConfig, mode="raw"):
         records = _stage("capitalization", load_capitalizations,
                          config.capitalization)
         caps = _stage("capitalization", median_capitalization, records)
-        paths["capitalization"] = os.path.join(outdir, "median_cap.tsv")
         names = sorted(caps.values)
         medians = np.array([caps.values[t] for t in names])
-        textio.write_matrix(paths["capitalization"], names, ["median_cap"],
+        textio.write_matrix(out("median_cap.tsv"), names, ["median_cap"],
                             medians[:, None], corner="ticker")
         ln_cap = caps.log_values(returns.tickers)
 
     A, B = np.array([(r.A_hat, r.B_hat) for r in results]).T
     report = _stage("associate", build_report, A, B, corr.rho_bar, ln_cap)
-    paths["association_txt"] = os.path.join(outdir, "association.txt")
-    paths["association_kv"] = os.path.join(outdir, "association.tsv")
-    with open(paths["association_txt"], "w", newline="\n") as fh:
+    with open(out("association.txt"), "w", newline="\n") as fh:
         fh.write(report.to_text())
-    textio.write_keyvalues(paths["association_kv"], report.to_pairs())
+    textio.write_keyvalues(out("association.tsv"), report.to_pairs())
 
     # scatter data behind the rho_bar vs proxy plots, ln cap as third column
     ln_cap_text = ["NA" if math.isnan(c) else textio.fmt(c) for c in ln_cap]
     for proxy_name, proxy in (("B", B), ("A", A)):
-        key = f"scatter_{proxy_name}"
-        paths[key] = os.path.join(outdir, f"scatter_{proxy_name}.tsv")
         rows = [[t, textio.fmt(r), textio.fmt(p), c] for t, r, p, c in
                 zip(returns.tickers, corr.rho_bar, proxy, ln_cap_text)]
-        textio.write_table(paths[key],
+        textio.write_table(out(f"scatter_{proxy_name}.tsv"),
                            ["ticker", "rho_bar", f"{proxy_name}_hat", "ln_cap"],
                            rows)
+    return digests
 
-    manifest = {
-        "version": __version__,
-        "mode": mode,
-        # output_dir is where the bundle lives, not part of what it contains
-        "config": {k: v for k, v in config.to_pairs() if k != "output_dir"},
-        "input_digests": digests,
-        "outputs": sorted(os.path.basename(p) for p in paths.values()),
-    }
-    paths["manifest"] = os.path.join(outdir, "manifest.json")
-    with open(paths["manifest"], "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _remove_stale(outdir, manifest["outputs"],
-                  [config.prices, config.returns, config.capitalization])
-    return paths
+
+def run(config: PipelineConfig, mode="raw"):
+    """Execute the full pipeline and write the output bundle.
+
+    The files are staged inside ``output_dir`` and moved into place, manifest
+    last, only once every stage has succeeded; then the files the earlier
+    manifest listed and this run did not write, except its inputs, are
+    removed. Returns {file name: path} of the written files.
+    """
+    if mode not in MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
+    config.validate()
+    outdir = config.output_dir
+    previous = _previous_outputs(outdir)
+    staging = os.path.join(outdir, STAGING_DIR)
+    shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
+    os.makedirs(staging)
+    names = []
+
+    def out(name):
+        names.append(name)
+        return os.path.join(staging, name)
+
+    try:
+        digests = _write_bundle(config, mode, out)
+        # output_dir is where the bundle lives, not part of what it holds
+        manifest = {"version": __version__, "mode": mode, "config": {
+            k: v for k, v in config.to_pairs() if k != "output_dir"},
+            "input_digests": digests, "outputs": sorted(names)}
+        with open(out("manifest.json"), "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for name in names:
+            os.replace(os.path.join(staging, name), os.path.join(outdir, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+    inputs = [config.prices, config.returns, config.capitalization]
+    for name in set(previous) - set(names):
+        path = os.path.join(outdir, name)
+        if (os.path.isfile(path)
+                and not any(os.path.samefile(path, p) for p in inputs if p)):
+            os.remove(path)
+    return {name: os.path.join(outdir, name) for name in names}
 
 
 def compare_reports(pairs_a, pairs_b, alpha=PipelineConfig.alpha):

@@ -58,19 +58,25 @@ def read_matrix(path):
     """Read a labelled matrix written by :func:`write_matrix`.
 
     Blank lines are skipped. The file is streamed once: each data line has
-    its field count checked and its label collected as ``np.loadtxt`` pulls
-    it. Returns (row_labels, col_labels, matrix); raises DataError for a file
-    without a header, value columns or data rows, a row with the wrong
-    number of fields, a cell that is not a number, or a NaN or infinite cell.
+    its field count and its label checked as ``np.loadtxt`` pulls it.
+    Returns (row_labels, col_labels, matrix); raises DataError for a file
+    without a header, value columns or data rows, a repeated row or column
+    label, a row with the wrong number of fields, a cell that is not a
+    number, or a NaN or infinite cell.
     """
     with open(path) as fh:
         numbered = _nonblank_lines(fh)
-        _, first = next(numbered, (0, ""))
+        h, first = next(numbered, (0, ""))
         header = first.rstrip("\n").split(DELIM)
         if len(header) < 2:
             raise DataError(f"{path}: empty file or no value columns")
         col_labels = header[1:]
-        linenos, row_labels = [], []
+        fields = {}  # column label -> its field, 1-based
+        for j, label in enumerate(col_labels, start=2):
+            if fields.setdefault(label, j) != j:
+                raise DataError(f"{path}: line {h} fields {fields[label]} and "
+                                f"{j}: repeated column label {label!r}")
+        lines = {}  # row label -> its line, in file order
 
         def data_lines():
             for i, ln in numbered:
@@ -78,8 +84,10 @@ def read_matrix(path):
                 if n_fields != len(header):
                     raise DataError(f"{path}: line {i} has {n_fields} fields, "
                                     f"expected {len(header)}")
-                linenos.append(i)
-                row_labels.append(ln.partition(DELIM)[0])
+                label = ln.partition(DELIM)[0]
+                if lines.setdefault(label, i) != i:
+                    raise DataError(f"{path}: lines {lines[label]} and {i}: "
+                                    f"repeated row label {label!r}")
                 yield ln
 
         rows = data_lines()
@@ -95,15 +103,16 @@ def read_matrix(path):
             if where is None:
                 raise DataError(f"{path}: {exc}") from exc
             row, col = int(where.group(1)), int(where.group(2))
-            raise DataError(f"{path}: line {linenos[row]} field {col}: "
+            raise DataError(f"{path}: line {list(lines.values())[row]} "
+                            f"field {col}: "
                             f"{str(exc)[:where.start()].strip()}") from exc
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = bad[0]
-        raise DataError(f"{path}: line {linenos[row]}: non-finite value "
-                        f"{float(values[row, col])} in column "
-                        f"{col_labels[col]!r}")
-    return row_labels, col_labels, values
+        raise DataError(f"{path}: line {list(lines.values())[row]}: "
+                        f"non-finite value {float(values[row, col])} in "
+                        f"column {col_labels[col]!r}")
+    return list(lines), col_labels, values
 
 
 def write_table(path, header, rows):

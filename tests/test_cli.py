@@ -1,6 +1,8 @@
+import errno
 import filecmp
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -12,7 +14,16 @@ from scalecorr.config import PipelineConfig
 from scalecorr.errors import ConfigError
 from scalecorr.scaling import DEFAULT_Q_GRID
 from scalecorr.panel import ReturnPanel
-from scalecorr.pipeline import read_proxies_table
+from scalecorr.pipeline import STAGING_DIR, read_proxies_table
+
+
+def _assert_same_files(a, b):
+    """Directories ``a`` and ``b`` hold the same names and the same bytes."""
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        assert filecmp.cmp(os.path.join(a, name), os.path.join(b, name),
+                           shallow=False), name
 
 
 @pytest.fixture
@@ -90,6 +101,24 @@ class TestStageCommands:
                                 values[keep, 0])
         assert textio.read_keyvalues(report) == dict(expected.to_pairs())
         assert expected.n_stocks == len(rows) - 1
+
+    def test_associate_rejects_repeated_tickers(self, returns_file, tmp_path,
+                                                capsys):
+        proxies = str(tmp_path / "proxies.tsv")
+        rho_bar = tmp_path / "rho_bar.tsv"
+        assert main(["scaling", "--returns", returns_file,
+                     "--out", proxies]) == 0
+        assert main(["xcorr", "--returns", returns_file, "--rho-out",
+                     str(tmp_path / "rho.tsv"), "--rho-bar-out",
+                     str(rho_bar)]) == 0
+        header, *rows = rho_bar.read_text().splitlines(keepends=True)
+        rho_bar.write_text(header + "".join(rows) * 2)
+        assert main(["associate", "--proxies", proxies, "--rho-bar",
+                     str(rho_bar), "--out", str(tmp_path / "r.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert (f"{rho_bar}: lines 2 and {len(rows) + 2}: repeated row label "
+                f"'S0000'") in err
 
     def test_surrogate_command(self, returns_file, tmp_path):
         out = str(tmp_path / "shuf.tsv")
@@ -177,9 +206,11 @@ class TestExitCodes:
         (lambda rows: [rows[0].replace("B_hat", "C_hat")] + rows[1:],
          "line 1: no B_hat column"),
         (lambda rows: rows[:4] + [rows[4].replace("\t", "\tx", 1)] + rows[5:],
-         "line 5: could not convert"),
+         "line 5 field 2: could not convert"),
         (lambda rows: rows[:4] + ["\t".join(["S", "nan"] + rows[4].split(
             "\t")[2:])] + rows[5:], "line 5: non-finite"),
+        (lambda rows: rows[:4] + [rows[4].rpartition("\t")[0] + "\tnan"]
+         + rows[5:], "line 5: non-finite value nan in column 'zeta_q"),
         (lambda rows: [], "empty file"),
     ])
     def test_malformed_proxies_table_is_1(self, returns_file, tmp_path,
@@ -402,6 +433,78 @@ class TestRun:
         assert main(["run", "--returns", returns_file, "--mode",
                      "gaussianized", "--output-dir", out]) == 0
         assert os.path.exists(os.path.join(out, "surrogate_returns.tsv"))
+
+
+class TestStagedRun:
+    """A run commits its bundle only after every stage has succeeded."""
+
+    @pytest.fixture
+    def caps(self, tmp_path):
+        path = tmp_path / "caps.csv"
+        path.write_text("".join(f"S{i:04d},2020-01-01,{1e9 * (i + 1)}\n"
+                                for i in range(8)))
+        return path
+
+    def test_failed_run_leaves_the_earlier_bundle(self, returns_file, caps,
+                                                  tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file, "--capitalization",
+                     str(caps), "--output-dir", str(out)]) == 0
+        before = tmp_path / "before"
+        shutil.copytree(out, before)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(caps.read_text() + "X,2020-01-01,abc\n")
+        assert main(["run", "--returns", returns_file, "--mode", "shuffled",
+                     "--capitalization", str(bad),
+                     "--output-dir", str(out)]) == 1
+        assert "[capitalization]" in capsys.readouterr().err
+        _assert_same_files(before, out)
+
+    def test_failed_write_leaves_no_staging_directory(self, returns_file,
+                                                      tmp_path, monkeypatch):
+        def disk_full(path, pairs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+        monkeypatch.setattr(textio, "write_keyvalues", disk_full)
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(out)]) == 2
+        assert os.listdir(out) == []
+
+    def test_leftover_staging_directory_is_removed(self, returns_file,
+                                                   tmp_path):
+        out = tmp_path / "o"
+        (out / STAGING_DIR).mkdir(parents=True)
+        (out / STAGING_DIR / "proxies.tsv").write_text("left by a killed run")
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                                 + ["manifest.json"])
+
+    @pytest.mark.parametrize("manifest", [
+        lambda victim: json.dumps({"outputs": ["../victim.txt"]}),
+        lambda victim: json.dumps({"outputs": [str(victim)]}),
+        lambda victim: '{"outputs": ["victim.txt"',
+    ], ids=["parent", "absolute", "not-json"])
+    def test_crafted_manifest_is_2_and_removes_nothing(self, returns_file,
+                                                       tmp_path, capsys,
+                                                       manifest):
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep me")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_text(manifest(victim))
+        (out / "victim.txt").write_text("keep me too")
+        before = tmp_path / "before"
+        shutil.copytree(out, before)
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'manifest.json'}: ")
+        assert err.count("\n") == 1
+        assert victim.read_text() == "keep me"
+        _assert_same_files(before, out)
 
 
 class TestCompare:

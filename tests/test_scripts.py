@@ -1,0 +1,28 @@
+import importlib.util
+import json
+import os
+
+import pytest
+
+SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                      "synthetic_market_study.py")
+
+
+@pytest.fixture
+def study():
+    spec = importlib.util.spec_from_file_location("synthetic_market_study",
+                                                  SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_synthetic_market_study_smoke(study, tmp_path):
+    assert study.run(["--n-stocks", "20", "--n-days", "600",
+                      "--outdir", str(tmp_path)]) == 0
+    for mode in ("raw", "shuffled", "gaussianized"):
+        bundle = tmp_path / mode
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["mode"] == mode
+        assert sorted(os.listdir(bundle)) == sorted(manifest["outputs"]
+                                                    + ["manifest.json"])

@@ -62,6 +62,17 @@ class TestReadMatrix:
         with pytest.raises(DataError, match=r"m\.tsv: line 4 field 3: .*'abc'"):
             textio.read_matrix(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("date\tA\tB\nd1\t1\t2\nd2\t3\t4\n\nd1\t5\t6\n",
+         r"lines 2 and 5: repeated row label 'd1'"),
+        ("date\tA\tB\tA\nd1\t1\t2\t3\n",
+         r"line 1 fields 2 and 4: repeated column label 'A'"),
+    ], ids=["row", "column"])
+    def test_repeated_label(self, tmp_path, text, where):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError, match=rf"m\.tsv: {where}"):
+            textio.read_matrix(path)
+
     def test_empty_file(self, tmp_path):
         for text in ["", "\n  \n"]:
             path = _write(tmp_path, text)
