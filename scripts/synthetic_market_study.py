@@ -46,7 +46,8 @@ def run(argv=None):
         if rc != 0:
             return rc
         print(f"\n=== mode: {mode} ===")
-        print(open(os.path.join(outdir, "association.txt")).read())
+        with open(os.path.join(outdir, "association.txt")) as fh:
+            print(fh.read())
 
     raw = textio.read_keyvalues(os.path.join(args.outdir, "raw",
                                              "association.tsv"))

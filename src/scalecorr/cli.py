@@ -42,12 +42,6 @@ def _config(args, *fields):
     return PipelineConfig(**{f: getattr(args, f) for f in fields})
 
 
-def _config_from_args(args):
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
-    return build_config(file_values, overrides)
-
-
 def make_parser():
     parser = argparse.ArgumentParser(
         prog="scalecorr",
@@ -179,12 +173,13 @@ def _cmd_associate(args):
 
 
 def _cmd_surrogate(args):
-    panel = ReturnPanel.read(args.returns)
+    cfg = _config(args, "returns", "seed").validate()
+    panel = ReturnPanel.read(cfg.returns)
     if args.kind == "synchronous_shuffle":
-        out, spec = synchronous_shuffle(panel, args.seed)
+        out, spec = synchronous_shuffle(panel, cfg.seed)
     else:
-        out = marginal_gaussianize(panel, args.seed)
-        spec = SurrogateSpec(kind=args.kind, seed=args.seed)
+        out = marginal_gaussianize(panel, cfg.seed)
+        spec = SurrogateSpec(kind=args.kind, seed=cfg.seed)
     out.write(args.out)
     if args.spec_out:
         textio.write_keyvalues(args.spec_out, spec.to_pairs())
@@ -203,21 +198,22 @@ def _cmd_synth(args):
 
 
 def _cmd_run(args):
-    config = _config_from_args(args)
-    run(config, mode=args.mode)
+    file_values = parse_config_file(args.config) if args.config else {}
+    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
+    run(build_config(file_values, overrides), mode=args.mode)
 
 
 def _cmd_compare(args):
+    alpha = _config(args, "alpha").validate().alpha
     a = textio.read_keyvalues(args.report_a)
     b = textio.read_keyvalues(args.report_b)
-    rows = compare_reports(a, b, alpha=args.alpha)
+    rows = compare_reports(a, b, alpha=alpha)
     header = ["statistic", "value_a", "value_b", "abs_diff", "both_significant"]
     if args.out:
         textio.write_table(args.out, header, rows)
     else:
-        print("\t".join(header))
-        for row in rows:
-            print("\t".join(str(v) for v in row))
+        for row in [header] + rows:
+            print(*row, sep="\t")
 
 
 _COMMANDS = {

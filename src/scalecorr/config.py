@@ -45,9 +45,8 @@ class PipelineConfig:
                 f"{SIGNIFICANCE_MODES}")
         if not (0 < self.alpha < 1):
             raise ConfigError(f"alpha={self.alpha} outside (0, 1)")
-        if self.prices is None and self.returns is None:
-            raise ConfigError("either a prices file or a returns file is "
-                              "required")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} is negative")
         return self
 
     def tau_range(self):

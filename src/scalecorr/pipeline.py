@@ -3,9 +3,10 @@
 A run reads price (or return) data, optionally replaces the panel by one of
 the two surrogates, estimates per-stock scaling proxies and the
 significance-filtered average cross-correlations, and writes the output
-bundle: proxy table, correlation matrices, rho_bar vector, association
-report, scatter data, and a manifest that pins config, seed, and input
-digests. Outputs are byte-identical across re-runs with the same inputs.
+bundle: proxy table, correlation matrix, rho_bar vector, association
+report, scatter table, and a manifest that pins config, seed, and input
+digests (a returns input is pinned there, not copied). Outputs are
+byte-identical across re-runs with the same inputs.
 """
 
 import ctypes
@@ -124,7 +125,7 @@ def _write_bundle(config, mode, out):
     if spec is not None:
         textio.write_keyvalues(out("surrogate_spec.tsv"), spec.to_pairs())
         returns.write(out("surrogate_returns.tsv"))
-    else:
+    elif config.returns is None:  # an input --returns is pinned, not copied
         returns.write(out("returns.tsv"))
 
     results = _stage("scaling", estimate_scaling_panel, returns.returns,
@@ -134,8 +135,7 @@ def _write_bundle(config, mode, out):
 
     corr = _stage("xcorr", correlation_matrix, returns, config.alpha,
                   config.significance_mode)
-    corr.write(out("corr_matrix.tsv"), out("corr_pvalues.tsv"),
-               out("rho_bar.tsv"))
+    corr.write(out("corr_matrix.tsv"), rho_bar_path=out("rho_bar.tsv"))
 
     ln_cap = np.full(len(returns.tickers), np.nan)
     if config.capitalization is not None:
@@ -155,14 +155,12 @@ def _write_bundle(config, mode, out):
         fh.write(report.to_text())
     textio.write_keyvalues(out("association.tsv"), report.to_pairs())
 
-    # scatter data behind the rho_bar vs proxy plots, ln cap as third column
-    ln_cap_text = ["NA" if math.isnan(c) else textio.fmt(c) for c in ln_cap]
-    for proxy_name, proxy in (("B", B), ("A", A)):
-        rows = [[t, textio.fmt(r), textio.fmt(p), c] for t, r, p, c in
-                zip(returns.tickers, corr.rho_bar, proxy, ln_cap_text)]
-        textio.write_table(out(f"scatter_{proxy_name}.tsv"),
-                           ["ticker", "rho_bar", f"{proxy_name}_hat", "ln_cap"],
-                           rows)
+    # scatter data behind the rho_bar vs proxy plots; NA: no capitalization
+    rows = [[t, *map(textio.fmt, (r, a, b)),
+             "NA" if math.isnan(c) else textio.fmt(c)] for t, r, a, b, c in
+            zip(returns.tickers, corr.rho_bar, A, B, ln_cap)]
+    textio.write_table(out("scatter.tsv"),
+                       ["ticker", "rho_bar", "A_hat", "B_hat", "ln_cap"], rows)
     return digests
 
 
@@ -177,10 +175,13 @@ def run(config: PipelineConfig, mode="raw"):
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     config.validate()
+    if config.prices is None and config.returns is None:
+        raise ConfigError("either a prices file or a returns file is required")
     outdir = config.output_dir
     previous = _previous_outputs(outdir)
     staging = os.path.join(outdir, STAGING_DIR)
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed run
+    created = not os.path.exists(outdir)
     os.makedirs(staging)
     names = []
 
@@ -201,6 +202,8 @@ def run(config: PipelineConfig, mode="raw"):
             os.replace(os.path.join(staging, name), os.path.join(outdir, name))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+        if created and not os.listdir(outdir):  # failed before its commit
+            os.rmdir(outdir)
 
     inputs = [config.prices, config.returns, config.capitalization]
     for name in set(previous) - set(names):

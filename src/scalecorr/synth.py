@@ -48,6 +48,8 @@ class MarketRecipe:
             raise ConfigError("recipe needs n_stocks >= 2")
         if self.n_days < 64:
             raise ConfigError("recipe needs n_days >= 64")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} is negative")
         if self.kind == "student_t" and not (self.nu and self.nu > 2):
             raise ConfigError("student_t recipe needs nu > 2 (finite variance)")
         if self.kind == "one_factor":

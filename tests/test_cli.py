@@ -1,3 +1,4 @@
+import datetime as dt
 import errno
 import filecmp
 import json
@@ -37,6 +38,22 @@ def prices_file(tmp_path):
             lines.append(f"{ticker},2020-01-{day:02d},{price:.6f}")
     path = tmp_path / "prices.csv"
     path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.fixture
+def long_prices_file(returns_file, tmp_path):
+    """Close records S0000..S0007 over 401 days, priced from
+    ``returns_file`` so that every default stage has enough data."""
+    panel = ReturnPanel.read(returns_file)
+    prices = 100.0 * np.exp(np.vstack([np.zeros(panel.returns.shape[1]),
+                                       np.cumsum(panel.returns, axis=0)]))
+    start = panel.dates[0].toordinal() - 1
+    path = tmp_path / "long_prices.csv"
+    path.write_text("".join(
+        f"{t},{dt.date.fromordinal(start + d).isoformat()},{p!r}\n"
+        for i, t in enumerate(panel.tickers)
+        for d, p in enumerate(prices[:, i].tolist())))
     return str(path)
 
 
@@ -182,7 +199,8 @@ class TestExitCodes:
     def test_non_finite_close_is_1_and_writes_nothing(self, prices_file,
                                                        tmp_path, capsys,
                                                        token):
-        lines = open(prices_file).read().splitlines()
+        with open(prices_file) as fh:
+            lines = fh.read().splitlines()
         lines[30] = lines[30].rpartition(",")[0] + "," + token
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
@@ -190,7 +208,7 @@ class TestExitCodes:
         assert main(["run", "--prices", str(bad), "--output-dir",
                      str(out)]) == 1
         assert "line 31: non-finite close" in capsys.readouterr().err
-        assert not out.exists() or os.listdir(out) == []
+        assert not out.exists()
 
     def test_zero_median_cap_is_1(self, returns_file, tmp_path, capsys):
         caps = tmp_path / "caps.csv"
@@ -317,6 +335,21 @@ class TestGridValidation:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--returns", "{returns}", "--mode", "shuffled", "--seed", "-1",
+     "--output-dir", "{out}"],
+    ["surrogate", "--returns", "{returns}", "--kind", "synchronous_shuffle",
+     "--seed", "-1", "--out", "{out}"],
+    ["synth", "--kind", "gaussian_iid", "--n-stocks", "4", "--n-days", "64",
+     "--seed", "-1", "--out", "{out}"],
+], ids=["run", "surrogate", "synth"])
+def test_negative_seed_is_config_error(returns_file, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([a.format(returns=returns_file, out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == "error: seed=-1 is negative\n"
+    assert not out.exists()
+
+
 class TestUndecodableInput:
     """A file that is not UTF-8 text is a one-line error naming the file."""
 
@@ -333,7 +366,8 @@ class TestUndecodableInput:
     @pytest.mark.parametrize("where", ["first line", "last line"])
     def test_non_utf8_file(self, returns_file, tmp_path, capsys, argv, code,
                            where):
-        data = bytearray(open(returns_file, "rb").read())
+        with open(returns_file, "rb") as fh:
+            data = bytearray(fh.read())
         # the returns file is longer than one read buffer, so the last
         # line is decoded in a later chunk than the first
         assert len(data) > 1 << 16
@@ -376,8 +410,8 @@ class TestRun:
         out = str(tmp_path / "o")
         assert main(["run", "--config", str(cfg), "--alpha", "0.10",
                      "--output-dir", out]) == 0
-        import json
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        with open(os.path.join(out, "manifest.json")) as fh:
+            manifest = json.load(fh)
         assert manifest["config"]["alpha"] == "0.1"
         assert manifest["config"]["seed"] == "3"
         assert manifest["input_digests"]["returns"]
@@ -399,10 +433,10 @@ class TestRun:
         assert kv["n_used"] == "8"
         assert "partial_corr.rho" in kv
         assert os.path.exists(os.path.join(out, "median_cap.tsv"))
-        # scatter carries ln cap as the third data column
-        with open(os.path.join(out, "scatter_B.tsv")) as fh:
+        # scatter carries ln cap as its fifth field
+        with open(os.path.join(out, "scatter.tsv")) as fh:
             rows = [ln.split("\t") for ln in fh.read().splitlines()[1:]]
-        assert all(r[3] != "NA" for r in rows)
+        assert all(r[4] != "NA" for r in rows)
 
     def test_rerun_leaves_only_the_new_bundle(self, returns_file, tmp_path):
         caps = tmp_path / "caps.csv"
@@ -419,14 +453,63 @@ class TestRun:
                                                  + ["manifest.json"])
         assert "returns.tsv" not in manifest["outputs"]
 
-    def test_rerun_keeps_its_input(self, returns_file, tmp_path):
+    def test_rerun_keeps_its_input(self, long_prices_file, tmp_path):
+        # a raw --prices run writes and lists the returns it derives
         out = tmp_path / "o"
-        assert main(["run", "--returns", returns_file,
+        assert main(["run", "--prices", long_prices_file,
                      "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "returns.tsv" in manifest["outputs"]
         before = (out / "returns.tsv").read_bytes()
         assert main(["run", "--mode", "shuffled", "--returns",
                      str(out / "returns.tsv"), "--output-dir", str(out)]) == 0
         assert (out / "returns.tsv").read_bytes() == before
+
+    @pytest.mark.parametrize("mode, source, caps, extra", [
+        ("raw", "returns", False, []),
+        ("raw", "prices", True, ["fill_mask.tsv", "median_cap.tsv",
+                                 "panel.tsv", "returns.tsv"]),
+        ("shuffled", "prices", False, ["fill_mask.tsv", "panel.tsv",
+                                       "surrogate_returns.tsv",
+                                       "surrogate_spec.tsv"]),
+        ("gaussianized", "returns", False, ["surrogate_returns.tsv",
+                                            "surrogate_spec.tsv"]),
+    ], ids=["raw-returns", "raw-prices-caps", "shuffled-prices",
+            "gaussianized-returns"])
+    def test_bundle_file_list(self, returns_file, long_prices_file, tmp_path,
+                              mode, source, caps, extra):
+        """Each result is stored once: a returns input is not copied, and
+        there is no p-value matrix and one scatter table."""
+        out = tmp_path / "o"
+        argv = ["run", "--mode", mode, "--output-dir", str(out), "--" + source,
+                returns_file if source == "returns" else long_prices_file]
+        if caps:
+            path = tmp_path / "caps.csv"
+            path.write_text("".join(f"S{i:04d},2020-01-01,{1e9 * (i + 1)}\n"
+                                    for i in range(8)))
+            argv += ["--capitalization", str(path)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == sorted(
+            ["association.tsv", "association.txt", "corr_matrix.tsv",
+             "proxies.tsv", "rho_bar.tsv", "scatter.tsv"] + extra)
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                                 + ["manifest.json"])
+
+    def test_rerun_removes_the_old_layout(self, returns_file, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        old = ["corr_pvalues.tsv", "returns.tsv", "scatter_A.tsv",
+               "scatter_B.tsv"]
+        for name in old:
+            (out / name).write_text("from an earlier layout\n")
+        (out / "manifest.json").write_text(json.dumps({"outputs": old}))
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                                 + ["manifest.json"])
+        assert not any((out / name).exists() for name in old)
 
     def test_gaussianized_mode_runs(self, returns_file, tmp_path):
         out = str(tmp_path / "g")
@@ -469,7 +552,7 @@ class TestStagedRun:
         out = tmp_path / "o"
         assert main(["run", "--returns", returns_file,
                      "--output-dir", str(out)]) == 2
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_leftover_staging_directory_is_removed(self, returns_file,
                                                    tmp_path):
@@ -519,6 +602,22 @@ class TestCompare:
         for row in rows:
             if row[3] != "-":
                 assert float(row[3]) == 0.0
+
+    @pytest.mark.parametrize("alpha", ["7", "nan"])
+    def test_alpha_checked_like_xcorr(self, returns_file, tmp_path, capsys,
+                                      alpha):
+        out = str(tmp_path / "o")
+        assert main(["run", "--returns", returns_file, "--output-dir", out]) == 0
+        report = os.path.join(out, "association.tsv")
+        assert main(["xcorr", "--returns", returns_file, "--alpha", alpha,
+                     "--rho-out", str(tmp_path / "rho.tsv")]) == 2
+        expected = capsys.readouterr().err
+        diff = tmp_path / "diff.tsv"
+        assert main(["compare", report, report, "--alpha", alpha,
+                     "--out", str(diff)]) == 2
+        assert capsys.readouterr().err == expected == (
+            f"error: alpha={float(alpha)} outside (0, 1)\n")
+        assert not diff.exists()
 
     def test_disjoint_reports_error(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
