@@ -19,6 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from scalecorr import textio
 from scalecorr.cli import main as cli_main
+from scalecorr.errors import PipelineError
 from scalecorr.pipeline import compare_reports
 from scalecorr.synth import generate_coupled_market
 
@@ -31,9 +32,13 @@ def run(argv=None):
     ap.add_argument("--outdir", default="study_out")
     args = ap.parse_args(argv)
 
+    try:
+        panel, betas = generate_coupled_market(args.n_stocks, args.n_days,
+                                               args.seed, coupled=True)
+    except PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
     os.makedirs(args.outdir, exist_ok=True)
-    panel, betas = generate_coupled_market(args.n_stocks, args.n_days,
-                                           args.seed, coupled=True)
     returns_path = os.path.join(args.outdir, "market_returns.tsv")
     panel.write(returns_path)
     print(f"generated coupled market: {args.n_stocks} stocks x "

@@ -139,9 +139,9 @@ def _cmd_scaling(args):
     cfg = _config(args, "q_min", "q_max", "q_step", "tau_min", "tau_max")
     q_grid, tau_range = cfg.q_grid(), cfg.tau_range()
     panel = ReturnPanel.read(args.returns)
-    results = estimate_scaling_panel(panel.returns, q_grid, tau_range,
-                                     tickers=panel.tickers)
-    write_proxies_table(args.out, panel.tickers, results)
+    result = estimate_scaling_panel(panel.returns, q_grid, tau_range,
+                                    tickers=panel.tickers)
+    write_proxies_table(args.out, panel.tickers, result)
 
 
 def _cmd_xcorr(args):

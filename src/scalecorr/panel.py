@@ -16,7 +16,7 @@ get per-line work, and that work only normalises them into the same columns.
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +69,6 @@ class PricePanel:
     prices: np.ndarray
     fill_mask: np.ndarray
 
-    def as_series(self):
-        """View the (complete) panel back as one RawPriceSeries per ticker."""
-        return [
-            RawPriceSeries(t, tuple(self.dates), self.prices[:, i].copy())
-            for i, t in enumerate(self.tickers)
-        ]
-
     def write(self, prices_path, mask_path=None):
         textio.write_matrix(prices_path, self.dates, self.tickers, self.prices)
         if mask_path is not None:
@@ -102,11 +95,6 @@ class ReturnPanel:
     dates: list
     tickers: list
     returns: np.ndarray
-    column_means_removed: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.column_means_removed is None:
-            self.column_means_removed = np.zeros(self.returns.shape[1])
 
     def write(self, path):
         textio.write_matrix(path, self.dates, self.tickers, self.returns)
@@ -124,17 +112,10 @@ class CapitalizationTable:
 
     values: dict
 
-    def get(self, ticker):
-        return self.values.get(ticker)
-
-    def log_value(self, ticker):
-        v = self.values.get(ticker)
-        return math.log(v) if v is not None else None
-
     def log_values(self, tickers):
         """ln median capitalization per ticker, NaN where a ticker has none."""
-        logs = (self.log_value(t) for t in tickers)
-        return np.array([math.nan if v is None else v for v in logs])
+        return np.array([math.log(self.values[t]) if t in self.values
+                         else math.nan for t in tickers])
 
 
 def _parse_date(text):
@@ -393,13 +374,18 @@ def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
 
 
 def compute_returns(panel):
-    """Demeaned one-day log-returns of a complete price panel."""
+    """Demeaned one-day log-returns of a complete price panel; DataError
+    for the first (by date, then column) price that is not positive."""
     if len(panel.dates) < 3:
         raise EstimationError("need at least 3 dates to compute returns")
+    bad = np.argwhere(panel.prices <= 0)
+    if bad.size:
+        t, i = bad[0]
+        raise DataError(f"non-positive price {panel.prices[t, i]:g} for "
+                        f"{panel.tickers[i]} on {panel.dates[t]}")
     raw = np.diff(np.log(panel.prices), axis=0)
-    means = raw.mean(axis=0)
     return ReturnPanel(dates=list(panel.dates[1:]), tickers=list(panel.tickers),
-                       returns=raw - means, column_means_removed=means)
+                       returns=raw - raw.mean(axis=0))
 
 
 def load_capitalizations(source):

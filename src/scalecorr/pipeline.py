@@ -63,10 +63,10 @@ def _stage(name, fn, *args, **kwargs):
         raise
 
 
-def write_proxies_table(path, tickers, results):
-    q_cols = [f"zeta_q{q:g}" for q in results[0].q_grid]
-    values = np.array([[r.A_hat, r.B_hat, r.fit_rss, *r.zeta]
-                       for r in results])
+def write_proxies_table(path, tickers, result):
+    q_cols = [f"zeta_q{q:g}" for q in result.q_grid]
+    values = np.column_stack([result.A_hat, result.B_hat, result.fit_rss,
+                              result.zeta.T])
     textio.write_matrix(path, tickers, ["A_hat", "B_hat", "fit_rss"] + q_cols,
                         values, corner="ticker")
 
@@ -128,10 +128,10 @@ def _write_bundle(config, mode, out):
     elif config.returns is None:  # an input --returns is pinned, not copied
         returns.write(out("returns.tsv"))
 
-    results = _stage("scaling", estimate_scaling_panel, returns.returns,
+    scaling = _stage("scaling", estimate_scaling_panel, returns.returns,
                      config.q_grid(), config.tau_range(),
                      tickers=returns.tickers)
-    write_proxies_table(out("proxies.tsv"), returns.tickers, results)
+    write_proxies_table(out("proxies.tsv"), returns.tickers, scaling)
 
     corr = _stage("xcorr", correlation_matrix, returns, config.alpha,
                   config.significance_mode)
@@ -149,7 +149,7 @@ def _write_bundle(config, mode, out):
                             medians[:, None], corner="ticker")
         ln_cap = caps.log_values(returns.tickers)
 
-    A, B = np.array([(r.A_hat, r.B_hat) for r in results]).T
+    A, B = scaling.A_hat, scaling.B_hat
     report = _stage("associate", build_report, A, B, corr.rho_bar, ln_cap)
     with open(out("association.txt"), "w", newline="\n") as fh:
         fh.write(report.to_text())

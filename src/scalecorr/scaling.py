@@ -7,8 +7,10 @@ intercept-free quadratic zeta(q) = A*q + B*q^2; B is the curvature
 (multiscaling) proxy and A the linear one. A pure random walk gives
 A = 0.5, B = 0.
 
-The per-series functions are the panel estimator run on one column. Its
-kernel (:func:`panel_moments`) evaluates the moments in column blocks of
+:func:`estimate_scaling_panel` estimates every column of a [time x stock]
+panel at once and returns one :class:`ScalingResult` of [Q, N] and [N]
+arrays; a single series is the panel ``x[:, None]``. Its kernel
+(:func:`panel_moments`) evaluates the moments in column blocks of
 about ``BLOCK_BYTES`` each, one cumulative sum per block, spread over
 ``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Every column goes
 through the same operations in the same order whatever the block width or
@@ -32,25 +34,17 @@ MAX_WORKERS = os.cpu_count() or 1
 
 
 @dataclass
-class MomentCurve:
-    """E[|r_tau|^q] as a function of the horizon tau, for one q."""
-
-    q: float
-    taus: np.ndarray
-    moments: np.ndarray
-
-
-@dataclass
 class ScalingResult:
-    """Per-series scaling estimates: zeta(q), ln K(q), and the proxies."""
+    """Scaling estimates of a panel of N series over a grid of Q values:
+    [Q, N] zeta(q), ln K(q) and log-log R^2, [N] proxies and proxy-fit RSS."""
 
     q_grid: np.ndarray
     zeta: np.ndarray
     lnK: np.ndarray
     per_q_r2: np.ndarray
-    A_hat: float
-    B_hat: float
-    fit_rss: float
+    A_hat: np.ndarray
+    B_hat: np.ndarray
+    fit_rss: np.ndarray
 
 
 def aggregate_returns(returns, tau):
@@ -65,38 +59,6 @@ def aggregate_returns(returns, tau):
         return returns.copy()
     c = np.concatenate([np.zeros((1,) + returns.shape[1:]), np.cumsum(returns, axis=0)])
     return c[tau:] - c[:-tau]
-
-
-def structure_function(returns, q_grid=None, tau_range=None, ticker=None):
-    """Sample moments E[|r_tau|^q] over the (q, tau) grid, one curve per q."""
-    q_grid, tau_range, moments = _checked_moments(
-        np.asarray(returns, dtype=float)[:, None], q_grid, tau_range,
-        None if ticker is None else [ticker])
-    return [MomentCurve(q=float(q), taus=tau_range.astype(float),
-                        moments=moments[i, :, 0])
-            for i, q in enumerate(q_grid)]
-
-
-def estimate_zeta(curves):
-    """OLS of ln(moment) on ln(tau) per q: slopes zeta(q), intercepts ln K(q)."""
-    fits = [_loglog_fit(c.taus, np.reshape(c.moments, (1, -1, 1)))
-            for c in curves]
-    return tuple(np.array(fits).reshape(len(curves), 3).T)
-
-
-def fit_proxies(q_grid, zeta):
-    """Least-squares fit of zeta(q) = A*q + B*q^2 with no constant term;
-    returns (A, B, rss)."""
-    A, B, rss = _proxy_fit(np.asarray(q_grid, dtype=float),
-                           np.asarray(zeta, dtype=float)[:, None])
-    return float(A[0]), float(B[0]), float(rss[0])
-
-
-def estimate_scaling(returns, q_grid=None, tau_range=None, ticker=None):
-    """Full per-series estimation: the panel estimator on one column."""
-    return estimate_scaling_panel(
-        np.asarray(returns, dtype=float)[:, None], q_grid, tau_range,
-        tickers=None if ticker is None else [ticker])[0]
 
 
 def _column_blocks(T, N):
@@ -215,17 +177,15 @@ def _proxy_fit(q, zeta):
 
 def estimate_scaling_panel(returns_matrix, q_grid=None, tau_range=None,
                            tickers=None):
-    """Per-column scaling estimation over a [time x stock] matrix.
+    """Scaling estimates of every column of a [time x stock] matrix.
 
     The [Q, Tau, N] moments come from :func:`panel_moments`; the log-log
-    and proxy fits then run on the whole panel.
+    and proxy fits then run on the whole panel. Column n of the result's
+    arrays belongs to column n of the matrix.
     """
     q, tau_range, moments = _checked_moments(returns_matrix, q_grid,
                                              tau_range, tickers)
     zeta, lnK, r2 = _loglog_fit(tau_range, moments)
     A, B, rss = _proxy_fit(q, zeta)
-    return [ScalingResult(q_grid=q.copy(), zeta=zeta[:, n].copy(),
-                          lnK=lnK[:, n].copy(), per_q_r2=r2[:, n].copy(),
-                          A_hat=float(A[n]), B_hat=float(B[n]),
-                          fit_rss=float(rss[n]))
-            for n in range(moments.shape[2])]
+    return ScalingResult(q_grid=q.copy(), zeta=zeta, lnK=lnK, per_q_r2=r2,
+                         A_hat=A, B_hat=B, fit_rss=rss)

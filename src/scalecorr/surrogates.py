@@ -51,9 +51,7 @@ def synchronous_shuffle(panel, seed, permutation=None):
         if sorted(permutation) != list(range(T)):
             raise EstimationError("permutation is not a bijection on 0..T-1")
     out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
-                      returns=X[permutation].copy(),
-                      column_means_removed=np.asarray(
-                          panel.column_means_removed).copy())
+                      returns=X[permutation].copy())
     return out, SurrogateSpec(kind="synchronous_shuffle", seed=seed,
                               permutation=permutation)
 

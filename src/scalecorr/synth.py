@@ -10,7 +10,7 @@ cascade whose volatility field produces genuine multiscaling.
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,16 +50,21 @@ class MarketRecipe:
             raise ConfigError("recipe needs n_days >= 64")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} is negative")
-        if self.kind == "student_t" and not (self.nu and self.nu > 2):
-            raise ConfigError("student_t recipe needs nu > 2 (finite variance)")
+        if self.kind == "student_t" and not 2 < (self.nu or 0) < math.inf:
+            raise ConfigError(f"student_t nu={self.nu} must be finite and > 2")
         if self.kind == "one_factor":
             if self.betas is None or len(self.betas) != self.n_stocks:
                 raise ConfigError("one_factor recipe needs one beta per stock")
-            if self.tail == "student_t" and not self.tail_nu > 2:
-                raise ConfigError("one_factor tail_nu must be > 2")
+            if not np.all(np.isfinite(self.betas)):
+                raise ConfigError("one_factor betas must be finite")
+            if self.tail == "student_t" and not 2 < self.tail_nu < math.inf:
+                raise ConfigError(f"tail_nu={self.tail_nu} must be finite and > 2")
         if self.kind == "cascade":
             if self.depth < 1:
                 raise ConfigError("cascade depth must be >= 1")
+            if not 0 <= self.multiplier_sigma < math.inf:
+                raise ConfigError(f"multiplier_sigma={self.multiplier_sigma} "
+                                  "must be finite and >= 0")
             if 2 ** self.depth > self.n_days:
                 raise ConfigError(
                     f"cascade length 2^{self.depth} exceeds n_days={self.n_days}")
@@ -114,10 +119,9 @@ def generate(recipe):
             cols.append(vol * rng.standard_normal(T))
         X = np.column_stack(cols)
 
-    means = X.mean(axis=0)
     tickers = [f"S{i:04d}" for i in range(N)]
-    return ReturnPanel(dates=_dates(T), tickers=tickers, returns=X - means,
-                       column_means_removed=means)
+    return ReturnPanel(dates=_dates(T), tickers=tickers,
+                       returns=X - X.mean(axis=0))
 
 
 def coupled_market_recipe(n_stocks, n_days, seed, coupled=True,
@@ -153,6 +157,8 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
     """
     from scipy import stats
 
+    if seed < 0:
+        raise ConfigError(f"seed={seed} is negative")
     nus, betas = coupled_market_recipe(n_stocks, n_days, seed, coupled)
     rng = np.random.default_rng(seed + 1)
     f = rng.standard_normal(n_days)
@@ -177,8 +183,7 @@ def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,
     curvature proxy and rho_bar; the uncoupled one is the independence null.
     """
     panel, betas = generate_coupled_market(n_stocks, n_days, seed, coupled)
-    results = estimate_scaling_panel(panel.returns, tickers=panel.tickers)
+    result = estimate_scaling_panel(panel.returns, tickers=panel.tickers)
     corr = correlation_matrix(panel, alpha=alpha,
                               significance_mode=significance_mode)
-    return build_report([r.A_hat for r in results],
-                        [r.B_hat for r in results], corr.rho_bar)
+    return build_report(result.A_hat, result.B_hat, corr.rho_bar)

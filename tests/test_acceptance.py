@@ -17,9 +17,8 @@ from scalecorr.cli import main
 from scalecorr.crosscorr import correlation_matrix, pearson
 from scalecorr.errors import EstimationError
 from scalecorr.panel import RawPriceSeries, preprocess
-from scalecorr.scaling import (DEFAULT_Q_GRID, MomentCurve,
-                               estimate_scaling_panel, estimate_zeta,
-                               fit_proxies)
+from scalecorr.scaling import (DEFAULT_Q_GRID, _loglog_fit, _proxy_fit,
+                               estimate_scaling_panel)
 from scalecorr.surrogates import marginal_gaussianize, synchronous_shuffle
 from scalecorr.synth import MarketRecipe, generate, stylized_fact_experiment
 
@@ -38,9 +37,9 @@ def test_criterion_1_uniscaling_null():
     A_all, B_all = [], []
     for seed in range(N_SEEDS):
         X = np.random.default_rng(seed).standard_normal((4096, 20))
-        for r in _proxies(X):
-            A_all.append(r.A_hat)
-            B_all.append(r.B_hat)
+        r = _proxies(X)
+        A_all.extend(r.A_hat)
+        B_all.extend(r.B_hat)
     med_B = np.median(np.abs(B_all))
     med_A = np.median(np.abs(np.array(A_all) - 0.5))
     elapsed = time.time() - start
@@ -58,11 +57,9 @@ def test_criterion_2_tail_mechanism():
         g = np.random.default_rng(1000 + seed)
         X = g.standard_t(3, (4096, 20)) / math.sqrt(3.0)
         X -= X.mean(axis=0)
-        for r in estimate_scaling_panel(X):
-            B_raw.append(r.B_hat)
+        B_raw.extend(estimate_scaling_panel(X).B_hat)
         normalized = marginal_gaussianize(make_return_panel(X))
-        for r in estimate_scaling_panel(normalized.returns):
-            B_gauss.append(r.B_hat)
+        B_gauss.extend(estimate_scaling_panel(normalized.returns).B_hat)
     med_raw = np.median(B_raw)
     med_gauss = np.median(np.abs(B_gauss))
     elapsed = time.time() - start
@@ -98,12 +95,12 @@ def test_criterion_3_shuffle_preservation():
 
 def test_criterion_4_exact_recovery():
     taus = np.arange(1.0, 20.0)
-    zeta, lnK, _ = estimate_zeta(
-        [MomentCurve(q=1.0, taus=taus, moments=2.0 * taus ** 0.7)])
+    zeta, lnK, _ = _loglog_fit(taus, (2.0 * taus ** 0.7)[None, :, None])
+    zeta, lnK = zeta[0], lnK[0]
     assert abs(zeta[0] - 0.7) < 1e-12
     assert abs(lnK[0] - math.log(2.0)) < 1e-12
     q = DEFAULT_Q_GRID
-    A, B, rss = fit_proxies(q, 0.3 * q - 0.05 * q ** 2)
+    (A,), (B,), (rss,) = _proxy_fit(q, (0.3 * q - 0.05 * q ** 2)[:, None])
     assert abs(A - 0.3) < 1e-12
     assert abs(B + 0.05) < 1e-12
     assert rss < 1e-12
@@ -246,10 +243,9 @@ def test_criterion_10_desk_scale():
     start = time.time()
     panel = generate(MarketRecipe(1202, 4000, 0, "one_factor",
                                   betas=np.linspace(0.2, 1.5, 1202)))
-    results = estimate_scaling_panel(panel.returns)
+    result = estimate_scaling_panel(panel.returns)
     corr = correlation_matrix(panel)
-    report = build_report([r.A_hat for r in results],
-                          [r.B_hat for r in results], corr.rho_bar)
+    report = build_report(result.A_hat, result.B_hat, corr.rho_bar)
     elapsed = time.time() - start
     assert report.n_stocks == 1202
     assert elapsed < 120

@@ -350,6 +350,41 @@ def test_negative_seed_is_config_error(returns_file, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("recipe, message", [
+    (["--kind", "student_t", "--nu", "inf"], "nu=inf must be finite"),
+    (["--kind", "one_factor", "--tail", "student_t", "--tail-nu", "inf"],
+     "tail_nu=inf must be finite"),
+    (["--kind", "one_factor", "--beta-min", "nan"], "betas must be finite"),
+    (["--kind", "cascade", "--depth", "3", "--multiplier-sigma", "nan"],
+     "multiplier_sigma=nan must be finite"),
+    (["--kind", "cascade", "--depth", "3", "--multiplier-sigma", "-1"],
+     "multiplier_sigma=-1.0 must be finite and >= 0"),
+], ids=["nu-inf", "tail-nu-inf", "beta-nan", "sigma-nan", "sigma-negative"])
+def test_synth_rejects_a_recipe_without_finite_draws(tmp_path, capsys, recipe,
+                                                     message):
+    """A recipe whose draws would be NaN (or a numpy traceback) is a
+    configuration error, and no panel is written."""
+    out = tmp_path / "s.tsv"
+    assert main(["synth", "--n-stocks", "3", "--n-days", "128", *recipe,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("price", ["0", "-2"])
+def test_returns_non_positive_price_is_data_error(tmp_path, capsys, price):
+    panel, out = tmp_path / "p.tsv", tmp_path / "r.tsv"
+    panel.write_text("date\tAAA\tBBB\n2020-01-01\t10\t20\n"
+                     f"2020-01-02\t11\t{price}\n2020-01-03\t12\t{price}\n"
+                     "2020-01-04\t-1\t22\n")
+    assert main(["returns", "--panel", str(panel), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: non-positive price {price} for BBB on 2020-01-02\n")
+    assert not out.exists()
+
+
 class TestUndecodableInput:
     """A file that is not UTF-8 text is a one-line error naming the file."""
 

@@ -339,7 +339,9 @@ class TestPreprocess:
         a = series("AAA", [(1, 100), (3, 110), (4, 111), (6, 115)])
         b = series("BBB", [(2, 50), (3, 51), (4, 52), (5, 53), (6, 54)])
         once = preprocess([a, b], k=0.5)
-        twice = preprocess(once.as_series(), k=0.5)
+        twice = preprocess([RawPriceSeries(t, tuple(once.dates),
+                                           once.prices[:, i])
+                            for i, t in enumerate(once.tickers)], k=0.5)
         assert twice.dates == once.dates
         assert np.array_equal(twice.prices, once.prices)
         assert not twice.fill_mask.any()
@@ -393,7 +395,6 @@ class TestComputeReturns:
         rp = compute_returns(panel)
         half = math.log(1.1) / 2
         np.testing.assert_allclose(rp.returns[:, 0], [-half, half], atol=1e-15)
-        np.testing.assert_allclose(rp.column_means_removed, [half], atol=1e-15)
 
     def test_centering_idempotent(self, rng):
         panel = preprocess([series("AAA",
@@ -420,28 +421,28 @@ class TestComputeReturns:
 
 class TestMedianCapitalization:
     def test_odd_length(self):
-        assert median_capitalization({"A": [1, 5, 100]}).get("A") == 5
+        assert median_capitalization({"A": [1, 5, 100]}).values["A"] == 5
 
     def test_even_length_mean_of_middle_two(self):
-        assert median_capitalization({"A": [2, 4]}).get("A") == 3
+        assert median_capitalization({"A": [2, 4]}).values["A"] == 3
 
     def test_empty_is_absent(self):
         table = median_capitalization({"A": []})
-        assert table.get("A") is None
-        assert table.log_value("A") is None
+        assert "A" not in table.values
+        assert np.isnan(table.log_values(["A"])).all()
 
     def test_negative_value_rejected(self):
         with pytest.raises(DataError):
             median_capitalization({"A": [1, -2]})
 
-    def test_log_value(self):
+    def test_log_of_median(self):
         table = median_capitalization({"A": [math.e]})
-        assert abs(table.log_value("A") - 1.0) < 1e-12
+        assert abs(table.log_values(["A"])[0] - 1.0) < 1e-12
 
     def test_log_values_nan_where_absent(self):
         table = median_capitalization({"A": [math.e], "B": []})
         logs = table.log_values(["B", "A", "C"])
         assert logs.shape == (3,)
         assert np.isnan(logs[0]) and np.isnan(logs[2])
-        assert logs[1] == table.log_value("A")
+        assert logs[1] == math.log(math.e)
         assert table.log_values([]).shape == (0,)

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from scalecorr import scaling
 from scalecorr.errors import EstimationError
-from scalecorr.scaling import (DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, MomentCurve,
-                               aggregate_returns, estimate_scaling,
-                               estimate_scaling_panel, estimate_zeta,
-                               fit_proxies, panel_moments, structure_function)
+from scalecorr.scaling import (DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, _loglog_fit,
+                               _proxy_fit, aggregate_returns,
+                               estimate_scaling_panel, panel_moments)
 
 
 class TestAggregateReturns:
@@ -35,77 +34,81 @@ class TestAggregateReturns:
 
 
 class TestStructureFunction:
+    """The moments E[|r_tau|^q] of one series: a one-column panel."""
+
     def test_gaussian_self_similarity(self, rng):
         # E|r_tau| scales as tau^(1/2) for iid Gaussian
         x = rng.standard_normal(4096)
-        curves = structure_function(x, q_grid=[1.0])
-        m = curves[0].moments
-        for j, tau in enumerate(curves[0].taus):
+        m = panel_moments(x[:, None], [1.0], DEFAULT_TAU_RANGE)[0, :, 0]
+        for j, tau in enumerate(DEFAULT_TAU_RANGE):
             assert abs(m[j] / m[0] / tau ** 0.5 - 1.0) < 0.05
 
     def test_all_zero_series_errors(self):
         with pytest.raises(EstimationError, match="zero moment"):
-            structure_function(np.zeros(200))
+            estimate_scaling_panel(np.zeros((200, 1)))
 
     def test_deterministic_ones_exact_power(self):
-        x = np.ones(200)
-        curves = structure_function(x)
-        for c in curves:
-            np.testing.assert_allclose(c.moments, c.taus ** c.q, rtol=1e-12)
+        m = panel_moments(np.ones((200, 1)), DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        np.testing.assert_allclose(
+            m[:, :, 0], DEFAULT_TAU_RANGE[None, :] ** DEFAULT_Q_GRID[:, None],
+            rtol=1e-12)
 
     def test_too_short_series(self):
         with pytest.raises(EstimationError, match="fewer than"):
-            structure_function(np.ones(40))
+            estimate_scaling_panel(np.ones((40, 1)))
 
 
 class TestEstimateZeta:
+    """The log-log fit over [Q, Tau, N] moments."""
+
     def test_exact_power_law(self):
         taus = np.arange(1.0, 20.0)
-        curve = MomentCurve(q=1.0, taus=taus, moments=2.0 * taus ** 0.7)
-        zeta, lnK, r2 = estimate_zeta([curve])
-        assert abs(zeta[0] - 0.7) < 1e-12
-        assert abs(lnK[0] - math.log(2.0)) < 1e-12
-        assert abs(r2[0] - 1.0) < 1e-12
+        zeta, lnK, r2 = _loglog_fit(taus, (2.0 * taus ** 0.7)[None, :, None])
+        assert zeta.shape == lnK.shape == r2.shape == (1, 1)
+        assert abs(zeta[0, 0] - 0.7) < 1e-12
+        assert abs(lnK[0, 0] - math.log(2.0)) < 1e-12
+        assert abs(r2[0, 0] - 1.0) < 1e-12
 
     def test_gaussian_iid_uniscaling(self, rng):
         x = rng.standard_normal(4096)
-        curves = structure_function(x)
-        zeta, _, _ = estimate_zeta(curves)
+        zeta = estimate_scaling_panel(x[:, None]).zeta[:, 0]
         for q, z in zip(DEFAULT_Q_GRID, zeta):
             assert abs(z - q / 2) < 0.03
 
     def test_one_point_curve_errors(self):
         with pytest.raises(EstimationError):
-            estimate_zeta([MomentCurve(q=1.0, taus=np.array([2.0]),
-                                       moments=np.array([1.0]))])
+            _loglog_fit(np.array([2.0]), np.ones((1, 1, 1)))
 
 
 class TestFitProxies:
+    """The quadratic fit over [Q, N] exponents."""
+
     def test_exact_quadratic_recovery(self):
         q = DEFAULT_Q_GRID
-        A, B, rss = fit_proxies(q, 0.3 * q - 0.05 * q ** 2)
-        assert abs(A - 0.3) < 1e-12
-        assert abs(B + 0.05) < 1e-12
-        assert rss < 1e-12
+        A, B, rss = _proxy_fit(q, (0.3 * q - 0.05 * q ** 2)[:, None])
+        assert A.shape == B.shape == rss.shape == (1,)
+        assert abs(A[0] - 0.3) < 1e-12
+        assert abs(B[0] + 0.05) < 1e-12
+        assert rss[0] < 1e-12
 
     def test_uniscaling_brownian(self):
         q = DEFAULT_Q_GRID
-        A, B, _ = fit_proxies(q, 0.5 * q)
-        assert abs(A - 0.5) < 1e-12
-        assert abs(B) < 1e-12
+        A, B, _ = _proxy_fit(q, (0.5 * q)[:, None])
+        assert abs(A[0] - 0.5) < 1e-12
+        assert abs(B[0]) < 1e-12
 
     def test_needs_two_distinct_q(self):
         with pytest.raises(EstimationError):
-            fit_proxies([0.5, 0.5], [1.0, 1.0])
+            _proxy_fit(np.array([0.5, 0.5]), np.ones((2, 1)))
 
     def test_gaussian_monte_carlo(self):
         # light version of the acceptance null; analytic zeta(q) = q/2
         A_all, B_all = [], []
         for seed in range(10):
             x = np.random.default_rng(seed).standard_normal(4096)
-            r = estimate_scaling(x - x.mean())
-            A_all.append(r.A_hat)
-            B_all.append(r.B_hat)
+            r = estimate_scaling_panel((x - x.mean())[:, None])
+            A_all.append(r.A_hat[0])
+            B_all.append(r.B_hat[0])
         assert abs(np.median(B_all)) < 0.02
         assert abs(np.median(A_all) - 0.5) < 0.02
 
@@ -114,27 +117,35 @@ class TestScaleInvariance:
     @settings(max_examples=10, deadline=None)
     @given(st.floats(min_value=1e-3, max_value=1e3))
     def test_proxies_invariant_under_scaling(self, c):
-        x = np.random.default_rng(7).standard_normal(800)
-        base = estimate_scaling(x)
-        scaled = estimate_scaling(c * x)
+        x = np.random.default_rng(7).standard_normal((800, 1))
+        base = estimate_scaling_panel(x)
+        scaled = estimate_scaling_panel(c * x)
         np.testing.assert_allclose(scaled.zeta, base.zeta, atol=1e-9)
-        assert abs(scaled.A_hat - base.A_hat) < 1e-9
-        assert abs(scaled.B_hat - base.B_hat) < 1e-9
+        np.testing.assert_allclose(scaled.A_hat, base.A_hat, atol=1e-9)
+        np.testing.assert_allclose(scaled.B_hat, base.B_hat, atol=1e-9)
         # only the intercepts shift, by q * ln c
         np.testing.assert_allclose(scaled.lnK - base.lnK,
-                                   base.q_grid * math.log(c), atol=1e-9)
+                                   base.q_grid[:, None] * math.log(c),
+                                   atol=1e-9)
 
 
 class TestPanelEstimation:
     def test_matches_per_series(self, rng):
+        # one result of [Q, N] and [N] arrays, column i being the estimate
+        # of column i alone
         X = rng.standard_normal((600, 4))
-        panel_results = estimate_scaling_panel(X)
-        for i, pr in enumerate(panel_results):
-            sr = estimate_scaling(X[:, i])
-            np.testing.assert_allclose(pr.zeta, sr.zeta, atol=1e-12)
-            assert abs(pr.A_hat - sr.A_hat) < 1e-12
-            assert abs(pr.B_hat - sr.B_hat) < 1e-12
-            assert abs(pr.fit_rss - sr.fit_rss) < 1e-12
+        r = estimate_scaling_panel(X)
+        Q = len(DEFAULT_Q_GRID)
+        np.testing.assert_array_equal(r.q_grid, DEFAULT_Q_GRID)
+        assert r.zeta.shape == r.lnK.shape == r.per_q_r2.shape == (Q, 4)
+        assert r.A_hat.shape == r.B_hat.shape == r.fit_rss.shape == (4,)
+        for i in range(4):
+            s = estimate_scaling_panel(X[:, [i]])
+            for name in ("zeta", "lnK", "per_q_r2", "A_hat", "B_hat",
+                         "fit_rss"):
+                np.testing.assert_allclose(getattr(r, name)[..., i],
+                                           getattr(s, name)[..., 0],
+                                           atol=1e-12, err_msg=name)
 
     def test_degenerate_column_names_ticker(self, rng):
         X = rng.standard_normal((200, 2))
@@ -162,16 +173,16 @@ class TestPanelEstimation:
         for seed in range(10):
             g = np.random.default_rng(seed)
             x = g.standard_t(3, 4096) / math.sqrt(3.0)
-            r = estimate_scaling(x - x.mean())
-            Bs.append(r.B_hat)
-            As.append(r.A_hat)
+            r = estimate_scaling_panel((x - x.mean())[:, None])
+            Bs.append(r.B_hat[0])
+            As.append(r.A_hat[0])
         assert np.median(Bs) < 0
         assert np.median(As) > 0.5
 
 
 class TestOneEstimator:
-    """The per-series API runs the panel estimator on one column, so a bad
-    input raises the same error through both entry points."""
+    """A bad series raises one error through the panel entry point, named
+    by its ticker where the fault lies in the series."""
 
     SERIES = {
         "gaussian": lambda g: g.standard_normal(200),
@@ -193,11 +204,8 @@ class TestOneEstimator:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_same_error(self, series, kwargs, match):
         x = self.SERIES[series](np.random.default_rng(3))
-        with pytest.raises(EstimationError, match=match) as scalar:
-            estimate_scaling(x, ticker="X", **kwargs)
-        with pytest.raises(EstimationError) as panel:
+        with pytest.raises(EstimationError, match=match):
             estimate_scaling_panel(x[:, None], tickers=["X"], **kwargs)
-        assert str(panel.value) == str(scalar.value)
 
 
 def test_overflowing_moment_raises_without_warning():

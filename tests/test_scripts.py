@@ -26,3 +26,11 @@ def test_synthetic_market_study_smoke(study, tmp_path):
         assert manifest["mode"] == mode
         assert sorted(os.listdir(bundle)) == sorted(manifest["outputs"]
                                                     + ["manifest.json"])
+
+
+def test_negative_seed_is_one_error_line(study, tmp_path, capsys):
+    out = tmp_path / "study"
+    assert study.run(["--n-stocks", "4", "--n-days", "128", "--seed", "-1",
+                      "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed=-1 is negative\n"
+    assert not out.exists()
