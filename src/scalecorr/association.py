@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .crosscorr import pearson, pearson_pvalue, t_pvalue
 from .errors import EstimationError
@@ -95,7 +95,7 @@ def kendall_tau(x, y):
     if var <= 0:
         raise EstimationError("kendall_tau: zero variance under the null")
     z = con_minus_dis / math.sqrt(var)
-    p = float(2.0 * stats.norm.sf(abs(z)))
+    p = float(2.0 * special.ndtr(-abs(z)))  # 2 * normal sf(|z|)
     return float(np.clip(tau, -1.0, 1.0)), p
 
 

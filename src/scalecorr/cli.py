@@ -188,6 +188,8 @@ def _cmd_surrogate(args):
 def _cmd_synth(args):
     betas = None
     if args.kind == "one_factor":
+        if not np.isfinite([args.beta_min, args.beta_max]).all():
+            raise ConfigError("one_factor betas must be finite")
         betas = np.linspace(args.beta_min, args.beta_max, args.n_stocks)
     recipe = MarketRecipe(n_stocks=args.n_stocks, n_days=args.n_days,
                           seed=args.seed, kind=args.kind, nu=args.nu,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .config import SIGNIFICANCE_MODES as MODES, PipelineConfig
 from .errors import EstimationError
@@ -61,11 +61,12 @@ def pearson(x, y):
 def t_pvalue(r, dof):
     """Two-sided p-value of correlation coefficient(s) under the
     uncorrelated null, elementwise: 2*sf(|t|) of Student's t with ``dof``
-    degrees of freedom, t = r * sqrt(dof/(1-r^2)), and 0 where |r| = 1."""
+    degrees of freedom, t = r * sqrt(dof/(1-r^2)), and 0 where |r| = 1.
+    sf(t) is computed as the CDF at -t, the ufunc scipy.stats calls."""
     r = np.asarray(r, dtype=float)
     with np.errstate(divide="ignore"):  # |r| = 1: t = inf, sf(inf) = 0
         t = np.abs(r) * np.sqrt(dof / (1.0 - r * r))
-    return 2.0 * stats.t.sf(t, dof)
+    return 2.0 * special.stdtr(dof, -t)
 
 
 def pearson_pvalue(rho, n):
@@ -100,8 +101,9 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
     if zero.size:
         raise EstimationError(
             f"correlation undefined for constant column {tickers[zero[0]]}")
-    G = Xc / norms
-    rho = G.T @ G
+    Xc /= norms  # in place: Xc is this function's copy, X the caller's
+    rho = Xc.T @ Xc
+    del Xc  # free the N x T copy before the N x N p-value and filter steps
     rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
 

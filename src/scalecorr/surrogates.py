@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import EstimationError
 from .panel import ReturnPanel
@@ -79,6 +79,6 @@ def marginal_gaussianize(panel, seed=0):
     if const.size:
         raise EstimationError(
             f"ranks undefined for constant column {panel.tickers[const[0]]}")
-    out = stats.norm.ppf(mid_rank_levels(X))
+    out = special.ndtri(mid_rank_levels(X))  # normal quantiles
     return ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
                        returns=out)

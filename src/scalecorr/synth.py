@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .association import build_report
 from .config import PipelineConfig
@@ -96,8 +97,13 @@ def cascade_volatility(rng, depth, sigma):
     return field_
 
 
+@np.errstate(all="ignore")  # extreme draws are caught by the column check
 def generate(recipe):
-    """Draw one panel from a recipe; fixed recipe + seed is bit-reproducible."""
+    """Draw one panel from a recipe; fixed recipe + seed is bit-reproducible.
+
+    Finite but extreme recipe values (a beta of 1e200, a cascade sigma of
+    1e200) can overflow or underflow the draws; the first column that is
+    not finite or is constant is then a ConfigError."""
     recipe.validate()
     rng = np.random.default_rng(recipe.seed)
     T, N = recipe.n_days, recipe.n_stocks
@@ -120,8 +126,15 @@ def generate(recipe):
         X = np.column_stack(cols)
 
     tickers = [f"S{i:04d}" for i in range(N)]
-    return ReturnPanel(dates=_dates(T), tickers=tickers,
-                       returns=X - X.mean(axis=0))
+    X = X - X.mean(axis=0)
+    finite = np.isfinite(X).all(axis=0)
+    bad = np.flatnonzero(~finite | (np.ptp(X, axis=0) == 0.0))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(
+            f"{recipe.kind} recipe draws a column {tickers[i]} that is "
+            + ("not finite" if not finite[i] else "constant"))
+    return ReturnPanel(dates=_dates(T), tickers=tickers, returns=X)
 
 
 def coupled_market_recipe(n_stocks, n_days, seed, coupled=True,
@@ -155,8 +168,6 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
     quantiles of its mid-ranks. Tail heaviness is therefore set by nu_i
     alone, independent of the loading unless the recipe couples them.
     """
-    from scipy import stats
-
     if seed < 0:
         raise ConfigError(f"seed={seed} is negative")
     nus, betas = coupled_market_recipe(n_stocks, n_days, seed, coupled)
@@ -167,7 +178,7 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
     levels = mid_rank_levels(Z)
     X = np.empty_like(Z)
     for i in range(n_stocks):
-        quantiles = stats.t.ppf(levels[:, i], nus[i])
+        quantiles = special.stdtrit(nus[i], levels[:, i])  # t(nu) quantiles
         X[:, i] = quantiles / math.sqrt(nus[i] / (nus[i] - 2.0))
     X -= X.mean(axis=0)
     tickers = [f"S{i:04d}" for i in range(n_stocks)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from scalecorr.association import (build_report, kendall_tau,
                                    partial_correlation, simple_ols)
@@ -58,8 +59,18 @@ class TestKendallTau:
         tau, p = kendall_tau(x, y)
         n = 40
         z = 3 * tau * math.sqrt(n * (n - 1)) / math.sqrt(2 * (2 * n + 5))
-        from scipy.stats import norm
-        assert abs(p - 2 * norm.sf(abs(z))) < 1e-12
+        assert abs(p - 2 * stats.norm.sf(abs(z))) < 1e-12
+        # bit for bit from the integer statistic S = con - dis, with
+        # var = n(n-1)(2n+5)/18
+        s = round(tau * n * (n - 1) / 2)
+        z = s / math.sqrt(n * (n - 1) * (2 * n + 5) / 18.0)
+        assert p == 2.0 * stats.norm.sf(abs(z))
+
+    def test_zero_statistic_pvalue_is_one(self):
+        # 3 concordant and 3 discordant pairs: z = 0
+        tau, p = kendall_tau([1, 2, 3, 4], [3, 1, 4, 2])
+        assert tau == 0.0
+        assert p == 2.0 * stats.norm.sf(0.0) == 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=8), min_size=2,

@@ -4,6 +4,8 @@ import filecmp
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,10 +361,17 @@ def test_negative_seed_is_config_error(returns_file, tmp_path, capsys, argv):
      "multiplier_sigma=nan must be finite"),
     (["--kind", "cascade", "--depth", "3", "--multiplier-sigma", "-1"],
      "multiplier_sigma=-1.0 must be finite and >= 0"),
-], ids=["nu-inf", "tail-nu-inf", "beta-nan", "sigma-nan", "sigma-negative"])
+    (["--kind", "one_factor", "--beta-max", "inf"], "betas must be finite"),
+    (["--kind", "one_factor", "--beta-max", "1e200"],
+     "one_factor recipe draws a column S0001 that is constant"),
+    (["--kind", "cascade", "--depth", "3", "--multiplier-sigma", "1e200"],
+     "cascade recipe draws a column S0000 that is constant"),
+], ids=["nu-inf", "tail-nu-inf", "beta-nan", "sigma-nan", "sigma-negative",
+        "beta-inf", "beta-huge", "sigma-huge"])
 def test_synth_rejects_a_recipe_without_finite_draws(tmp_path, capsys, recipe,
                                                      message):
-    """A recipe whose draws would be NaN (or a numpy traceback) is a
+    """A recipe whose draws would be NaN, overflow or underflow to a
+    constant column (or give a numpy warning or traceback) is a
     configuration error, and no panel is written."""
     out = tmp_path / "s.tsv"
     assert main(["synth", "--n-stocks", "3", "--n-days", "128", *recipe,
@@ -659,3 +668,17 @@ class TestCompare:
         a.write_text("x\t1\n")
         b.write_text("y\t2\n")
         assert main(["compare", str(a), str(b)]) == 2
+
+
+def test_cli_import_leaves_out_scipy_stats_and_linalg():
+    """The package needs only scipy.special; a fresh interpreter shows it,
+    where this test process may have imported scipy.stats itself."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys, scalecorr.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.linalg', 'scipy.special') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['scipy.special']\n"

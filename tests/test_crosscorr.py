@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from scalecorr.crosscorr import (correlation_matrix, pearson, pearson_pvalue,
                                  t_pvalue)
@@ -84,7 +84,52 @@ class TestTPvalue:
         assert np.all(np.diag(c.pvalue) == 0.0)
 
 
+    @pytest.mark.parametrize("dof", [1, 2, 3, 7, 48, 1000, 1e5])
+    def test_equals_scipy_stats_sf_bit_for_bit(self, rng, dof):
+        r = np.concatenate([rng.uniform(-1.0, 1.0, 2000),
+                            [0.0, 1.0, -1.0, 1.0 - 1e-9, -(1.0 - 1e-9)]])
+        with np.errstate(divide="ignore"):
+            t = np.abs(r) * np.sqrt(dof / (1.0 - r * r))
+        assert np.array_equal(t_pvalue(r, dof), 2.0 * stats.t.sf(t, dof))
+
+
+def reference_correlation(X, alpha, significance_mode):
+    """The correlation stage written with a separate normalised array
+    ``G = Xc / norms`` and scipy.stats' t survival function."""
+    T, N = X.shape
+    Xc = X - X.mean(axis=0)
+    norms = np.sqrt(np.sum(Xc * Xc, axis=0))
+    G = Xc / norms
+    rho = G.T @ G
+    rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
+    np.fill_diagonal(rho, 1.0)
+    with np.errstate(divide="ignore"):
+        t = np.abs(rho) * np.sqrt((T - 2) / (1.0 - rho * rho))
+    pvalue = 2.0 * stats.t.sf(t, T - 2)
+    work = rho.copy()
+    np.fill_diagonal(work, 0.0)
+    if significance_mode == "filtered":
+        work[pvalue >= alpha] = 0.0
+    return rho, pvalue, work.sum(axis=0) / (N - 1)
+
+
 class TestCorrelationMatrix:
+    @pytest.mark.parametrize("mode", ["filtered", "all"])
+    def test_equals_reference_and_keeps_input(self, rng, mode):
+        # loadings from 0 to 0.4: some pairs pass the filter, some do not
+        X = (np.linspace(0.0, 0.4, 30) * rng.standard_normal((250, 1))
+             + rng.standard_normal((250, 30)))
+        panel = make_return_panel(X)
+        before = panel.returns.copy()
+        c = correlation_matrix(panel, 0.05, mode)
+        assert np.array_equal(panel.returns, before)
+        rho, pvalue, rho_bar = reference_correlation(before, 0.05, mode)
+        assert np.array_equal(c.rho, rho)
+        assert np.array_equal(c.pvalue, pvalue)
+        assert np.array_equal(c.rho_bar, rho_bar)
+        if mode == "filtered":
+            assert 0 < np.mean(pvalue >= 0.05) < 1
+
     def test_two_stock_rho_bar(self, rng):
         x = rng.standard_normal(500)
         y = 0.5 * x + rng.standard_normal(500)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from scalecorr.crosscorr import correlation_matrix
 from scalecorr.errors import EstimationError
 from scalecorr.surrogates import (SurrogateSpec, marginal_gaussianize,
-                                  synchronous_shuffle)
+                                  mid_rank_levels, synchronous_shuffle)
 
 from conftest import make_return_panel
 
@@ -113,3 +114,9 @@ class TestMarginalGaussianize:
         out = marginal_gaussianize(panel)
         sums = np.abs(out.returns.sum(axis=0))
         assert np.all(sums <= 1e-9 * out.returns.shape[0])
+
+    def test_equals_scipy_stats_ppf_bit_for_bit(self, rng):
+        X = rng.standard_t(3, (1000, 4))
+        X[::7, 2] = 0.25  # ties, broken by time index
+        out = marginal_gaussianize(make_return_panel(X))
+        assert np.array_equal(out.returns, stats.norm.ppf(mid_rank_levels(X)))

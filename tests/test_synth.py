@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from scalecorr.association import kendall_tau
 from scalecorr.crosscorr import correlation_matrix
 from scalecorr.errors import ConfigError
 from scalecorr.scaling import estimate_scaling_panel
-from scalecorr.synth import (MarketRecipe, cascade_volatility, generate,
+from scalecorr.surrogates import mid_rank_levels
+from scalecorr.synth import (MarketRecipe, cascade_volatility,
+                             coupled_market_recipe, generate,
                              generate_coupled_market,
                              stylized_fact_experiment)
 
@@ -106,3 +109,19 @@ class TestStylizedFactExperiment:
         (_, betas_c) = generate_coupled_market(20, 128, 0, coupled=True)
         (_, betas_u) = generate_coupled_market(20, 128, 0, coupled=False)
         assert betas_c.shape == betas_u.shape == (20,)
+
+    @pytest.mark.parametrize("seed, coupled", [(0, True), (1, True),
+                                               (2, False)])
+    def test_coupled_market_equals_t_ppf_construction(self, seed, coupled):
+        n, T = 12, 300
+        panel, betas = generate_coupled_market(n, T, seed, coupled)
+        nus, _ = coupled_market_recipe(n, T, seed, coupled)
+        rng = np.random.default_rng(seed + 1)
+        f = rng.standard_normal(T)
+        levels = mid_rank_levels(betas[None, :] * f[:, None]
+                                 + rng.standard_normal((T, n)))
+        X = np.column_stack([stats.t.ppf(levels[:, i], nu)
+                             / math.sqrt(nu / (nu - 2.0))
+                             for i, nu in enumerate(nus)])
+        X -= X.mean(axis=0)
+        assert np.array_equal(panel.returns, X)
