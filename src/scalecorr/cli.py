@@ -24,7 +24,7 @@ from .pipeline import (compare_reports, read_proxies_table, run,
 from .scaling import estimate_scaling_panel
 from .surrogates import (SurrogateSpec, marginal_gaussianize,
                          synchronous_shuffle)
-from .synth import KINDS, MarketRecipe, generate
+from .synth import KINDS, MarketRecipe, check_size, generate
 
 
 def _add_config_args(p):
@@ -187,6 +187,7 @@ def _cmd_surrogate(args):
 
 def _cmd_synth(args):
     betas = None
+    check_size(args.n_stocks, args.n_days, args.seed)  # before np.linspace
     if args.kind == "one_factor":
         if not np.isfinite([args.beta_min, args.beta_max]).all():
             raise ConfigError("one_factor betas must be finite")

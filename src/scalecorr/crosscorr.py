@@ -6,6 +6,14 @@ over the data. Each stock's average cross-correlation rho_bar_i is the mean
 of its coefficients with the other N-1 stocks; in "filtered" mode
 coefficients compatible with the uncorrelated null (p >= alpha) are zeroed
 before averaging.
+
+The two-sided t-test p-value falls as |r| grows, so the filter compares |r|
+with the critical coefficient r_c = t_c / sqrt(dof + t_c^2),
+t_c = -stdtrit(dof, alpha/2), instead of computing N^2 p-values. Only the
+pairs within a relative SIGNIFICANCE_BAND of r_c get :func:`t_pvalue`, so
+the zeroed set is exactly the pairs with ``t_pvalue(r) >= alpha``. The
+p-value matrix itself is computed only when it is asked for
+(:attr:`CorrelationSummary.pvalue`).
 """
 
 import math
@@ -19,25 +27,33 @@ from .errors import EstimationError
 from . import textio
 
 DEFAULT_ALPHA = PipelineConfig.alpha
+SIGNIFICANCE_BAND = 1e-6  # relative half-width around r_c that gets p-values
+NORM_ROWS = 256           # rows squared at a time for the column norms
 
 
 @dataclass
 class CorrelationSummary:
     tickers: list
     rho: np.ndarray
-    pvalue: np.ndarray
     rho_bar: np.ndarray
     significance_mode: str
     alpha: float
     n_obs: int
 
+    @property
+    def pvalue(self):
+        """The N x N p-values of rho, computed on each access."""
+        return t_pvalue(self.rho, self.n_obs - 2)
+
     def write(self, rho_path=None, pvalue_path=None, rho_bar_path=None):
-        for path, columns, values in (
-                (rho_path, self.tickers, self.rho),
-                (pvalue_path, self.tickers, self.pvalue),
-                (rho_bar_path, ["rho_bar"], self.rho_bar[:, None])):
+        """Write the named matrices; p-values only when asked for."""
+        for path, name in ((rho_path, "rho"), (pvalue_path, "pvalue"),
+                           (rho_bar_path, "rho_bar")):
             if path:
-                textio.write_matrix(path, self.tickers, columns, values,
+                values = getattr(self, name)
+                columns = self.tickers if values.ndim == 2 else [name]
+                textio.write_matrix(path, self.tickers, columns,
+                                    values.reshape(len(self.tickers), -1),
                                     corner="ticker")
 
 
@@ -79,9 +95,53 @@ def pearson_pvalue(rho, n):
     return float(t_pvalue(rho, n - 2))
 
 
+def critical_r(alpha, dof):
+    """The coefficient |r| whose two-sided :func:`t_pvalue` with ``dof``
+    degrees of freedom is ``alpha``: t_c / sqrt(dof + t_c^2) with
+    t_c = -stdtrit(dof, alpha/2), the t quantile of the test."""
+    t_c = -special.stdtrit(dof, alpha / 2.0)
+    return t_c / math.hypot(t_c, math.sqrt(dof))  # no overflow in t_c^2
+
+
+def insignificant(r, alpha, dof):
+    """The mask ``t_pvalue(r, dof) >= alpha`` of an array of coefficients.
+
+    |r| below r_c widened by SIGNIFICANCE_BAND is in the mask, |r| above it
+    widened the other way is not, and only the |r| in between get
+    :func:`t_pvalue`. Both band edges are checked with t_pvalue first; an
+    alpha so close to 0 or 1 that r_c misses the band widens it to [0, 1].
+    """
+    r = np.asarray(r, dtype=float)
+    r_c = critical_r(alpha, dof)
+    lo = r_c * (1.0 - SIGNIFICANCE_BAND)
+    hi = min(r_c * (1.0 + SIGNIFICANCE_BAND), 1.0)
+    if not (t_pvalue(lo, dof) >= alpha and t_pvalue(hi, dof) < alpha):
+        lo, hi = 0.0, 1.0
+    abs_r = np.abs(r)
+    mask = abs_r < lo
+    near = np.flatnonzero((abs_r >= lo) & (abs_r <= hi))
+    del abs_r
+    mask.flat[near] = t_pvalue(r.flat[near], dof) >= alpha
+    return mask
+
+
+def _column_norms(Xc):
+    """The root sum of squares of each column of a [T x N >= 2] array,
+    summed row after row in order exactly as ``np.sum(Xc * Xc, axis=0)``
+    does, but squaring NORM_ROWS rows at a time instead of all N x T."""
+    T, N = Xc.shape
+    buf = np.zeros((NORM_ROWS + 1, N))  # row 0 carries the running sum
+    for a in range(0, T, NORM_ROWS):
+        n = min(NORM_ROWS, T - a)
+        np.multiply(Xc[a:a + n], Xc[a:a + n], out=buf[1:n + 1])
+        buf[0] = np.sum(buf[:n + 1], axis=0)
+    return np.sqrt(buf[0])
+
+
 def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
                        significance_mode=PipelineConfig.significance_mode):
-    """Full rho / p-value matrices and the rho_bar vector for a return panel.
+    """The rho matrix and the rho_bar vector of a return panel (the p-values
+    are computed on access to the result's ``pvalue``).
 
     ``panel`` is a ReturnPanel or any object with .returns and .tickers.
     """
@@ -96,26 +156,24 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
         raise EstimationError("correlation matrix needs at least 3 observations")
 
     Xc = X - X.mean(axis=0)
-    norms = np.sqrt(np.sum(Xc * Xc, axis=0))
+    norms = _column_norms(Xc)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise EstimationError(
             f"correlation undefined for constant column {tickers[zero[0]]}")
     Xc /= norms  # in place: Xc is this function's copy, X the caller's
     rho = Xc.T @ Xc
-    del Xc  # free the N x T copy before the N x N p-value and filter steps
+    del Xc  # free the N x T copy before the N x N filter step
     rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
-
-    # symmetric with a zero diagonal, as rho is exactly symmetric with ones
-    pvalue = t_pvalue(rho, T - 2)
 
     work = rho.copy()
     np.fill_diagonal(work, 0.0)
     if significance_mode == "filtered":
-        work[pvalue >= alpha] = 0.0
+        # the zero diagonal is in the mask too, which changes nothing
+        work[insignificant(work, alpha, T - 2)] = 0.0
     rho_bar = work.sum(axis=0) / (N - 1)
 
-    return CorrelationSummary(tickers=tickers, rho=rho, pvalue=pvalue,
-                              rho_bar=rho_bar, significance_mode=significance_mode,
+    return CorrelationSummary(tickers=tickers, rho=rho, rho_bar=rho_bar,
+                              significance_mode=significance_mode,
                               alpha=alpha, n_obs=T)

@@ -49,6 +49,8 @@ def _release_free_heap():
     Whether glibc keeps what record ingest frees (~140 MB for 500 tickers x
     2500 days) depends on the heap's layout; when it does, the scaling
     threads, which allocate in heaps of their own, add ~50 MB to peak RSS.
+    After the scaling stage the heaps keep what it freed, and a trim there
+    lowers the correlation stage's peak by ~16 MB at 1202 stocks x 4000 days.
     """
     libc = ctypes.CDLL(None) if os.name == "posix" else None
     if hasattr(libc, "malloc_trim"):  # glibc
@@ -131,6 +133,7 @@ def _write_bundle(config, mode, out):
     scaling = _stage("scaling", estimate_scaling_panel, returns.returns,
                      config.q_grid(), config.tau_range(),
                      tickers=returns.tickers)
+    _release_free_heap()
     write_proxies_table(out("proxies.tsv"), returns.tickers, scaling)
 
     corr = _stage("xcorr", correlation_matrix, returns, config.alpha,

@@ -10,11 +10,15 @@ A = 0.5, B = 0.
 :func:`estimate_scaling_panel` estimates every column of a [time x stock]
 panel at once and returns one :class:`ScalingResult` of [Q, N] and [N]
 arrays; a single series is the panel ``x[:, None]``. Its kernel
-(:func:`panel_moments`) evaluates the moments in column blocks of
-about ``BLOCK_BYTES`` each, one cumulative sum per block, spread over
-``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Every column goes
-through the same operations in the same order whatever the block width or
-thread count, so the output does not depend on either.
+(:func:`panel_moments`) evaluates the moments in blocks of about
+``BLOCK_BYTES`` per buffer, small enough for a core's L2 cache, spread over
+``MAX_WORKERS`` threads (numpy ufuncs release the GIL). A block holds its
+series as contiguous rows, one cumulative sum per block, and each moment is
+a row mean (numpy's pairwise summation). The powers |r|^q come from a power
+ladder (:func:`_ladder`): one ``exp`` per anchor q and one per horizon for
+the step, then one product per further q of an evenly spaced grid. Every
+series goes through the same operations in the same order whatever the
+block width or thread count, so the output does not depend on either.
 """
 
 import os
@@ -29,8 +33,10 @@ from .errors import EstimationError
 DEFAULT_Q_GRID = PipelineConfig().q_grid()
 DEFAULT_TAU_RANGE = PipelineConfig().tau_range()
 MIN_AGGREGATED_OBS = 30
-BLOCK_BYTES = 4 << 20          # float64 bytes per [T x block] column slice
+BLOCK_BYTES = 1 << 20          # float64 bytes per [block x T] buffer
 MAX_WORKERS = os.cpu_count() or 1
+LADDER_RUNGS = 32              # products before the ladder re-anchors
+LADDER_ULPS = 4                # how far a rung's q may sit off the ladder
 
 
 @dataclass
@@ -62,43 +68,95 @@ def aggregate_returns(returns, tau):
 
 
 def _column_blocks(T, N):
-    """Column slices of about BLOCK_BYTES for a [T x N] float64 panel.
+    """Column slices of a [T x N] float64 panel, about BLOCK_BYTES each."""
+    width = max(1, BLOCK_BYTES // (8 * T))
+    return [slice(a, min(a + width, N)) for a in range(0, N, width)]
 
-    No block is one column wide unless N == 1: numpy reduces a [T x 1] array
-    with pairwise summation but sums each column of a wider array in order,
-    so a lone column would not match the same column inside a wider block.
+
+def _ladder(q_grid):
+    """The power ladder of a q grid: its step h and, per q, whether
+    |r|^q is the previous q's power times |r|^h (a rung) rather than a fresh
+    ``exp(q * ln|r|)`` (an anchor).
+
+    h is the mean step (q[-1] - q[0]) / (Q - 1). q[i] is a rung when h > 0,
+    its anchor q[a] > 0 (so a zero |r| gives 0 * 0, not 0 * inf), it lies
+    within LADDER_ULPS ulps of q[a] + (i - a) * h, and i - a <= LADDER_RUNGS,
+    which bounds the rounding the products accumulate. Any other q is an
+    anchor; an evenly spaced positive grid is one anchor per LADDER_RUNGS + 1
+    values, an uneven grid mostly anchors.
     """
-    width = max(2, BLOCK_BYTES // (8 * T))
-    starts = list(range(0, N, width))
-    if len(starts) > 1 and N - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [N])]
+    q = np.asarray(q_grid, dtype=float)
+    h = (q[-1] - q[0]) / (len(q) - 1) if len(q) > 1 else 0.0
+    rung = np.zeros(len(q), dtype=bool)
+    a = 0
+    for i in range(1, len(q)):
+        k = i - a
+        rung[i] = (h > 0 and q[a] > 0 and k <= LADDER_RUNGS
+                   and abs(q[a] + k * h - q[i])
+                   <= LADDER_ULPS * np.spacing(abs(q[i])))
+        if not rung[i]:
+            a = i
+    return h, rung
 
 
 def panel_moments(X, q_grid, tau_range):
-    """The [Q, Tau, N] moments E[|r_tau|^q] of every column of X.
+    """The [Q, Tau, N] moments E[|r_tau|^q] of every column of X, for
+    horizons >= 1 that leave MIN_AGGREGATED_OBS values.
 
-    Each block of columns takes one cumulative sum for all horizons and
-    computes ``mean(exp(q * ln|r_tau|))`` per (q, tau); blocks run on up to
+    Each block of columns, copied to [width x T] rows, takes one cumulative
+    sum for all horizons. Per horizon it takes ln|r_tau| once and walks the
+    q grid down its :func:`_ladder`: an anchor q is ``exp(q * ln|r_tau|)``,
+    a rung multiplies the previous power by ``exp(h * ln|r_tau|)`` in place,
+    and each power is reduced to its row means. An evenly spaced grid thus
+    costs two ``exp`` passes per horizon instead of one per q; the products
+    differ from a per-q ``exp`` in the last few bits. Blocks run on up to
     MAX_WORKERS threads and write disjoint slices of the result.
     """
     T, N = X.shape
+    tau_range = np.asarray(tau_range)
+    if tau_range.size and tau_range.min() < 1:
+        raise EstimationError(f"horizon tau={tau_range.min()} must be >= 1")
+    if tau_range.size and T - tau_range.max() + 1 < MIN_AGGREGATED_OBS:
+        raise EstimationError(
+            f"series length {T} leaves fewer than {MIN_AGGREGATED_OBS} "
+            f"observations at tau={tau_range.max()}")
+    h, rung = _ladder(q_grid)
     moments = np.empty((len(q_grid), len(tau_range), N))
 
-    # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp that overflows
-    # gives inf, which _loglog_fit rejects (errstate holds per thread)
+    # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp or a product
+    # that overflows gives inf, which _loglog_fit rejects (errstate holds
+    # per thread)
     @np.errstate(divide="ignore", over="ignore")
     def fill(cols):
-        block = np.ascontiguousarray(X[:, cols])
-        csum = np.concatenate([np.zeros((1, block.shape[1])),
-                               np.cumsum(block, axis=0)])
+        block = np.ascontiguousarray(X[:, cols].T)
+        width = block.shape[0]
+        csum = np.zeros((width, T + 1))
+        np.cumsum(block, axis=1, out=csum[:, 1:])
+        ln_buf, power_buf, step_buf = (np.empty((width, T)) for _ in range(3))
         for j, tau in enumerate(int(t) for t in tau_range):
+            m = T - tau + 1
+            ln_abs, power, step = (buf[:, :m]
+                                   for buf in (ln_buf, power_buf, step_buf))
             # tau = 1 keeps the returns as they are: differencing the
             # cumsum would round them
-            agg = block if tau == 1 else csum[tau:] - csum[:-tau]
-            ln_abs = np.log(np.abs(agg))
+            if tau == 1:
+                np.abs(block, out=ln_abs)
+            else:
+                np.subtract(csum[:, tau:], csum[:, :-tau], out=ln_abs)
+                np.abs(ln_abs, out=ln_abs)
+            np.log(ln_abs, out=ln_abs)
+            have_step = False
             for i, q in enumerate(q_grid):
-                moments[i, j, cols] = np.mean(np.exp(q * ln_abs), axis=0)
+                if not rung[i]:
+                    np.multiply(ln_abs, q, out=power)
+                    np.exp(power, out=power)
+                else:
+                    if not have_step:
+                        np.multiply(ln_abs, h, out=step)
+                        np.exp(step, out=step)
+                        have_step = True
+                    power *= step
+                moments[i, j, cols] = np.mean(power, axis=1)
 
     blocks = _column_blocks(T, N)
     with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(blocks))) as pool:
@@ -115,15 +173,8 @@ def _checked_moments(returns_matrix, q_grid, tau_range, tickers):
         raise EstimationError("expected a 2-D [time x stock] matrix")
     q_grid = DEFAULT_Q_GRID if q_grid is None else np.asarray(q_grid, dtype=float)
     tau_range = DEFAULT_TAU_RANGE if tau_range is None else np.asarray(tau_range)
-    if tau_range.size and tau_range.min() < 1:
-        raise EstimationError(f"horizon tau={tau_range.min()} must be >= 1")
-    T, N = X.shape
-    if N == 0:
+    if X.shape[1] == 0:
         raise EstimationError("panel has no stock columns")
-    if tau_range.size and T - tau_range.max() + 1 < MIN_AGGREGATED_OBS:
-        raise EstimationError(
-            f"series length {T} leaves fewer than {MIN_AGGREGATED_OBS} "
-            f"observations at tau={tau_range.max()}")
     moments = panel_moments(X, q_grid, tau_range)
     bad = np.argwhere(moments == 0.0)
     if bad.size:

@@ -27,6 +27,17 @@ KINDS = ("gaussian_iid", "student_t", "one_factor", "cascade")
 _EPOCH = dt.date(2000, 1, 3)
 
 
+def check_size(n_stocks, n_days, seed):
+    """ConfigError unless a synthetic panel has >= 2 stocks, >= 64 days and
+    a non-negative seed, the bounds every generator here shares."""
+    if n_stocks < 2:
+        raise ConfigError("recipe needs n_stocks >= 2")
+    if n_days < 64:
+        raise ConfigError("recipe needs n_days >= 64")
+    if seed < 0:
+        raise ConfigError(f"seed={seed} is negative")
+
+
 @dataclass
 class MarketRecipe:
     """Parameters of one synthetic panel; unused fields may stay None."""
@@ -45,12 +56,7 @@ class MarketRecipe:
     def validate(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown recipe kind {self.kind!r}")
-        if self.n_stocks < 2:
-            raise ConfigError("recipe needs n_stocks >= 2")
-        if self.n_days < 64:
-            raise ConfigError("recipe needs n_days >= 64")
-        if self.seed < 0:
-            raise ConfigError(f"seed={self.seed} is negative")
+        check_size(self.n_stocks, self.n_days, self.seed)
         if self.kind == "student_t" and not 2 < (self.nu or 0) < math.inf:
             raise ConfigError(f"student_t nu={self.nu} must be finite and > 2")
         if self.kind == "one_factor":
@@ -168,8 +174,7 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
     quantiles of its mid-ranks. Tail heaviness is therefore set by nu_i
     alone, independent of the loading unless the recipe couples them.
     """
-    if seed < 0:
-        raise ConfigError(f"seed={seed} is negative")
+    check_size(n_stocks, n_days, seed)
     nus, betas = coupled_market_recipe(n_stocks, n_days, seed, coupled)
     rng = np.random.default_rng(seed + 1)
     f = rng.standard_normal(n_days)

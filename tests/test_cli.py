@@ -94,6 +94,24 @@ class TestStageCommands:
         assert "kendall_B_rho.tau" in kv
         assert abs(float(kv["kendall_B_rho.tau"])) <= 1.0
 
+    @pytest.mark.parametrize("mode", ["filtered", "all"])
+    def test_xcorr_pvalue_out_is_the_t_test_matrix(self, returns_file,
+                                                   tmp_path, mode):
+        """--pvalue-out writes the p-values of every coefficient, byte for
+        byte the matrix of scipy.stats' t survival function."""
+        from scipy import stats
+        got, want = tmp_path / "p.tsv", tmp_path / "want.tsv"
+        assert main(["xcorr", "--returns", returns_file, "--significance-mode",
+                     mode, "--rho-out", str(tmp_path / "rho.tsv"),
+                     "--pvalue-out", str(got)]) == 0
+        tickers, _, rho = textio.read_matrix(str(tmp_path / "rho.tsv"))
+        T = ReturnPanel.read(returns_file).returns.shape[0]
+        with np.errstate(divide="ignore"):
+            t = np.abs(rho) * np.sqrt((T - 2) / (1.0 - rho * rho))
+        textio.write_matrix(str(want), tickers, tickers,
+                            2.0 * stats.t.sf(t, T - 2), corner="ticker")
+        assert filecmp.cmp(got, want, shallow=False)
+
     def test_associate_joins_by_ticker(self, returns_file, tmp_path):
         """The stocks are the rho_bar file's rows, in its order, that the
         proxy table also holds."""
@@ -366,8 +384,10 @@ def test_negative_seed_is_config_error(returns_file, tmp_path, capsys, argv):
      "one_factor recipe draws a column S0001 that is constant"),
     (["--kind", "cascade", "--depth", "3", "--multiplier-sigma", "1e200"],
      "cascade recipe draws a column S0000 that is constant"),
+    (["--kind", "one_factor", "--n-stocks", "-1"],
+     "recipe needs n_stocks >= 2"),
 ], ids=["nu-inf", "tail-nu-inf", "beta-nan", "sigma-nan", "sigma-negative",
-        "beta-inf", "beta-huge", "sigma-huge"])
+        "beta-inf", "beta-huge", "sigma-huge", "one-factor-negative-count"])
 def test_synth_rejects_a_recipe_without_finite_draws(tmp_path, capsys, recipe,
                                                      message):
     """A recipe whose draws would be NaN, overflow or underflow to a
@@ -437,6 +457,23 @@ class TestRun:
         for name in names:
             assert filecmp.cmp(os.path.join(out1, name),
                                os.path.join(out2, name), shallow=False), name
+
+    def test_run_computes_no_pvalue_matrix(self, returns_file, tmp_path,
+                                           monkeypatch):
+        """The filter gets p-values for a few coefficients at most, and
+        writing the bundle asks for none."""
+        from scalecorr import crosscorr
+        sizes = []
+
+        def counting(r, dof):
+            sizes.append(np.size(r))
+            return t_pvalue(r, dof)
+
+        t_pvalue = crosscorr.t_pvalue
+        monkeypatch.setattr(crosscorr, "t_pvalue", counting)
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(tmp_path / "o")]) == 0
+        assert sizes and max(sizes) < 8 * 8
 
     def test_shuffled_mode_preserves_rho_bar(self, returns_file, tmp_path):
         raw, shuf = str(tmp_path / "raw"), str(tmp_path / "shuf")

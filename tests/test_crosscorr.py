@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from scalecorr.crosscorr import (correlation_matrix, pearson, pearson_pvalue,
-                                 t_pvalue)
+from scalecorr import crosscorr
+from scalecorr.crosscorr import (correlation_matrix, critical_r, insignificant,
+                                 pearson, pearson_pvalue, t_pvalue)
 from scalecorr.errors import EstimationError
 
 from conftest import make_return_panel
@@ -113,7 +114,68 @@ def reference_correlation(X, alpha, significance_mode):
     return rho, pvalue, work.sum(axis=0) / (N - 1)
 
 
+def _neighbours(x, steps=3):
+    """x and the ``steps`` floats on either side of it."""
+    out = [x]
+    for direction in (-np.inf, np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+class TestSignificanceFilter:
+    """The critical-|r| filter zeroes exactly the coefficients whose
+    t_pvalue is >= alpha, deciding most of them without a p-value."""
+
+    ALPHAS = [1e-300, 1e-8, 0.001, 0.01, 0.05, 0.3, 0.9, 1.0 - 1e-12]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("T", [3, 4, 4000])
+    def test_same_mask_as_pvalues(self, rng, T, alpha):
+        dof = T - 2
+        r_c = critical_r(alpha, dof)
+        band = crosscorr.SIGNIFICANCE_BAND
+        edges = [r_c, r_c * (1 - band), min(r_c * (1 + band), 1.0)]
+        r = np.concatenate([
+            *(_neighbours(e) for e in edges),
+            r_c * (1.0 + np.linspace(-3 * band, 3 * band, 601)),
+            rng.uniform(-1.0, 1.0, 2000), [0.0, 1.0, np.nextafter(1.0, 0)]])
+        r = np.clip(r, 0.0, 1.0)
+        r = np.concatenate([r, -r]).reshape(2, -1)
+        want = t_pvalue(r, dof) >= alpha
+        assert np.array_equal(insignificant(r, alpha, dof), want)
+        assert np.array_equal(insignificant(r.T, alpha, dof), want.T)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3])
+    @pytest.mark.parametrize("T", [3, 4, 4000])
+    def test_few_pvalues(self, rng, monkeypatch, T, alpha):
+        evaluated = []
+
+        def counting(r, dof):
+            evaluated.append(np.size(r))
+            return t_pvalue(r, dof)
+
+        monkeypatch.setattr(crosscorr, "t_pvalue", counting)
+        r = rng.uniform(-1.0, 1.0, 10_000)
+        assert np.array_equal(insignificant(r, alpha, T - 2),
+                              t_pvalue(r, T - 2) >= alpha)
+        assert sum(evaluated) < 10  # two band edges, almost no pair
+
+
 class TestCorrelationMatrix:
+    @pytest.mark.parametrize("mode", ["filtered", "all"])
+    @pytest.mark.parametrize("T", [3, 4, 40, 256, 257, 600])
+    def test_panel_lengths_equal_reference(self, rng, T, mode):
+        """Short panels and panels past the NORM_ROWS row chunks."""
+        X = rng.standard_normal((T, 12))
+        c = correlation_matrix(make_return_panel(X), 0.3, mode)
+        rho, pvalue, rho_bar = reference_correlation(X, 0.3, mode)
+        assert np.array_equal(c.rho, rho)
+        assert np.array_equal(c.pvalue, pvalue)
+        assert np.array_equal(c.rho_bar, rho_bar)
+
     @pytest.mark.parametrize("mode", ["filtered", "all"])
     def test_equals_reference_and_keeps_input(self, rng, mode):
         # loadings from 0 to 0.4: some pairs pass the filter, some do not

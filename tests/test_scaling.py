@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalecorr import scaling
+from scalecorr.config import PipelineConfig
 from scalecorr.errors import EstimationError
 from scalecorr.scaling import (DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, _loglog_fit,
                                _proxy_fit, aggregate_returns,
@@ -56,6 +57,9 @@ class TestStructureFunction:
     def test_too_short_series(self):
         with pytest.raises(EstimationError, match="fewer than"):
             estimate_scaling_panel(np.ones((40, 1)))
+        # the kernel checks its horizons itself: tau = 60 > T is no NaN
+        with pytest.raises(EstimationError, match="fewer than 30 .* tau=60"):
+            panel_moments(np.ones((50, 3)), DEFAULT_Q_GRID, [1, 60])
 
 
 class TestEstimateZeta:
@@ -219,20 +223,90 @@ def test_overflowing_moment_raises_without_warning():
 
 
 def _unblocked_moments(X, q_grid, tau_range):
-    """The whole-panel formula the blocked kernel replaced."""
+    """The power ladder of panel_moments on the whole panel at once, with
+    the series as contiguous rows."""
+    h, rung = scaling._ladder(q_grid)
     moments = np.empty((len(q_grid), len(tau_range), X.shape[1]))
     for j, tau in enumerate(tau_range):
-        abs_agg = np.abs(aggregate_returns(X, int(tau)))
+        rows = np.ascontiguousarray(aggregate_returns(X, int(tau)).T)
         with np.errstate(divide="ignore"):
-            ln_abs = np.log(abs_agg)
+            ln_abs = np.log(np.abs(rows))
+        step = np.exp(h * ln_abs)
         for i, q in enumerate(q_grid):
-            moments[i, j] = np.mean(np.exp(q * ln_abs), axis=0)
+            power = power * step if rung[i] else np.exp(q * ln_abs)
+            moments[i, j] = np.mean(power, axis=1)
     return moments
 
 
+def _per_q_moments(X, q_grid, tau_range):
+    """The moments with one exp per (q, tau): mean(exp(q * ln|r_tau|))."""
+    moments = np.empty((len(q_grid), len(tau_range), X.shape[1]))
+    with np.errstate(divide="ignore", over="ignore"):
+        for j, tau in enumerate(tau_range):
+            ln_abs = np.log(np.abs(aggregate_returns(X, int(tau))))
+            for i, q in enumerate(q_grid):
+                moments[i, j] = np.mean(np.exp(q * ln_abs), axis=0)
+    return moments
+
+
+THOUSAND_Q = PipelineConfig(q_min=0.005, q_max=5.0, q_step=0.005).q_grid()
+UNEVEN_Q = np.array([0.1, 0.25, 0.3, 0.35, 0.7, 1.0, 1.1, 1.2, 2.5, 3.0])
+
+
+class TestPowerLadder:
+    """The ladder's products stay within 1e-13 of a per-q exp, and zero
+    and infinite moments fall on the same entries."""
+
+    @pytest.fixture
+    def panel(self):
+        g = np.random.default_rng(11)
+        X = g.standard_t(3, size=(300, 7)) * 0.01
+        X[10:20, 2] = 0.0     # exact zeros: ln|r| = -inf
+        X[:, 5] = 0.0         # an all-zero column: zero moments
+        X[:, 6] *= 1e5        # large values: the high q overflow
+        return X
+
+    def test_plan(self):
+        assert len(THOUSAND_Q) == 1000
+        h, rung = scaling._ladder(DEFAULT_Q_GRID)
+        assert h == pytest.approx(0.1) and list(np.flatnonzero(~rung)) == [0]
+        # a long ladder re-anchors, which bounds the rounding it accumulates
+        assert 8 <= scaling.LADDER_RUNGS <= 64
+        h, rung = scaling._ladder(THOUSAND_Q)
+        anchors = np.arange(0, 1000, scaling.LADDER_RUNGS + 1)
+        assert np.array_equal(np.flatnonzero(~rung), anchors)
+        # off the mean-step ladder every q is an anchor
+        assert not scaling._ladder(UNEVEN_Q)[1].any()
+        # a non-positive anchor would give 0 * inf for a zero return
+        assert not scaling._ladder([-0.2, -0.1, 0.0, 0.1])[1].any()
+        assert not scaling._ladder([0.5])[1].any()
+
+    @pytest.mark.parametrize("q_grid", [DEFAULT_Q_GRID, THOUSAND_Q, UNEVEN_Q,
+                                        np.arange(1.0, 121.0, 4.0)],
+                             ids=["default", "thousand", "uneven", "high"])
+    def test_matches_per_q_exp(self, panel, q_grid):
+        tau_range = np.array([1, 2, 5, 13])
+        got = panel_moments(panel, q_grid, tau_range)
+        want = _per_q_moments(panel, q_grid, tau_range)
+        assert np.array_equal(got == 0, want == 0)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        ok = (want > 0) & np.isfinite(want)
+        assert ok.sum() > got.size // 2
+        assert np.max(np.abs(got[ok] / want[ok] - 1.0)) <= 1e-13
+
+    def test_same_errors_as_per_q_exp(self, panel):
+        high = np.arange(1.0, 121.0, 4.0)
+        assert np.isinf(panel_moments(panel, high, [1, 2, 3])).any()
+        with pytest.raises(EstimationError, match="infinite moment"):
+            estimate_scaling_panel(panel[:, [0, 6]], q_grid=high)
+        with pytest.raises(EstimationError,
+                           match=r"zero moment at \(q=0.1, tau=1\) for 5"):
+            estimate_scaling_panel(panel)
+
+
 class TestBlockedKernel:
-    """panel_moments is bit-identical to the unblocked formula for any block
-    width and worker count."""
+    """panel_moments is bit-identical to the unblocked power ladder for any
+    block width and worker count."""
 
     T = 120
 
@@ -243,7 +317,7 @@ class TestBlockedKernel:
         X[5:9, 4] = 0.0       # exact zeros take the ln|x| = -inf path
         return X
 
-    @pytest.mark.parametrize("width", [2, 4, 5, 22, 1000])
+    @pytest.mark.parametrize("width", [1, 2, 4, 5, 22, 1000])
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 21, 23])
     def test_bit_identical(self, panel, monkeypatch, width, workers, n):

@@ -34,3 +34,17 @@ def test_negative_seed_is_one_error_line(study, tmp_path, capsys):
                       "--outdir", str(out)]) == 2
     assert capsys.readouterr().err == "error: seed=-1 is negative\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("size, message", [
+    (["--n-stocks", "1", "--n-days", "600"], "recipe needs n_stocks >= 2"),
+    (["--n-stocks", "4", "--n-days", "10"], "recipe needs n_days >= 64"),
+], ids=["one-stock", "ten-days"])
+def test_undersized_market_is_one_error_line(study, tmp_path, capsys, size,
+                                             message):
+    """A market too small for the pipeline is a configuration error before
+    anything is written, not an estimation error after the returns are."""
+    out = tmp_path / "study"
+    assert study.run([*size, "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
