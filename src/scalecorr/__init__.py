@@ -21,4 +21,4 @@ from .panel import (CapitalizationTable, PricePanel, RawPriceSeries,
 from .pipeline import __version__, compare_reports, run
 from .scaling import ScalingResult, estimate_scaling_panel
 from .surrogates import SurrogateSpec, marginal_gaussianize, synchronous_shuffle
-from .synth import MarketRecipe, generate, stylized_fact_experiment
+from .synth import MarketRecipe, generate

@@ -85,8 +85,7 @@ class PricePanel:
 
     @classmethod
     def read(cls, prices_path, mask_path=None):
-        row_labels, tickers, prices = textio.read_matrix(prices_path)
-        dates = [_parse_date(d) for d in row_labels]
+        dates, tickers, prices = textio.read_matrix(prices_path, _parse_date)
         if mask_path is not None:
             _, _, mask = textio.read_matrix(mask_path)
             mask = mask.astype(bool)
@@ -109,8 +108,7 @@ class ReturnPanel:
 
     @classmethod
     def read(cls, path):
-        row_labels, tickers, returns = textio.read_matrix(path)
-        dates = [_parse_date(d) for d in row_labels]
+        dates, tickers, returns = textio.read_matrix(path, _parse_date)
         return cls(dates=dates, tickers=list(tickers), returns=returns)
 
 

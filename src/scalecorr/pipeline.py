@@ -3,10 +3,10 @@
 A run reads price (or return) data, optionally replaces the panel by one of
 the two surrogates, estimates per-stock scaling proxies and the
 significance-filtered average cross-correlations, and writes the output
-bundle: proxy table, correlation matrix, rho_bar vector, association
-report, scatter table, and a manifest that pins config, seed, and input
-digests (a returns input is pinned there, not copied). Outputs are
-byte-identical across re-runs with the same inputs.
+bundle: the per-stock results, the returns they come from unless those are
+the input, and a manifest that pins config, seed, and input digests, from
+which ``xcorr`` and ``clean`` rebuild the correlation matrix, the panel and
+its fill mask. Outputs are byte-identical across re-runs with the same inputs.
 """
 
 import ctypes
@@ -103,6 +103,12 @@ def _previous_outputs(outdir):
     return outputs
 
 
+def _input_at(path, inputs):
+    """The input file that ``path`` is, or None if it is none of them."""
+    return next((p for p in inputs if p and os.path.exists(path)
+                 and os.path.samefile(path, p)), None)
+
+
 def _write_bundle(config, mode, out):
     """Run every stage, writing to ``out(name)``; returns the input digests."""
     digests = {}
@@ -113,9 +119,8 @@ def _write_bundle(config, mode, out):
         digests["prices"] = _sha256(config.prices)
         series = _stage("load", load_prices, config.prices)
         _release_free_heap()
-        panel = _stage("clean", preprocess, series, config.k)
-        panel.write(out("panel.tsv"), out("fill_mask.tsv"))
-        returns = _stage("returns", compute_returns, panel)
+        returns = _stage("returns", compute_returns,
+                         _stage("clean", preprocess, series, config.k))
 
     spec = None
     if mode == "shuffled":
@@ -139,7 +144,7 @@ def _write_bundle(config, mode, out):
 
     corr = _stage("xcorr", correlation_matrix, returns, config.alpha,
                   config.significance_mode)
-    corr.write(out("corr_matrix.tsv"), rho_bar_path=out("rho_bar.tsv"))
+    corr.write(rho_bar_path=out("rho_bar.tsv"))
 
     ln_cap = np.full(len(returns.tickers), np.nan)
     if config.capitalization is not None:
@@ -174,7 +179,8 @@ def run(config: PipelineConfig, mode="raw"):
     The files are staged inside ``output_dir`` and moved into place, manifest
     last, only once every stage has succeeded; then the files the earlier
     manifest listed and this run did not write, except its inputs, are
-    removed. Returns {file name: path} of the written files.
+    removed; a bundle file that is one of its inputs is a ConfigError.
+    Returns {file name: path} of the written files.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -188,8 +194,14 @@ def run(config: PipelineConfig, mode="raw"):
     created = not os.path.exists(outdir)
     os.makedirs(staging)
     names = []
+    inputs = [config.prices, config.returns, config.capitalization]
 
     def out(name):
+        target = os.path.join(outdir, name)
+        source = _input_at(target, inputs)
+        if source is not None:
+            raise ConfigError(f"{target} is the input {source}; the run "
+                              "would overwrite it")
         names.append(name)
         return os.path.join(staging, name)
 
@@ -209,11 +221,9 @@ def run(config: PipelineConfig, mode="raw"):
         if created and not os.listdir(outdir):  # failed before its commit
             os.rmdir(outdir)
 
-    inputs = [config.prices, config.returns, config.capitalization]
     for name in set(previous) - set(names):
         path = os.path.join(outdir, name)
-        if (os.path.isfile(path)
-                and not any(os.path.samefile(path, p) for p in inputs if p)):
+        if os.path.isfile(path) and _input_at(path, inputs) is None:
             os.remove(path)
     return {name: os.path.join(outdir, name) for name in names}
 

@@ -15,12 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .association import build_report
-from .config import PipelineConfig
-from .crosscorr import correlation_matrix
 from .errors import ConfigError
 from .panel import ReturnPanel
-from .scaling import estimate_scaling_panel
 from .surrogates import mid_rank_levels
 
 KINDS = ("gaussian_iid", "student_t", "one_factor", "cascade")
@@ -188,18 +184,3 @@ def generate_coupled_market(n_stocks, n_days, seed, coupled=True):
     X -= X.mean(axis=0)
     tickers = [f"S{i:04d}" for i in range(n_stocks)]
     return ReturnPanel(dates=_dates(n_days), tickers=tickers, returns=X), betas
-
-
-def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,
-                             alpha=PipelineConfig.alpha,
-                             significance_mode=PipelineConfig.significance_mode):
-    """End-to-end control: generate a market, run the pipeline, report.
-
-    The coupled construction guarantees a positive Kendall tau between the
-    curvature proxy and rho_bar; the uncoupled one is the independence null.
-    """
-    panel, betas = generate_coupled_market(n_stocks, n_days, seed, coupled)
-    result = estimate_scaling_panel(panel.returns, tickers=panel.tickers)
-    corr = correlation_matrix(panel, alpha=alpha,
-                              significance_mode=significance_mode)
-    return build_report(result.A_hat, result.B_hat, corr.rho_bar)

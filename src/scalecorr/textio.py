@@ -54,7 +54,7 @@ def write_matrix(path, row_labels, col_labels, matrix, corner="date",
             fh.write(row_fmt % (label, *row.tolist()))
 
 
-def read_matrix(path):
+def read_matrix(path, parse_label=None):
     """Read a labelled matrix written by :func:`write_matrix`.
 
     Blank lines are skipped. The file is streamed once: each data line has
@@ -62,7 +62,9 @@ def read_matrix(path):
     Returns (row_labels, col_labels, matrix); raises DataError for a file
     without a header, value columns or data rows, a repeated row or column
     label, a row with the wrong number of fields, a cell that is not a
-    number, or a NaN or infinite cell.
+    number, or a NaN or infinite cell. ``parse_label``, if given, converts
+    each row label; a DataError it raises is re-raised naming the file and
+    the label's line.
     """
     with open(path) as fh:
         numbered = _nonblank_lines(fh)
@@ -112,7 +114,15 @@ def read_matrix(path):
         raise DataError(f"{path}: line {list(lines.values())[row]}: "
                         f"non-finite value {float(values[row, col])} in "
                         f"column {col_labels[col]!r}")
-    return list(lines), col_labels, values
+    labels = list(lines)
+    if parse_label is not None:
+        for row, label in enumerate(labels):
+            try:
+                labels[row] = parse_label(label)
+            except DataError as exc:
+                raise DataError(f"{path}: line {lines[label]}: "
+                                f"{exc}") from None
+    return labels, col_labels, values
 
 
 def write_table(path, header, rows):

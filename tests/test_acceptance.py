@@ -20,9 +20,9 @@ from scalecorr.panel import RawPriceSeries, preprocess
 from scalecorr.scaling import (DEFAULT_Q_GRID, _loglog_fit, _proxy_fit,
                                estimate_scaling_panel)
 from scalecorr.surrogates import marginal_gaussianize, synchronous_shuffle
-from scalecorr.synth import MarketRecipe, generate, stylized_fact_experiment
+from scalecorr.synth import MarketRecipe, generate
 
-from conftest import make_return_panel
+from conftest import make_return_panel, stylized_fact_experiment
 from test_association import brute_force_tau
 
 N_SEEDS = 50

@@ -230,6 +230,23 @@ class TestExitCodes:
         assert "line 31: non-finite close" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["xcorr", "--returns", "{bad}", "--rho-out", "{out}"],
+        ["run", "--returns", "{bad}", "--output-dir", "{out}"],
+        ["returns", "--panel", "{bad}", "--out", "{out}"],
+    ], ids=["xcorr", "run", "returns"])
+    def test_bad_date_label_names_file_and_line(self, tmp_path, capsys,
+                                                argv):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("date\tA\tB\n2020-01-01\t1.5\t2\n\n"
+                       "notadate\t1.25\t2.5\n2020-01-03\t1.5\t2\n")
+        out = tmp_path / "o"
+        assert main([a.format(bad=bad, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{bad}: line 4: unparseable date 'notadate'\n")
+        assert not out.exists()
+
     def test_zero_median_cap_is_1(self, returns_file, tmp_path, capsys):
         caps = tmp_path / "caps.csv"
         caps.write_text("".join(f"S{i:04d},2020-01-01,{0 if i == 3 else 5}\n"
@@ -548,10 +565,8 @@ class TestRun:
 
     @pytest.mark.parametrize("mode, source, caps, extra", [
         ("raw", "returns", False, []),
-        ("raw", "prices", True, ["fill_mask.tsv", "median_cap.tsv",
-                                 "panel.tsv", "returns.tsv"]),
-        ("shuffled", "prices", False, ["fill_mask.tsv", "panel.tsv",
-                                       "surrogate_returns.tsv",
+        ("raw", "prices", True, ["median_cap.tsv", "returns.tsv"]),
+        ("shuffled", "prices", False, ["surrogate_returns.tsv",
                                        "surrogate_spec.tsv"]),
         ("gaussianized", "returns", False, ["surrogate_returns.tsv",
                                             "surrogate_spec.tsv"]),
@@ -559,8 +574,11 @@ class TestRun:
             "gaussianized-returns"])
     def test_bundle_file_list(self, returns_file, long_prices_file, tmp_path,
                               mode, source, caps, extra):
-        """Each result is stored once: a returns input is not copied, and
-        there is no p-value matrix and one scatter table."""
+        """The bundle holds the results and the returns they come from,
+        each once: a returns input is not copied, there is one scatter
+        table, and no matrix that a subcommand rebuilds from the pinned
+        inputs (correlations, p-values, the cleaned panel, its fill
+        mask)."""
         out = tmp_path / "o"
         argv = ["run", "--mode", mode, "--output-dir", str(out), "--" + source,
                 returns_file if source == "returns" else long_prices_file]
@@ -572,16 +590,16 @@ class TestRun:
         assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == sorted(
-            ["association.tsv", "association.txt", "corr_matrix.tsv",
-             "proxies.tsv", "rho_bar.tsv", "scatter.tsv"] + extra)
+            ["association.tsv", "association.txt", "proxies.tsv",
+             "rho_bar.tsv", "scatter.tsv"] + extra)
         assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
                                                  + ["manifest.json"])
 
     def test_rerun_removes_the_old_layout(self, returns_file, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
-        old = ["corr_pvalues.tsv", "returns.tsv", "scatter_A.tsv",
-               "scatter_B.tsv"]
+        old = ["corr_matrix.tsv", "corr_pvalues.tsv", "fill_mask.tsv",
+               "panel.tsv", "returns.tsv", "scatter_A.tsv", "scatter_B.tsv"]
         for name in old:
             (out / name).write_text("from an earlier layout\n")
         (out / "manifest.json").write_text(json.dumps({"outputs": old}))
@@ -591,6 +609,64 @@ class TestRun:
         assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
                                                  + ["manifest.json"])
         assert not any((out / name).exists() for name in old)
+
+    def test_prices_run_returns_are_clean_then_returns(self,
+                                                       long_prices_file,
+                                                       tmp_path):
+        """The dropped panel is rebuilt by ``clean``, and ``returns`` on it
+        writes the run's returns.tsv byte for byte."""
+        out = tmp_path / "o"
+        assert main(["run", "--prices", long_prices_file,
+                     "--output-dir", str(out)]) == 0
+        panel, returns = tmp_path / "panel.tsv", tmp_path / "returns.tsv"
+        assert main(["clean", "--prices", long_prices_file,
+                     "--out", str(panel)]) == 0
+        assert main(["returns", "--panel", str(panel),
+                     "--out", str(returns)]) == 0
+        assert filecmp.cmp(returns, out / "returns.tsv", shallow=False)
+
+    @pytest.mark.parametrize("mode, source, analysed", [
+        ("raw", "returns", None),
+        ("raw", "prices", "returns.tsv"),
+        ("shuffled", "returns", "surrogate_returns.tsv"),
+        ("gaussianized", "prices", "surrogate_returns.tsv"),
+    ])
+    def test_xcorr_on_the_run_returns_gives_its_rho_bar(
+            self, returns_file, long_prices_file, tmp_path, mode, source,
+            analysed):
+        """``xcorr`` on the returns a run analysed (its input, or the
+        returns file of its bundle) writes the bundle's rho_bar.tsv."""
+        out = tmp_path / "o"
+        given = returns_file if source == "returns" else long_prices_file
+        assert main(["run", "--mode", mode, "--seed", "5", "--output-dir",
+                     str(out), "--" + source, given]) == 0
+        rho, rho_bar = tmp_path / "rho.tsv", tmp_path / "rho_bar.tsv"
+        assert main(["xcorr", "--returns",
+                     str(out / analysed) if analysed else given,
+                     "--rho-out", str(rho), "--rho-bar-out",
+                     str(rho_bar)]) == 0
+        assert filecmp.cmp(rho_bar, out / "rho_bar.tsv", shallow=False)
+
+    @pytest.mark.parametrize("via", ["path", "symlink"])
+    def test_run_never_overwrites_its_input(self, returns_file, tmp_path,
+                                           capsys, via):
+        """A run whose bundle would replace its own input is a config
+        error that changes neither the earlier bundle nor the input."""
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file, "--mode", "shuffled",
+                     "--output-dir", str(out)]) == 0
+        before = tmp_path / "before"
+        shutil.copytree(out, before)
+        given = out / "surrogate_returns.tsv"
+        if via == "symlink":
+            (tmp_path / "link.tsv").symlink_to(given)
+            given = tmp_path / "link.tsv"
+        assert main(["run", "--returns", str(given), "--mode", "shuffled",
+                     "--seed", "2", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'surrogate_returns.tsv'} is the input {given}; "
+            "the run would overwrite it\n")
+        _assert_same_files(before, out)
 
     def test_gaussianized_mode_runs(self, returns_file, tmp_path):
         out = str(tmp_path / "g")

@@ -11,8 +11,9 @@ from scalecorr.scaling import estimate_scaling_panel
 from scalecorr.surrogates import mid_rank_levels
 from scalecorr.synth import (MarketRecipe, cascade_volatility,
                              coupled_market_recipe, generate,
-                             generate_coupled_market,
-                             stylized_fact_experiment)
+                             generate_coupled_market)
+
+from conftest import stylized_fact_experiment
 
 
 class TestRecipeValidation:

@@ -73,6 +73,19 @@ class TestReadMatrix:
         with pytest.raises(DataError, match=rf"m\.tsv: {where}"):
             textio.read_matrix(path)
 
+    def test_parse_label(self, tmp_path):
+        path = _write(tmp_path, "date\tA\nd1\t1\n\nx2\t3\n")
+
+        def parse(label):
+            if not label.startswith("d"):
+                raise DataError(f"bad label {label!r}")
+            return int(label[1:])
+
+        with pytest.raises(DataError, match=r"m\.tsv: line 4: bad label 'x2'"):
+            textio.read_matrix(path, parse)
+        path = _write(tmp_path, "date\tA\nd1\t1\n\nd2\t3\n")
+        assert textio.read_matrix(path, parse)[0] == [1, 2]
+
     def test_empty_file(self, tmp_path):
         for text in ["", "\n  \n"]:
             path = _write(tmp_path, text)
