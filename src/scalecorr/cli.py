@@ -22,8 +22,7 @@ from .panel import (PricePanel, ReturnPanel, compute_returns,
 from .pipeline import (compare_reports, read_proxies_table, run,
                        write_proxies_table)
 from .scaling import estimate_scaling_panel
-from .surrogates import (SurrogateSpec, marginal_gaussianize,
-                         synchronous_shuffle)
+from .surrogates import marginal_gaussianize, synchronous_shuffle
 from .synth import KINDS, MarketRecipe, check_size, generate
 
 
@@ -175,11 +174,9 @@ def _cmd_associate(args):
 def _cmd_surrogate(args):
     cfg = _config(args, "returns", "seed").validate()
     panel = ReturnPanel.read(cfg.returns)
-    if args.kind == "synchronous_shuffle":
-        out, spec = synchronous_shuffle(panel, cfg.seed)
-    else:
-        out = marginal_gaussianize(panel, cfg.seed)
-        spec = SurrogateSpec(kind=args.kind, seed=cfg.seed)
+    surrogate = (synchronous_shuffle if args.kind == "synchronous_shuffle"
+                 else marginal_gaussianize)
+    out, spec = surrogate(panel, cfg.seed)
     out.write(args.out)
     if args.spec_out:
         textio.write_keyvalues(args.spec_out, spec.to_pairs())

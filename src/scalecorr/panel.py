@@ -17,7 +17,7 @@ delimiters, padded fields) get per-line work, and that work only normalises
 them into the same columns. The file's text is never held whole: beyond the
 columns, ingest holds one window's lines, bytes and fields, then the sort
 order, so ``load_prices`` peaks at 41 bytes per record for 1.2M records (46
-for 200k), of which the returned series keep 16-17.
+for 200k); the series keep 16-17: a ``datetime64[D]`` day and a close each.
 """
 
 import datetime as dt
@@ -35,27 +35,23 @@ DEFAULT_LENGTH_FRACTION = PipelineConfig.k
 # lines per ingest window; bounds the per-line strings, per-byte arrays and
 # per-field strings alive at once, whatever the file's size
 CHUNK_LINES = 1 << 13
-# ordinal stand-in for an unparseable date; real ordinals start at 1
-_BAD_DAY = 0
-
-
-def _ordinals(dates):
-    """Proleptic Gregorian ordinals of a sequence of dates."""
-    return np.fromiter(map(dt.date.toordinal, dates), np.int64, len(dates))
 
 
 @dataclass(frozen=True)
 class RawPriceSeries:
-    """One ticker's close prices, sorted by strictly increasing date."""
+    """One ticker's close prices, sorted by strictly increasing date; the
+    dates are kept as a ``datetime64[D]`` array, whatever they are given as."""
 
     ticker: str
-    dates: tuple
+    dates: np.ndarray
     prices: np.ndarray
 
     def __post_init__(self):
-        if len(self.dates) != len(self.prices):
+        dates = np.asarray(self.dates, "datetime64[D]")
+        object.__setattr__(self, "dates", dates)
+        if len(dates) != len(self.prices):
             raise DataError(f"{self.ticker}: dates/prices length mismatch")
-        if np.any(np.diff(_ordinals(self.dates)) <= 0):
+        if np.any(dates[1:] <= dates[:-1]):
             raise DataError(f"{self.ticker}: dates not strictly increasing")
         prices = np.asarray(self.prices)
         if np.any(prices <= 0):
@@ -85,7 +81,7 @@ class PricePanel:
 
     @classmethod
     def read(cls, prices_path, mask_path=None):
-        dates, tickers, prices = textio.read_matrix(prices_path, _parse_date)
+        dates, tickers, prices = _read_dated(prices_path)
         if mask_path is not None:
             _, _, mask = textio.read_matrix(mask_path)
             mask = mask.astype(bool)
@@ -108,7 +104,7 @@ class ReturnPanel:
 
     @classmethod
     def read(cls, path):
-        dates, tickers, returns = textio.read_matrix(path, _parse_date)
+        dates, tickers, returns = _read_dated(path)
         return cls(dates=dates, tickers=list(tickers), returns=returns)
 
 
@@ -131,24 +127,36 @@ def _parse_date(text):
         raise DataError(f"unparseable date {text!r}") from exc
 
 
+def _read_dated(path):
+    """:func:`textio.read_matrix` of a file whose row labels are dates, each
+    later than the one before it."""
+    days = []
+
+    def parse(text):
+        day = _parse_date(text)
+        if days and day <= days[-1]:
+            raise DataError(f"date {day} is not later than {days[-1]}")
+        days.append(day)
+        return day
+
+    return textio.read_matrix(path, parse)
+
+
 @dataclass
 class _Records:
     """(ticker, date, value) records read column-wise from one source.
 
     Records are in file order; ``line`` holds each one's 1-based line
     number. ``code`` indexes ``tickers`` (sorted names) and ``date_code``
-    indexes ``dates``: the parsed date of each distinct date text, or the
-    error message for a text that does not parse. ``ordinal`` holds each
-    distinct text's date ordinal, ``_BAD_DAY`` where it does not parse. A
-    record whose value does not parse has a NaN value. ``error`` is (line,
-    message) of the first line the reader itself rejects (field count,
-    value or date), or None.
+    indexes ``days``: the ``datetime64[D]`` day of each distinct date text,
+    NaT for a text that does not parse. A record whose value does not parse
+    has a NaN value. ``error`` is (line, message) of the first line the
+    reader itself rejects (field count, value or date), or None.
     """
 
     tickers: list
     code: np.ndarray
-    dates: list
-    ordinal: np.ndarray
+    days: np.ndarray
     date_code: np.ndarray
     value: np.ndarray
     line: np.ndarray
@@ -162,7 +170,7 @@ class _Records:
         line. Returns the order, whether each record repeats the (ticker,
         day) of the one before it in that order, and the start of each
         ticker's block in that order, then the end."""
-        days, rank = np.unique(self.ordinal, return_inverse=True)
+        days, rank = np.unique(self.days, return_inverse=True)
         key = self.code.astype(np.int64)
         key *= days.size
         key += rank.astype(self.date_code.dtype)[self.date_code]
@@ -344,27 +352,25 @@ def _read_windows(windows, size, what):
     rank[[tickers[t] for t in names]] = np.arange(len(names))
     code = rank[code[:n]]
     date_code = date_code[:n]
-    dates = []
-    for text in date_texts:
+    days = np.empty(len(date_texts), "datetime64[D]")
+    bad = {}  # date code -> message, for texts that do not parse
+    for k, text in enumerate(date_texts):
         try:
-            dates.append(_parse_date(text))
+            days[k] = _parse_date(text)
         except DataError as exc:
-            dates.append(str(exc))
-    ordinal = np.array([d.toordinal() if isinstance(d, dt.date) else _BAD_DAY
-                        for d in dates], np.int64)
-    bad = ordinal == _BAD_DAY
-    if bad.any():
-        i = np.argmax(bad[date_code])
-        errors.append((line[i], 1, dates[date_code[i]]))
+            days[k], bad[k] = None, str(exc)  # None is NaT
+    if bad:
+        i = np.argmax(np.isnat(days)[date_code])
+        errors.append((line[i], 1, bad[date_code[i]]))
     first = min(errors, default=None)
-    return _Records(tickers=names, code=code, dates=dates, ordinal=ordinal,
+    return _Records(tickers=names, code=code, days=days,
                     date_code=date_code, value=value[:n], line=line[:n],
                     error=None if first is None else (first[0], first[2]))
 
 
 def _sorted_prices(source):
-    """Checked close records: ticker names, distinct dates, then closes and
-    date codes sorted by ticker and date, and each ticker's block bounds."""
+    """Checked close records: tickers, the day of each date code, closes and
+    date codes sorted by ticker and day, and each ticker's block bounds."""
     rec = _read_records(source, "close")
     value, line = rec.value, rec.line
     order, repeat, bounds = rec.sort()
@@ -374,8 +380,8 @@ def _sorted_prices(source):
         (value <= 0, lambda i: f"line {line[i]}: non-positive close "
          f"{float(value[i])} for {rec.ticker(i)}"),
         (repeat, lambda i: f"line {line[i]}: duplicate record for "
-         f"({rec.ticker(i)}, {rec.dates[rec.date_code[i]]})"))
-    return rec.tickers, rec.dates, value[order], rec.date_code[order], bounds
+         f"({rec.ticker(i)}, {rec.days[rec.date_code[i]]})"))
+    return rec.tickers, rec.days, value[order], rec.date_code[order], bounds
 
 
 def load_prices(source):
@@ -386,11 +392,9 @@ def load_prices(source):
     faulty line in file order: a wrong field count, an unparseable close or
     date, a non-finite or non-positive close, or a repeated (ticker, date).
     """
-    # the records' columns are freed before the series are built
-    tickers, dates, prices, date_code, bounds = _sorted_prices(source)
-    dates = np.array(dates, dtype=object)
-    return [RawPriceSeries(ticker=t, dates=tuple(dates[date_code[a:b]]),
-                           prices=prices[a:b])
+    tickers, days, prices, date_code, bounds = _sorted_prices(source)
+    days = days[date_code]  # once the records' columns are freed
+    return [RawPriceSeries(ticker=t, dates=days[a:b], prices=prices[a:b])
             for t, a, b in zip(tickers, bounds, bounds[1:])]
 
 
@@ -407,27 +411,27 @@ def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
     if not 0 < k <= 1:
         raise DataError(f"length fraction k={k} outside (0, 1]")
     max_len = max(len(s.dates) for s in series)
-    survivors = [s for s in series if len(s.dates) >= k * max_len]
-    if not survivors:
-        raise DataError("length filter removed every series")
-    survivors = sorted(survivors, key=lambda s: s.ticker)
+    if max_len == 0:
+        raise DataError("every input series is empty")
+    survivors = sorted((s for s in series if len(s.dates) >= k * max_len),
+                       key=lambda s: s.ticker)
 
-    days = [_ordinals(s.dates) for s in survivors]
-    start = max(d[0] for d in days)
-    ref = np.unique(np.concatenate([d[d >= start] for d in days]))
-    ref_dates = [dt.date.fromordinal(o) for o in ref.tolist()]
+    start = max(s.dates[0] for s in survivors)
+    ref = np.unique(np.concatenate([s.dates[s.dates >= start]
+                                    for s in survivors]))
 
-    T, N = len(ref_dates), len(survivors)
+    T, N = len(ref), len(survivors)
     prices = np.empty((T, N))
     mask = np.empty((T, N), dtype=bool)
-    for i, (s, d) in enumerate(zip(survivors, days)):
+    for i, s in enumerate(survivors):
         # last own observation at or before each reference date; one exists
         # because start is the maximum of the survivors' first dates
-        last = np.searchsorted(d, ref, side="right") - 1
+        last = np.searchsorted(s.dates, ref, side="right") - 1
         prices[:, i] = np.asarray(s.prices)[last]
-        mask[:, i] = d[last] != ref
+        mask[:, i] = s.dates[last] != ref
 
-    return PricePanel(dates=ref_dates, tickers=[s.ticker for s in survivors],
+    return PricePanel(dates=ref.tolist(),
+                      tickers=[s.ticker for s in survivors],
                       prices=prices, fill_mask=mask)
 
 

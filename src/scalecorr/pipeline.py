@@ -26,8 +26,7 @@ from .errors import ConfigError, DataError, PipelineError
 from .panel import (ReturnPanel, compute_returns, load_capitalizations,
                     load_prices, median_capitalization, preprocess)
 from .scaling import estimate_scaling_panel
-from .surrogates import (SurrogateSpec, marginal_gaussianize,
-                         synchronous_shuffle)
+from .surrogates import marginal_gaussianize, synchronous_shuffle
 
 __version__ = "0.1.0"
 
@@ -119,18 +118,16 @@ def _write_bundle(config, mode, out):
         digests["prices"] = _sha256(config.prices)
         series = _stage("load", load_prices, config.prices)
         _release_free_heap()
-        returns = _stage("returns", compute_returns,
-                         _stage("clean", preprocess, series, config.k))
+        panel = _stage("clean", preprocess, series, config.k)
+        del series  # neither the series nor the panel outlives its next stage
+        returns = _stage("returns", compute_returns, panel)
+        del panel
 
-    spec = None
-    if mode == "shuffled":
-        returns, spec = _stage("surrogate", synchronous_shuffle, returns,
-                               config.seed)
-    elif mode == "gaussianized":
-        returns = _stage("surrogate", marginal_gaussianize, returns,
-                         config.seed)
-        spec = SurrogateSpec(kind="marginal_gaussianize", seed=config.seed)
-    if spec is not None:
+    if mode != "raw":
+        # looked up at call time, where a wrapper may have replaced them
+        surrogate = (synchronous_shuffle if mode == "shuffled"
+                     else marginal_gaussianize)
+        returns, spec = _stage("surrogate", surrogate, returns, config.seed)
         textio.write_keyvalues(out("surrogate_spec.tsv"), spec.to_pairs())
         returns.write(out("surrogate_returns.tsv"))
     elif config.returns is None:  # an input --returns is pinned, not copied

@@ -71,6 +71,7 @@ def marginal_gaussianize(panel, seed=0):
 
     Rank ties are broken deterministically by original time index (stable
     sort), so a fixed input maps to a fixed output regardless of seed.
+    Returns the new panel and a spec recording the seed.
     """
     X = np.asarray(panel.returns, dtype=float)
     if X.shape[0] < 10:
@@ -79,6 +80,6 @@ def marginal_gaussianize(panel, seed=0):
     if const.size:
         raise EstimationError(
             f"ranks undefined for constant column {panel.tickers[const[0]]}")
-    out = special.ndtri(mid_rank_levels(X))  # normal quantiles
-    return ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
-                       returns=out)
+    out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
+                      returns=special.ndtri(mid_rank_levels(X)))
+    return out, SurrogateSpec(kind="marginal_gaussianize", seed=seed)

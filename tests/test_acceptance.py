@@ -58,7 +58,7 @@ def test_criterion_2_tail_mechanism():
         X = g.standard_t(3, (4096, 20)) / math.sqrt(3.0)
         X -= X.mean(axis=0)
         B_raw.extend(estimate_scaling_panel(X).B_hat)
-        normalized = marginal_gaussianize(make_return_panel(X))
+        normalized, _ = marginal_gaussianize(make_return_panel(X))
         B_gauss.extend(estimate_scaling_panel(normalized.returns).B_hat)
     med_raw = np.median(B_raw)
     med_gauss = np.median(np.abs(B_gauss))

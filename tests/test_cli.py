@@ -6,11 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from scalecorr import textio
+from scalecorr import pipeline, textio
 from scalecorr.association import build_report
 from scalecorr.cli import main
 from scalecorr.config import PipelineConfig
@@ -245,6 +246,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith(f"{bad}: line 4: unparseable date 'notadate'\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, day", [("2020-01-02", "2020-01-02"),
+                                            ("20200103", "2020-01-03")])
+    @pytest.mark.parametrize("argv", [
+        ["xcorr", "--returns", "{bad}", "--rho-out", "{out}"],
+        ["run", "--returns", "{bad}", "--output-dir", "{out}"],
+        ["returns", "--panel", "{bad}", "--out", "{out}"],
+    ], ids=["xcorr", "run", "returns"])
+    def test_date_not_after_the_one_before_names_file_and_line(
+            self, tmp_path, capsys, argv, label, day):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("date\tA\tB\n2020-01-01\t1.5\t2\n2020-01-03\t1\t2\n"
+                       f"\n{label}\t1.25\t2.5\n")
+        out = tmp_path / "o"
+        assert main([a.format(bad=bad, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{bad}: line 5: date {day} is not later than "
+                            "2020-01-03\n")
         assert not out.exists()
 
     def test_zero_median_cap_is_1(self, returns_file, tmp_path, capsys):
@@ -667,6 +688,28 @@ class TestRun:
             f"error: {out / 'surrogate_returns.tsv'} is the input {given}; "
             "the run would overwrite it\n")
         _assert_same_files(before, out)
+
+    def test_price_series_are_released_after_cleaning(
+            self, long_prices_file, tmp_path, monkeypatch):
+        """No price series outlives the clean stage: each is dead by the
+        time the scaling stage starts."""
+        refs = []
+
+        def load_prices(path):
+            series = load(path)
+            refs.extend(map(weakref.ref, series))
+            return series
+
+        def estimate_scaling_panel(*args, **kwargs):
+            assert refs and all(ref() is None for ref in refs)
+            return estimate(*args, **kwargs)
+
+        load, estimate = pipeline.load_prices, pipeline.estimate_scaling_panel
+        monkeypatch.setattr(pipeline, "load_prices", load_prices)
+        monkeypatch.setattr(pipeline, "estimate_scaling_panel",
+                            estimate_scaling_panel)
+        assert main(["run", "--prices", long_prices_file, "--mode",
+                     "shuffled", "--output-dir", str(tmp_path / "o")]) == 0
 
     def test_gaussianized_mode_runs(self, returns_file, tmp_path):
         out = str(tmp_path / "g")

@@ -38,6 +38,13 @@ class TestLoadPrices:
         assert list(aaa.dates) == [D(2020, 1, 1), D(2020, 1, 2), D(2020, 1, 3)]
         assert list(aaa.prices) == [100, 101, 102]
 
+    def test_series_dates_are_day_arrays(self):
+        # as loaded, and as built from a tuple of dates
+        for s in load_prices(PRICE_FIXTURE.splitlines()) + [
+                series("AAA", [(1, 1.0), (3, 2.0)])]:
+            assert s.dates.dtype == np.dtype("datetime64[D]")
+        assert s.dates.tolist() == [D(2020, 1, 1), D(2020, 1, 3)]
+
     def test_zero_close_rejected(self):
         with pytest.raises(DataError, match="non-positive"):
             load_prices(["AAA,2020-01-01,0"])
@@ -164,7 +171,7 @@ def _outcome(loader, source):
         return "error", str(exc)
     if isinstance(out, dict):
         return "ok", [(t, _bits(v)) for t, v in out.items()]
-    return "ok", [(s.ticker, s.dates, _bits(s.prices.tolist()),
+    return "ok", [(s.ticker, list(s.dates), _bits(s.prices.tolist()),
                    s.prices.dtype) for s in out]
 
 
@@ -377,6 +384,10 @@ class TestPreprocess:
     def test_all_removed_impossible_but_empty_input_errors(self):
         with pytest.raises(DataError):
             preprocess([])
+
+    def test_every_series_empty_is_data_error(self):
+        with pytest.raises(DataError, match="every input series is empty"):
+            preprocess([RawPriceSeries("A", (), np.array([]))])
 
     def test_idempotent(self):
         a = series("AAA", [(1, 100), (3, 110), (4, 111), (6, 115)])

@@ -4,8 +4,8 @@ from scipy import stats
 
 from scalecorr.crosscorr import correlation_matrix
 from scalecorr.errors import EstimationError
-from scalecorr.surrogates import (SurrogateSpec, marginal_gaussianize,
-                                  mid_rank_levels, synchronous_shuffle)
+from scalecorr.surrogates import (marginal_gaussianize, mid_rank_levels,
+                                  synchronous_shuffle)
 
 from conftest import make_return_panel
 
@@ -66,8 +66,10 @@ class TestSynchronousShuffle:
                                    ("seed", "4"),
                                    ("permutation_digest", spec.digest())]
         # no permutation, no digest line
-        assert SurrogateSpec("marginal_gaussianize", 4).to_pairs() == [
-            ("kind", "marginal_gaussianize"), ("seed", "4")]
+        _, spec = marginal_gaussianize(
+            make_return_panel(rng.standard_normal((10, 2))), seed=4)
+        assert spec.to_pairs() == [("kind", "marginal_gaussianize"),
+                                   ("seed", "4")]
 
     def test_bad_permutation_rejected(self, rng):
         panel = make_return_panel(rng.standard_normal((10, 2)))
@@ -78,7 +80,7 @@ class TestSynchronousShuffle:
 class TestMarginalGaussianize:
     def test_moments_near_standard_normal(self, rng):
         panel = make_return_panel(rng.standard_t(3, (4096, 3)))
-        out = marginal_gaussianize(panel)
+        out, _ = marginal_gaussianize(panel)
         for i in range(3):
             col = out.returns[:, i]
             assert abs(col.mean()) < 0.05
@@ -86,15 +88,15 @@ class TestMarginalGaussianize:
 
     def test_rank_order_preserved(self, rng):
         panel = make_return_panel(rng.standard_normal((500, 2)))
-        out = marginal_gaussianize(panel)
+        out, _ = marginal_gaussianize(panel)
         for i in range(2):
             np.testing.assert_array_equal(np.argsort(out.returns[:, i]),
                                           np.argsort(panel.returns[:, i]))
 
     def test_idempotent_on_unique_ranks(self, rng):
         panel = make_return_panel(rng.standard_normal((256, 3)))
-        once = marginal_gaussianize(panel)
-        twice = marginal_gaussianize(once)
+        once, _ = marginal_gaussianize(panel)
+        twice, _ = marginal_gaussianize(once)
         assert np.abs(twice.returns - once.returns).max() < 1e-12
 
     def test_constant_column_errors(self, rng):
@@ -105,18 +107,18 @@ class TestMarginalGaussianize:
 
     def test_deterministic(self, rng):
         panel = make_return_panel(rng.standard_normal((128, 2)))
-        a = marginal_gaussianize(panel)
-        b = marginal_gaussianize(panel)
+        a, _ = marginal_gaussianize(panel)
+        b, _ = marginal_gaussianize(panel)
         np.testing.assert_array_equal(a.returns, b.returns)
 
     def test_column_sums_within_tolerance(self, rng):
         panel = make_return_panel(rng.standard_t(4, (1024, 4)))
-        out = marginal_gaussianize(panel)
+        out, _ = marginal_gaussianize(panel)
         sums = np.abs(out.returns.sum(axis=0))
         assert np.all(sums <= 1e-9 * out.returns.shape[0])
 
     def test_equals_scipy_stats_ppf_bit_for_bit(self, rng):
         X = rng.standard_t(3, (1000, 4))
         X[::7, 2] = 0.25  # ties, broken by time index
-        out = marginal_gaussianize(make_return_panel(X))
+        out, _ = marginal_gaussianize(make_return_panel(X))
         assert np.array_equal(out.returns, stats.norm.ppf(mid_rank_levels(X)))
