@@ -21,8 +21,8 @@ import numpy as np
 from . import textio
 from .association import build_report
 from .config import PipelineConfig
-from .crosscorr import correlation_matrix
-from .errors import ConfigError, DataError, PipelineError
+from .crosscorr import correlation_matrix, insignificant
+from .errors import ConfigError, DataError, EstimationError, PipelineError
 from .panel import (ReturnPanel, compute_returns, load_capitalizations,
                     load_prices, median_capitalization, preprocess)
 from .scaling import estimate_scaling_panel
@@ -63,6 +63,24 @@ def _stage(name, fn, *args, **kwargs):
     except PipelineError as exc:
         exc.args = (f"[{name}] {exc}",)
         raise
+
+
+def _varying_rho_bar(corr):
+    """EstimationError where every stock has the same rho_bar, as when the
+    significance filter zeroes every pair: its ranks, and so its association
+    with the proxies, are then undefined."""
+    rho_bar = corr.rho_bar
+    if rho_bar.min() < rho_bar.max():
+        return
+    n = len(rho_bar)
+    zeroed = 0
+    if corr.significance_mode == "filtered":
+        pairs = corr.rho[np.triu_indices(n, k=1)]
+        zeroed = int(insignificant(pairs, corr.alpha, corr.n_obs - 2).sum())
+    raise EstimationError(
+        f"rho_bar is {rho_bar[0]:g} for all {n} stocks, so its association "
+        f"is undefined: the significance filter at alpha={corr.alpha:g} "
+        f"zeroed {zeroed} of {n * (n - 1) // 2} pairs")
 
 
 def write_proxies_table(path, tickers, result):
@@ -141,6 +159,7 @@ def _write_bundle(config, mode, out):
 
     corr = _stage("xcorr", correlation_matrix, returns, config.alpha,
                   config.significance_mode)
+    _stage("xcorr", _varying_rho_bar, corr)
     corr.write(rho_bar_path=out("rho_bar.tsv"))
 
     ln_cap = np.full(len(returns.tickers), np.nan)

@@ -743,6 +743,36 @@ class TestStagedRun:
         assert "[capitalization]" in capsys.readouterr().err
         _assert_same_files(before, out)
 
+    def test_every_pair_zeroed_stops_at_xcorr(self, returns_file, caps,
+                                              tmp_path, capsys):
+        # six independent random walks: the filter zeroes all 15 pairs
+        rng = np.random.default_rng(1)
+        walks = [100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(250)))
+                 for _ in range(6)]
+        start = dt.date(2020, 1, 1)
+        prices = tmp_path / "walks.csv"
+        prices.write_text("".join(
+            f"T{i},{start + dt.timedelta(days=d)},{p!r}\n"
+            for i, walk in enumerate(walks)
+            for d, p in enumerate(walk.tolist())))
+        walk_caps = tmp_path / "walk_caps.csv"
+        walk_caps.write_text("".join(f"T{i},2020-01-01,{1e9 * (i + 1)}\n"
+                                     for i in range(6)))
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file, "--capitalization",
+                     str(caps), "--output-dir", str(out)]) == 0
+        before = tmp_path / "before"
+        shutil.copytree(out, before)
+        capsys.readouterr()
+        assert main(["run", "--prices", str(prices), "--capitalization",
+                     str(walk_caps), "--mode", "shuffled",
+                     "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: [xcorr] rho_bar is 0 for all 6 stocks, so its association"
+            " is undefined: the significance filter at alpha=0.05 zeroed 15 "
+            "of 15 pairs\n")
+        _assert_same_files(before, out)
+
     def test_failed_write_leaves_no_staging_directory(self, returns_file,
                                                       tmp_path, monkeypatch):
         def disk_full(path, pairs):
