@@ -203,6 +203,14 @@ class AssociationReport:
                        "(fewer than 4 stocks with capitalization data)")
         return "\n".join(out) + "\n"
 
+    def write(self, path, text_path=None):
+        """Write :meth:`to_pairs` to ``path`` and, if given, :meth:`to_text`
+        to ``text_path``."""
+        textio.write_keyvalues(path, self.to_pairs())
+        if text_path is not None:
+            with open(text_path, "w", newline="\n") as fh:
+                fh.write(self.to_text())
+
 
 def build_report(A, B, rho_bar, ln_cap=None):
     """Assemble the association report from per-stock arrays.

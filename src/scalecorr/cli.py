@@ -12,33 +12,36 @@ import numpy as np
 
 from . import textio
 from .association import build_report
-from .config import (FIELD_TYPES, SIGNIFICANCE_MODES, PipelineConfig,
-                     build_config, parse_config_file)
+from .config import (FIELD_TYPES, SIGNIFICANCE_MODES, build_config,
+                     parse_config_file)
 from .crosscorr import correlation_matrix
 from .errors import ConfigError, PipelineError
 from .panel import (PricePanel, ReturnPanel, compute_returns,
                     load_capitalizations, load_prices, median_capitalization,
                     preprocess)
-from .pipeline import (compare_reports, read_proxies_table, run,
+from .pipeline import (MODES, compare_reports, read_columns, run,
                        write_proxies_table)
 from .scaling import estimate_scaling_panel
 from .surrogates import marginal_gaussianize, synchronous_shuffle
 from .synth import KINDS, MarketRecipe, check_size, generate
 
 
-def _add_config_args(p):
-    """``--config`` and one flag per PipelineConfig field (``--tau-min`` for
-    tau_min), unset by default so that file values and defaults apply."""
-    p.add_argument("--config", help="key=value config file")
-    for name, parse in FIELD_TYPES.items():
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+def _add_config_args(p, *fields, required=False):
+    """One flag per named PipelineConfig field (``--tau-min`` for tau_min),
+    unset by default so that file values and defaults apply."""
+    for name in fields:
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=FIELD_TYPES[name], required=required,
                        choices=(SIGNIFICANCE_MODES
                                 if name == "significance_mode" else None))
 
 
-def _config(args, *fields):
-    """A PipelineConfig holding the named arguments, defaults elsewhere."""
-    return PipelineConfig(**{f: getattr(args, f) for f in fields})
+def _config(args):
+    """The validated PipelineConfig of the parsed config flags over the
+    ``--config`` file over the defaults."""
+    path = getattr(args, "config", None)
+    return build_config(parse_config_file(path) if path else {},
+                        {f: getattr(args, f, None) for f in FIELD_TYPES})
 
 
 def make_parser():
@@ -49,8 +52,8 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("clean", help="raw price records -> forward-filled panel")
-    p.add_argument("--prices", required=True)
-    p.add_argument("--k", type=float, default=PipelineConfig.k)
+    _add_config_args(p, "prices", required=True)
+    _add_config_args(p, "k")
     p.add_argument("--out", required=True, help="panel output path")
     p.add_argument("--mask-out", help="fill-mask output path")
 
@@ -59,19 +62,13 @@ def make_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("scaling", help="return panel -> proxy table")
-    p.add_argument("--returns", required=True)
-    p.add_argument("--tau-min", type=int, default=PipelineConfig.tau_min)
-    p.add_argument("--tau-max", type=int, default=PipelineConfig.tau_max)
-    p.add_argument("--q-min", type=float, default=PipelineConfig.q_min)
-    p.add_argument("--q-max", type=float, default=PipelineConfig.q_max)
-    p.add_argument("--q-step", type=float, default=PipelineConfig.q_step)
+    _add_config_args(p, "returns", required=True)
+    _add_config_args(p, "tau_min", "tau_max", "q_min", "q_max", "q_step")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("xcorr", help="return panel -> correlation summary")
-    p.add_argument("--returns", required=True)
-    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
-    p.add_argument("--significance-mode", choices=SIGNIFICANCE_MODES,
-                   default=PipelineConfig.significance_mode)
+    _add_config_args(p, "returns", required=True)
+    _add_config_args(p, "alpha", "significance_mode")
     p.add_argument("--rho-out", required=True)
     p.add_argument("--pvalue-out")
     p.add_argument("--rho-bar-out")
@@ -80,15 +77,15 @@ def make_parser():
                        help="proxy table + rho_bar (+caps) -> report")
     p.add_argument("--proxies", required=True)
     p.add_argument("--rho-bar", required=True)
-    p.add_argument("--capitalization")
+    _add_config_args(p, "capitalization")
     p.add_argument("--out", required=True, help="key-value report path")
     p.add_argument("--text-out", help="human-readable report path")
 
     p = sub.add_parser("surrogate", help="return panel -> surrogate panel")
-    p.add_argument("--returns", required=True)
+    _add_config_args(p, "returns", required=True)
     p.add_argument("--kind", choices=["synchronous_shuffle",
                                       "marginal_gaussianize"], required=True)
-    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
+    _add_config_args(p, "seed")
     p.add_argument("--out", required=True)
     p.add_argument("--spec-out", help="sidecar metadata path")
 
@@ -109,21 +106,21 @@ def make_parser():
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("run", help="full pipeline into an output directory")
-    _add_config_args(p)
-    p.add_argument("--mode", choices=["raw", "shuffled", "gaussianized"],
-                   default="raw")
+    p.add_argument("--config", help="key=value config file")
+    _add_config_args(p, *FIELD_TYPES)
+    p.add_argument("--mode", choices=MODES, default="raw")
 
     p = sub.add_parser("compare", help="difference table of two reports")
     p.add_argument("report_a")
     p.add_argument("report_b")
-    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
+    _add_config_args(p, "alpha")
     p.add_argument("--out", help="write the table here instead of stdout")
 
     return parser
 
 
 def _cmd_clean(args):
-    cfg = _config(args, "prices", "k").validate()
+    cfg = _config(args)
     panel = preprocess(load_prices(cfg.prices), cfg.k)
     panel.write(args.out, args.mask_out)
 
@@ -134,45 +131,39 @@ def _cmd_returns(args):
 
 
 def _cmd_scaling(args):
-    # not validate(): a grid the estimator rejects is an estimation error
-    cfg = _config(args, "q_min", "q_max", "q_step", "tau_min", "tau_max")
-    q_grid, tau_range = cfg.q_grid(), cfg.tau_range()
-    panel = ReturnPanel.read(args.returns)
-    result = estimate_scaling_panel(panel.returns, q_grid, tau_range,
-                                    tickers=panel.tickers)
+    cfg = _config(args)
+    panel = ReturnPanel.read(cfg.returns)
+    result = estimate_scaling_panel(panel.returns, cfg.q_grid(),
+                                    cfg.tau_range(), tickers=panel.tickers)
     write_proxies_table(args.out, panel.tickers, result)
 
 
 def _cmd_xcorr(args):
-    cfg = _config(args, "returns", "alpha", "significance_mode").validate()
+    cfg = _config(args)
     panel = ReturnPanel.read(cfg.returns)
     corr = correlation_matrix(panel, cfg.alpha, cfg.significance_mode)
     corr.write(args.rho_out, args.pvalue_out, args.rho_bar_out)
 
 
 def _cmd_associate(args):
+    cfg = _config(args)
     # the stocks are the rho_bar file's tickers, in order, that have proxies
-    proxies = read_proxies_table(args.proxies)
-    rows, _, values = textio.read_matrix(args.rho_bar)
-    common = [i for i, t in enumerate(rows) if t in proxies]
-    if not common:
+    proxies = read_columns(args.proxies, "A_hat", "B_hat")
+    rho_bar = read_columns(args.rho_bar, "rho_bar")
+    tickers = [t for t in rho_bar if t in proxies]
+    if not tickers:
         raise ConfigError(f"no common tickers between {args.proxies} and "
                           f"{args.rho_bar}")
-    tickers = [rows[i] for i in common]
-    A, B = np.array([proxies[t] for t in tickers]).T
+    A, B, rho = np.array([proxies[t] + rho_bar[t] for t in tickers]).T
     ln_cap = None
-    if args.capitalization:
+    if cfg.capitalization:
         ln_cap = median_capitalization(load_capitalizations(
-            args.capitalization)).log_values(tickers)
-    report = build_report(A, B, values[common, 0], ln_cap)
-    textio.write_keyvalues(args.out, report.to_pairs())
-    if args.text_out:
-        with open(args.text_out, "w", newline="\n") as fh:
-            fh.write(report.to_text())
+            cfg.capitalization)).log_values(tickers)
+    build_report(A, B, rho, ln_cap).write(args.out, args.text_out)
 
 
 def _cmd_surrogate(args):
-    cfg = _config(args, "returns", "seed").validate()
+    cfg = _config(args)
     panel = ReturnPanel.read(cfg.returns)
     surrogate = (synchronous_shuffle if args.kind == "synchronous_shuffle"
                  else marginal_gaussianize)
@@ -198,13 +189,11 @@ def _cmd_synth(args):
 
 
 def _cmd_run(args):
-    file_values = parse_config_file(args.config) if args.config else {}
-    overrides = {name: getattr(args, name) for name in FIELD_TYPES}
-    run(build_config(file_values, overrides), mode=args.mode)
+    run(_config(args), mode=args.mode)
 
 
 def _cmd_compare(args):
-    alpha = _config(args, "alpha").validate().alpha
+    alpha = _config(args).alpha
     a = textio.read_keyvalues(args.report_a)
     b = textio.read_keyvalues(args.report_b)
     rows = compare_reports(a, b, alpha=alpha)

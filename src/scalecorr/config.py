@@ -47,6 +47,8 @@ class PipelineConfig:
             raise ConfigError(f"alpha={self.alpha} outside (0, 1)")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} is negative")
+        if not self.output_dir:
+            raise ConfigError("output_dir is empty")
         return self
 
     def tau_range(self):
@@ -79,25 +81,27 @@ class PipelineConfig:
         return [(name, str(v)) for name, v in pairs if v is not None]
 
 
-FIELD_TYPES = {
-    f.name: (f.type if isinstance(f.type, type) else
-             {"float": float, "int": int, "str": str}.get(str(f.type), str))
-    for f in dataclasses.fields(PipelineConfig)
-}
+FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
 
 def parse_config_file(path):
-    """Read key=value lines (``#`` comments allowed) into a dict."""
-    values = {}
-    lines = textio.read_text(path, ConfigError).split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    """Read key=value lines (``#`` comments allowed) into a dict; a line
+    without ``=`` or a repeated key is a ConfigError naming the file and
+    the line."""
+    values, lines = {}, {}
+    for i, line in enumerate(textio.read_text(path, ConfigError).split("\n"),
+                             start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+            raise ConfigError(f"{path}: line {i}: expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if lines.setdefault(key, i) != i:
+            raise ConfigError(f"{path}: lines {lines[key]} and {i}: "
+                              f"repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 

@@ -80,15 +80,10 @@ class PricePanel:
                                 self.fill_mask, spec="%d")
 
     @classmethod
-    def read(cls, prices_path, mask_path=None):
-        dates, tickers, prices = _read_dated(prices_path)
-        if mask_path is not None:
-            _, _, mask = textio.read_matrix(mask_path)
-            mask = mask.astype(bool)
-        else:
-            mask = np.zeros(prices.shape, dtype=bool)
+    def read(cls, path):
+        dates, tickers, prices = _read_dated(path)
         return cls(dates=dates, tickers=list(tickers), prices=prices,
-                   fill_mask=mask)
+                   fill_mask=np.zeros(prices.shape, dtype=bool))
 
 
 @dataclass

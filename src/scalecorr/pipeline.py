@@ -91,15 +91,15 @@ def write_proxies_table(path, tickers, result):
                         values, corner="ticker")
 
 
-def read_proxies_table(path):
-    """Read the proxy table back as {ticker: (A_hat, B_hat)}; a table
-    without an ``A_hat`` or ``B_hat`` column is a DataError."""
-    tickers, columns, values = textio.read_matrix(path)
-    for column in ("A_hat", "B_hat"):
-        if column not in columns:
+def read_columns(path, *columns):
+    """Read the named columns of a labelled matrix as {row label: (value of
+    each column)}, in file order; a missing column is a DataError."""
+    labels, header, values = textio.read_matrix(path)
+    for column in columns:
+        if column not in header:
             raise DataError(f"{path}: line 1: no {column} column")
-    A, B = values[:, [columns.index("A_hat"), columns.index("B_hat")]].T
-    return dict(zip(tickers, zip(A.tolist(), B.tolist())))
+    picked = values[:, [header.index(column) for column in columns]]
+    return dict(zip(labels, map(tuple, picked.tolist())))
 
 
 def _previous_outputs(outdir):
@@ -176,9 +176,7 @@ def _write_bundle(config, mode, out):
 
     A, B = scaling.A_hat, scaling.B_hat
     report = _stage("associate", build_report, A, B, corr.rho_bar, ln_cap)
-    with open(out("association.txt"), "w", newline="\n") as fh:
-        fh.write(report.to_text())
-    textio.write_keyvalues(out("association.tsv"), report.to_pairs())
+    report.write(out("association.tsv"), out("association.txt"))
 
     # scatter data behind the rho_bar vs proxy plots; NA: no capitalization
     rows = [[t, *map(textio.fmt, (r, a, b)),

@@ -3,6 +3,8 @@ import errno
 import filecmp
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,12 +15,12 @@ import pytest
 
 from scalecorr import pipeline, textio
 from scalecorr.association import build_report
-from scalecorr.cli import main
+from scalecorr.cli import main, make_parser
 from scalecorr.config import PipelineConfig
 from scalecorr.errors import ConfigError
 from scalecorr.scaling import DEFAULT_Q_GRID
 from scalecorr.panel import ReturnPanel
-from scalecorr.pipeline import STAGING_DIR, read_proxies_table
+from scalecorr.pipeline import STAGING_DIR, read_columns
 
 
 def _assert_same_files(a, b):
@@ -133,7 +135,7 @@ class TestStageCommands:
         report = tmp_path / "report.tsv"
         assert main(["associate", "--proxies", proxies, "--rho-bar",
                      str(joined), "--out", str(report)]) == 0
-        table = read_proxies_table(proxies)
+        table = read_columns(proxies, "A_hat", "B_hat")
         expected = build_report([table[rows[i]][0] for i in keep],
                                 [table[rows[i]][1] for i in keep],
                                 values[keep, 0])
@@ -157,6 +159,23 @@ class TestStageCommands:
         assert err.count("\n") == 1
         assert (f"{rho_bar}: lines 2 and {len(rows) + 2}: repeated row label "
                 f"'S0000'") in err
+
+    @pytest.mark.parametrize("table", ["rho.tsv", "proxies.tsv"])
+    def test_associate_needs_a_rho_bar_column(self, returns_file, tmp_path,
+                                              capsys, table):
+        """The N x N matrix of ``xcorr --rho-out`` or a proxy table given as
+        ``--rho-bar`` is a data error, not a column read by position."""
+        proxies = str(tmp_path / "proxies.tsv")
+        assert main(["scaling", "--returns", returns_file,
+                     "--out", proxies]) == 0
+        assert main(["xcorr", "--returns", returns_file, "--rho-out",
+                     str(tmp_path / "rho.tsv")]) == 0
+        report = tmp_path / "r.tsv"
+        assert main(["associate", "--proxies", proxies, "--rho-bar",
+                     str(tmp_path / table), "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / table}: line 1: no rho_bar column\n")
+        assert not report.exists()
 
     def test_surrogate_command(self, returns_file, tmp_path):
         out = str(tmp_path / "shuf.tsv")
@@ -366,12 +385,6 @@ class TestGridValidation:
         assert "q_min=1e-13 rounds to 0" in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_scaling_command_single_q_is_estimation_error(self, returns_file,
-                                                          tmp_path):
-        assert main(["scaling", "--returns", returns_file, "--q-min", "0.5",
-                     "--q-max", "0.5",
-                     "--out", str(tmp_path / "p.tsv")]) == 3
-
     @pytest.mark.parametrize("argv", [
         ["xcorr", "--returns", "{returns}", "--alpha", "7",
          "--rho-out", "{out}"],
@@ -380,10 +393,17 @@ class TestGridValidation:
         ["scaling", "--returns", "{returns}", "--q-min", "-1",
          "--out", "{out}"],
         ["clean", "--prices", "{prices}", "--k", "1.5", "--out", "{out}"],
+        ["scaling", "--returns", "{returns}", "--tau-min", "0",
+         "--out", "{out}"],
+        ["scaling", "--returns", "{returns}", "--tau-min", "3",
+         "--tau-max", "4", "--out", "{out}"],
+        ["scaling", "--returns", "{returns}", "--q-min", "0.5",
+         "--q-max", "0.5", "--out", "{out}"],
     ])
     def test_subcommands_check_ranges_like_run(self, returns_file,
                                                prices_file, tmp_path, capsys,
                                                argv):
+        """Exit 2 with the message of ``run`` given the same settings."""
         out = tmp_path / "out.tsv"
         argv = [a.format(returns=returns_file, prices=prices_file, out=out)
                 for a in argv]
@@ -391,6 +411,11 @@ class TestGridValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+        settings = argv[1:argv.index("--out" if "--out" in argv
+                                     else "--rho-out")]
+        assert main(["run", *settings, "--output-dir",
+                     str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("argv", [
@@ -819,6 +844,27 @@ class TestStagedRun:
         assert victim.read_text() == "keep me"
         _assert_same_files(before, out)
 
+    def test_empty_output_dir_is_config_error(self, returns_file, tmp_path,
+                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", ""]) == 2
+        assert capsys.readouterr().err == "error: output_dir is empty\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_repeated_config_key_is_config_error(self, returns_file,
+                                                 tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"returns={returns_file}\nalpha=0.05\n# twice\n"
+                       "alpha = 0.5\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: lines 2 and 4: repeated key 'alpha'\n")
+        assert not out.exists()
+
 
 class TestCompare:
     def test_self_comparison_all_zero(self, returns_file, tmp_path):
@@ -868,3 +914,21 @@ def test_cli_import_leaves_out_scipy_stats_and_linalg():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "['scipy.special']\n"
+
+
+def test_readme_cli_examples_parse():
+    """Every ``scalecorr`` line of the README's CLI block and every inline
+    `scalecorr ...` example parses, so a renamed or dropped flag fails."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    examples = [ln for ln in block.splitlines() if ln.startswith("scalecorr ")]
+    assert len(examples) == 9
+    examples += re.findall(r"`(scalecorr [^`]+)`", text)
+    parser = make_parser()
+    for example in examples:
+        try:
+            parser.parse_args(shlex.split(example)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {example}")

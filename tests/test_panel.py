@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalecorr.panel as panel_module
+from scalecorr import textio
 from scalecorr.errors import DataError, EstimationError
 from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
                              load_capitalizations, load_prices,
@@ -430,11 +431,13 @@ class TestPreprocess:
         panel = preprocess([a, b], k=0.5)
         p, m = tmp_path / "p.tsv", tmp_path / "m.tsv"
         panel.write(p, m)
-        back = PricePanel.read(p, m)
+        back = PricePanel.read(p)
         assert back.dates == panel.dates
         assert back.tickers == panel.tickers
         assert np.array_equal(back.prices, panel.prices)
-        assert np.array_equal(back.fill_mask, panel.fill_mask)
+        assert not back.fill_mask.any()
+        _, _, mask = textio.read_matrix(m)
+        assert np.array_equal(mask.astype(bool), panel.fill_mask)
 
 
 class TestComputeReturns:
