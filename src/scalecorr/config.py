@@ -8,8 +8,8 @@ import numpy as np
 from . import textio
 from .errors import ConfigError
 
-# upper bound on the q grid's size; the paper's grid has 10 values
-MAX_Q_VALUES = 10_000
+# upper bound on the q grid's and the tau range's sizes (the paper's: 10, 19)
+MAX_GRID_SIZE = 10_000
 SIGNIFICANCE_MODES = ("all", "filtered")
 
 
@@ -32,9 +32,11 @@ class PipelineConfig:
     def validate(self):
         if not (0 < self.k <= 1):
             raise ConfigError(f"k={self.k} outside (0, 1]")
-        if self.tau_min < 1 or self.tau_max - self.tau_min < 2:
-            raise ConfigError("tau range must satisfy 1 <= tau_min and "
-                              "tau_max >= tau_min + 2 (at least 3 horizons)")
+        if not (self.tau_min >= 1
+                and 2 <= self.tau_max - self.tau_min < MAX_GRID_SIZE):
+            raise ConfigError(
+                f"tau range {self.tau_min}..{self.tau_max} must start at 1 or "
+                f"later and hold 3 to {MAX_GRID_SIZE} horizons")
         if len(self.q_grid()) < 2:
             raise ConfigError(
                 f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
@@ -58,7 +60,7 @@ class PipelineConfig:
         """q_min, q_min + q_step, ... up to q_max, never past it.
 
         Raises ConfigError for a bound or step that is not positive and
-        finite, q_min > q_max, > MAX_Q_VALUES values (before allocating) or
+        finite, q_min > q_max, > MAX_GRID_SIZE values (before allocating) or
         a q_min that rounds to 0 at the grid's 12 decimals."""
         if not (0 < self.q_min <= self.q_max < np.inf
                 and 0 < self.q_step < np.inf):
@@ -66,10 +68,10 @@ class PipelineConfig:
         # the 1e-9 keeps q_max when the span is an exact multiple of the
         # step but the division rounds below it (0.9 / 0.1 = 8.999...)
         n = np.floor((self.q_max - self.q_min) / self.q_step + 1e-9) + 1
-        if n > MAX_Q_VALUES:
+        if n > MAX_GRID_SIZE:
             raise ConfigError(
                 f"q grid {self.q_min}..{self.q_max} step {self.q_step} has "
-                f"more than {MAX_Q_VALUES} values")
+                f"more than {MAX_GRID_SIZE} values")
         grid = np.round(self.q_min + self.q_step * np.arange(int(n)), 12)
         if grid[0] <= 0:
             raise ConfigError(f"q_min={self.q_min} rounds to 0 in the q grid")

@@ -98,9 +98,11 @@ def pearson_pvalue(rho, n):
 def critical_r(alpha, dof):
     """The coefficient |r| whose two-sided :func:`t_pvalue` with ``dof``
     degrees of freedom is ``alpha``: t_c / sqrt(dof + t_c^2) with
-    t_c = -stdtrit(dof, alpha/2), the t quantile of the test."""
+    t_c = -stdtrit(dof, alpha/2), the t quantile of the test, and 1 where
+    an alpha too small for a float quantile makes t_c infinite."""
     t_c = -special.stdtrit(dof, alpha / 2.0)
-    return t_c / math.hypot(t_c, math.sqrt(dof))  # no overflow in t_c^2
+    return (1.0 if math.isinf(t_c)
+            else t_c / math.hypot(t_c, math.sqrt(dof)))  # no overflow in t_c^2
 
 
 def insignificant(r, alpha, dof):

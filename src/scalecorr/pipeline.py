@@ -3,16 +3,16 @@
 A run reads price (or return) data, optionally replaces the panel by one of
 the two surrogates, estimates per-stock scaling proxies and the
 significance-filtered average cross-correlations, and writes the output
-bundle: the per-stock results, the returns they come from unless those are
-the input, and a manifest that pins config, seed, and input digests, from
-which ``xcorr`` and ``clean`` rebuild the correlation matrix, the panel and
-its fill mask. Outputs are byte-identical across re-runs with the same inputs.
+bundle: the per-stock results, the surrogate returns of the surrogate modes
+and a manifest that pins config, seed, and input digests. From the pinned
+inputs, the chain ``clean`` -> ``returns`` -> ``scaling``/``xcorr`` ->
+``associate`` rebuilds the panel, its returns, the correlation matrix and
+the results. Re-runs with the same inputs are byte-identical.
 """
 
 import ctypes
 import hashlib
 import json
-import math
 import os
 import shutil
 
@@ -93,11 +93,14 @@ def write_proxies_table(path, tickers, result):
 
 def read_columns(path, *columns):
     """Read the named columns of a labelled matrix as {row label: (value of
-    each column)}, in file order; a missing column is a DataError."""
+    each column)}, in file order; a missing column is a DataError naming
+    the header's line."""
+    with open(path, "rb") as fh:
+        line = textio.read_header(fh, path)[0]
     labels, header, values = textio.read_matrix(path)
     for column in columns:
         if column not in header:
-            raise DataError(f"{path}: line 1: no {column} column")
+            raise DataError(f"{path}: line {line}: no {column} column")
     picked = values[:, [header.index(column) for column in columns]]
     return dict(zip(labels, map(tuple, picked.tolist())))
 
@@ -148,8 +151,6 @@ def _write_bundle(config, mode, out):
         returns, spec = _stage("surrogate", surrogate, returns, config.seed)
         textio.write_keyvalues(out("surrogate_spec.tsv"), spec.to_pairs())
         returns.write(out("surrogate_returns.tsv"))
-    elif config.returns is None:  # an input --returns is pinned, not copied
-        returns.write(out("returns.tsv"))
 
     scaling = _stage("scaling", estimate_scaling_panel, returns.returns,
                      config.q_grid(), config.tau_range(),
@@ -162,7 +163,7 @@ def _write_bundle(config, mode, out):
     _stage("xcorr", _varying_rho_bar, corr)
     corr.write(rho_bar_path=out("rho_bar.tsv"))
 
-    ln_cap = np.full(len(returns.tickers), np.nan)
+    ln_cap = None
     if config.capitalization is not None:
         digests["capitalization"] = _sha256(config.capitalization)
         records = _stage("capitalization", load_capitalizations,
@@ -174,16 +175,9 @@ def _write_bundle(config, mode, out):
                             medians[:, None], corner="ticker")
         ln_cap = caps.log_values(returns.tickers)
 
-    A, B = scaling.A_hat, scaling.B_hat
-    report = _stage("associate", build_report, A, B, corr.rho_bar, ln_cap)
+    report = _stage("associate", build_report, scaling.A_hat, scaling.B_hat,
+                    corr.rho_bar, ln_cap)
     report.write(out("association.tsv"), out("association.txt"))
-
-    # scatter data behind the rho_bar vs proxy plots; NA: no capitalization
-    rows = [[t, *map(textio.fmt, (r, a, b)),
-             "NA" if math.isnan(c) else textio.fmt(c)] for t, r, a, b, c in
-            zip(returns.tickers, corr.rho_bar, A, B, ln_cap)]
-    textio.write_table(out("scatter.tsv"),
-                       ["ticker", "rho_bar", "A_hat", "B_hat", "ln_cap"], rows)
     return digests
 
 

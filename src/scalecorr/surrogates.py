@@ -51,7 +51,7 @@ def synchronous_shuffle(panel, seed, permutation=None):
         if sorted(permutation) != list(range(T)):
             raise EstimationError("permutation is not a bijection on 0..T-1")
     out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
-                      returns=X[permutation].copy())
+                      returns=X[permutation])
     return out, SurrogateSpec(kind="synchronous_shuffle", seed=seed,
                               permutation=permutation)
 
@@ -61,9 +61,9 @@ def mid_rank_levels(X):
     ties broken by time index (stable sort)."""
     T, N = X.shape
     order = np.argsort(X, axis=0, kind="stable")
-    ranks = np.empty(X.shape)
-    ranks[order, np.arange(N)[None, :]] = np.arange(T, dtype=float)[:, None]
-    return (ranks + 0.5) / T
+    levels = np.empty(X.shape)
+    levels[order, np.arange(N)[None, :]] = ((np.arange(T) + 0.5) / T)[:, None]
+    return levels
 
 
 def marginal_gaussianize(panel, seed=0):
@@ -80,6 +80,7 @@ def marginal_gaussianize(panel, seed=0):
     if const.size:
         raise EstimationError(
             f"ranks undefined for constant column {panel.tickers[const[0]]}")
+    levels = mid_rank_levels(X)
     out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
-                      returns=special.ndtri(mid_rank_levels(X)))
+                      returns=special.ndtri(levels, out=levels))
     return out, SurrogateSpec(kind="marginal_gaussianize", seed=seed)

@@ -227,6 +227,28 @@ def _split_point(fh, start):
     return split if split < size else None
 
 
+def read_header(fh, path):
+    """(line number, fields, end offset) of the header of the labelled
+    matrix in binary ``fh``, its first non-blank line. DataError for a file
+    without a header or value columns, or with a repeated column label."""
+    h, header, pos = 0, "", 0
+    for i, raw in enumerate(iter(fh.readline, b""), start=1):
+        pos += len(raw)
+        ln = _decode(raw, path, pos)
+        if ln.strip():
+            h, header = i, ln
+            break
+    header = header.rstrip("\r\n").split(DELIM)
+    if len(header) < 2:
+        raise DataError(f"{path}: empty file or no value columns")
+    fields = {}  # column label -> its field, 1-based
+    for j, label in enumerate(header[1:], start=2):
+        if fields.setdefault(label, j) != j:
+            raise DataError(f"{path}: line {h} fields {fields[label]} and "
+                            f"{j}: repeated column label {label!r}")
+    return h, header, pos
+
+
 def read_matrix(path, parse_label=None):
     """Read a labelled matrix written by :func:`write_matrix`.
 
@@ -240,22 +262,7 @@ def read_matrix(path, parse_label=None):
     naming the file and the label's line.
     """
     with open(path, "rb") as fh:
-        h, header, pos = 0, "", 0
-        for i, raw in enumerate(iter(fh.readline, b""), start=1):
-            pos += len(raw)
-            ln = _decode(raw, path, pos)
-            if ln.strip():
-                h, header = i, ln
-                break
-        header = header.rstrip("\r\n").split(DELIM)
-        if len(header) < 2:
-            raise DataError(f"{path}: empty file or no value columns")
-        col_labels = header[1:]
-        fields = {}  # column label -> its field, 1-based
-        for j, label in enumerate(col_labels, start=2):
-            if fields.setdefault(label, j) != j:
-                raise DataError(f"{path}: line {h} fields {fields[label]} and "
-                                f"{j}: repeated column label {label!r}")
+        h, header, pos = read_header(fh, path)
         lines = {}  # row label -> its line, in file order
         split = _split_point(fh, pos)
         if split is None:
@@ -271,7 +278,7 @@ def read_matrix(path, parse_label=None):
         row, col = bad[0]
         raise DataError(f"{path}: line {list(lines.values())[row]}: "
                         f"non-finite value {float(values[row, col])} in "
-                        f"column {col_labels[col]!r}")
+                        f"column {header[col + 1]!r}")
     labels = list(lines)
     if parse_label is not None:
         for row, label in enumerate(labels):
@@ -280,7 +287,7 @@ def read_matrix(path, parse_label=None):
             except DataError as exc:
                 raise DataError(f"{path}: line {lines[label]}: "
                                 f"{exc}") from None
-    return labels, col_labels, values
+    return labels, header[1:], values
 
 
 def _write_rows(path, text, row_fmt, labels, matrix):

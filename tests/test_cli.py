@@ -177,6 +177,22 @@ class TestStageCommands:
             f"error: {tmp_path / table}: line 1: no rho_bar column\n")
         assert not report.exists()
 
+    def test_missing_column_names_the_header_line(self, returns_file,
+                                                  tmp_path, capsys):
+        """The header of a file that starts with blank lines is on a later
+        line, and the missing-column error names that line."""
+        proxies = tmp_path / "proxies.tsv"
+        assert main(["scaling", "--returns", returns_file,
+                     "--out", str(proxies)]) == 0
+        blank = tmp_path / "blank.tsv"
+        blank.write_text("\n" + proxies.read_text())
+        report = tmp_path / "r.tsv"
+        assert main(["associate", "--proxies", str(proxies), "--rho-bar",
+                     str(blank), "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {blank}: line 2: no rho_bar column\n")
+        assert not report.exists()
+
     def test_surrogate_command(self, returns_file, tmp_path):
         out = str(tmp_path / "shuf.tsv")
         spec = str(tmp_path / "spec.tsv")
@@ -399,6 +415,9 @@ class TestGridValidation:
          "--tau-max", "4", "--out", "{out}"],
         ["scaling", "--returns", "{returns}", "--q-min", "0.5",
          "--q-max", "0.5", "--out", "{out}"],
+        # more horizons than any panel could hold: no allocation is tried
+        ["scaling", "--returns", "{returns}", "--tau-max", "100000000000",
+         "--out", "{out}"],
     ])
     def test_subcommands_check_ranges_like_run(self, returns_file,
                                                prices_file, tmp_path, capsys,
@@ -576,11 +595,9 @@ class TestRun:
         assert kv["cap_block_available"] == "1"
         assert kv["n_used"] == "8"
         assert "partial_corr.rho" in kv
-        assert os.path.exists(os.path.join(out, "median_cap.tsv"))
-        # scatter carries ln cap as its fifth field
-        with open(os.path.join(out, "scatter.tsv")) as fh:
-            rows = [ln.split("\t") for ln in fh.read().splitlines()[1:]]
-        assert all(r[4] != "NA" for r in rows)
+        # every stock of the run has a median capitalization
+        tickers, _, _ = textio.read_matrix(os.path.join(out, "median_cap.tsv"))
+        assert tickers == [f"S{i:04d}" for i in range(8)]
 
     def test_rerun_leaves_only_the_new_bundle(self, returns_file, tmp_path):
         caps = tmp_path / "caps.csv"
@@ -597,21 +614,25 @@ class TestRun:
                                                  + ["manifest.json"])
         assert "returns.tsv" not in manifest["outputs"]
 
-    def test_rerun_keeps_its_input(self, long_prices_file, tmp_path):
-        # a raw --prices run writes and lists the returns it derives
+    def test_rerun_keeps_its_input(self, returns_file, tmp_path):
+        # a shuffled run writes and lists the surrogate returns; a raw run
+        # on them writes none but keeps its input
         out = tmp_path / "o"
-        assert main(["run", "--prices", long_prices_file,
+        given = out / "surrogate_returns.tsv"
+        assert main(["run", "--mode", "shuffled", "--returns", returns_file,
                      "--output-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "returns.tsv" in manifest["outputs"]
-        before = (out / "returns.tsv").read_bytes()
-        assert main(["run", "--mode", "shuffled", "--returns",
-                     str(out / "returns.tsv"), "--output-dir", str(out)]) == 0
-        assert (out / "returns.tsv").read_bytes() == before
+        assert given.name in manifest["outputs"]
+        before = given.read_bytes()
+        assert main(["run", "--returns", str(given),
+                     "--output-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert given.name not in manifest["outputs"]
+        assert given.read_bytes() == before
 
     @pytest.mark.parametrize("mode, source, caps, extra", [
         ("raw", "returns", False, []),
-        ("raw", "prices", True, ["median_cap.tsv", "returns.tsv"]),
+        ("raw", "prices", True, ["median_cap.tsv"]),
         ("shuffled", "prices", False, ["surrogate_returns.tsv",
                                        "surrogate_spec.tsv"]),
         ("gaussianized", "returns", False, ["surrogate_returns.tsv",
@@ -620,10 +641,10 @@ class TestRun:
             "gaussianized-returns"])
     def test_bundle_file_list(self, returns_file, long_prices_file, tmp_path,
                               mode, source, caps, extra):
-        """The bundle holds the results and the returns they come from,
-        each once: a returns input is not copied, there is one scatter
-        table, and no matrix that a subcommand rebuilds from the pinned
-        inputs (correlations, p-values, the cleaned panel, its fill
+        """The bundle holds the results, each once, and the returns they
+        come from only in the surrogate modes: no join of its own tables
+        and no matrix that a subcommand rebuilds from the pinned inputs
+        (the returns, correlations, p-values, the cleaned panel, its fill
         mask)."""
         out = tmp_path / "o"
         argv = ["run", "--mode", mode, "--output-dir", str(out), "--" + source,
@@ -637,7 +658,7 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == sorted(
             ["association.tsv", "association.txt", "proxies.tsv",
-             "rho_bar.tsv", "scatter.tsv"] + extra)
+             "rho_bar.tsv"] + extra)
         assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
                                                  + ["manifest.json"])
 
@@ -656,20 +677,36 @@ class TestRun:
                                                  + ["manifest.json"])
         assert not any((out / name).exists() for name in old)
 
-    def test_prices_run_returns_are_clean_then_returns(self,
-                                                       long_prices_file,
-                                                       tmp_path):
-        """The dropped panel is rebuilt by ``clean``, and ``returns`` on it
-        writes the run's returns.tsv byte for byte."""
-        out = tmp_path / "o"
-        assert main(["run", "--prices", long_prices_file,
-                     "--output-dir", str(out)]) == 0
-        panel, returns = tmp_path / "panel.tsv", tmp_path / "returns.tsv"
+    def test_subcommands_rebuild_a_prices_run(self, long_prices_file,
+                                              tmp_path):
+        """``clean`` then ``returns`` rebuild the returns a raw ``--prices``
+        run analysed, and ``scaling``, ``xcorr`` and ``associate`` on them
+        write its results byte for byte."""
+        caps = tmp_path / "caps.csv"
+        caps.write_text("".join(f"S{i:04d},2020-01-01,{1e9 * (i + 1)}\n"
+                                for i in range(8)))
+        out, new = tmp_path / "o", tmp_path / "new"
+        assert main(["run", "--prices", long_prices_file, "--capitalization",
+                     str(caps), "--output-dir", str(out)]) == 0
+        new.mkdir()
+        panel, returns = new / "panel.tsv", new / "returns.tsv"
         assert main(["clean", "--prices", long_prices_file,
                      "--out", str(panel)]) == 0
         assert main(["returns", "--panel", str(panel),
                      "--out", str(returns)]) == 0
-        assert filecmp.cmp(returns, out / "returns.tsv", shallow=False)
+        assert main(["scaling", "--returns", str(returns),
+                     "--out", str(new / "proxies.tsv")]) == 0
+        assert main(["xcorr", "--returns", str(returns), "--rho-out",
+                     str(new / "rho.tsv"), "--rho-bar-out",
+                     str(new / "rho_bar.tsv")]) == 0
+        assert main(["associate", "--proxies", str(new / "proxies.tsv"),
+                     "--rho-bar", str(new / "rho_bar.tsv"),
+                     "--capitalization", str(caps),
+                     "--out", str(new / "association.tsv"),
+                     "--text-out", str(new / "association.txt")]) == 0
+        for name in ["proxies.tsv", "rho_bar.tsv", "association.tsv",
+                     "association.txt"]:
+            assert filecmp.cmp(new / name, out / name, shallow=False), name
 
     @pytest.mark.parametrize("mode, source, analysed", [
         ("raw", "returns", None),
@@ -680,12 +717,19 @@ class TestRun:
     def test_xcorr_on_the_run_returns_gives_its_rho_bar(
             self, returns_file, long_prices_file, tmp_path, mode, source,
             analysed):
-        """``xcorr`` on the returns a run analysed (its input, or the
-        returns file of its bundle) writes the bundle's rho_bar.tsv."""
+        """``xcorr`` on the returns a run analysed (its returns input, the
+        surrogate returns of its bundle, or the returns.tsv that ``clean``
+        then ``returns`` rebuild from its prices input) writes the bundle's
+        rho_bar.tsv."""
         out = tmp_path / "o"
         given = returns_file if source == "returns" else long_prices_file
         assert main(["run", "--mode", mode, "--seed", "5", "--output-dir",
                      str(out), "--" + source, given]) == 0
+        if analysed == "returns.tsv":  # not in the bundle: rebuilt there
+            panel = tmp_path / "panel.tsv"
+            assert main(["clean", "--prices", given, "--out", str(panel)]) == 0
+            assert main(["returns", "--panel", str(panel),
+                         "--out", str(out / analysed)]) == 0
         rho, rho_bar = tmp_path / "rho.tsv", tmp_path / "rho_bar.tsv"
         assert main(["xcorr", "--returns",
                      str(out / analysed) if analysed else given,

@@ -129,7 +129,8 @@ class TestSignificanceFilter:
     """The critical-|r| filter zeroes exactly the coefficients whose
     t_pvalue is >= alpha, deciding most of them without a p-value."""
 
-    ALPHAS = [1e-300, 1e-8, 0.001, 0.01, 0.05, 0.3, 0.9, 1.0 - 1e-12]
+    ALPHAS = [5e-324, 1e-300, 1e-8, 0.001, 0.01, 0.05, 0.3, 0.9,
+              1.0 - 1e-12]
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("T", [3, 4, 4000])
