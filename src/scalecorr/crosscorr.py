@@ -2,7 +2,9 @@
 
 The N x N coefficient matrix is assembled from once-centered, once-normalized
 columns so the whole matrix is two matrix products instead of O(N^2) passes
-over the data. Each stock's average cross-correlation rho_bar_i is the mean
+over the data. :func:`correlation_matrix` centres and normalises the returns
+it is given in place, so the caller's return matrix holds those columns
+afterwards. Each stock's average cross-correlation rho_bar_i is the mean
 of its coefficients with the other N-1 stocks; in "filtered" mode
 coefficients compatible with the uncorrelated null (p >= alpha) are zeroed
 before averaging.
@@ -28,7 +30,7 @@ from . import textio
 
 DEFAULT_ALPHA = PipelineConfig.alpha
 SIGNIFICANCE_BAND = 1e-6  # relative half-width around r_c that gets p-values
-NORM_ROWS = 256           # rows squared at a time for the column norms
+NORM_ROWS = 256           # rows at a time of the column norms and of rho
 
 
 @dataclass
@@ -39,6 +41,7 @@ class CorrelationSummary:
     significance_mode: str
     alpha: float
     n_obs: int
+    zeroed: int  # pairs i < j the filter set to 0 (0 in "all" mode)
 
     @property
     def pvalue(self):
@@ -146,10 +149,15 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
     are computed on access to the result's ``pvalue``).
 
     ``panel`` is a ReturnPanel or any object with .returns and .tickers.
+    The returns are the only N x T buffer: a writeable float64 array is
+    centred and scaled to unit-norm columns in place, so ``panel.returns``
+    holds those columns afterwards (any other array is copied first). Beside
+    rho, the N x N work is done NORM_ROWS rows at a time, with the same bits
+    as whole-matrix temporaries.
     """
     if significance_mode not in MODES:
         raise EstimationError(f"unknown significance mode {significance_mode!r}")
-    X = np.asarray(panel.returns, dtype=float)
+    X = np.require(panel.returns, float, "W")
     tickers = list(panel.tickers)
     T, N = X.shape
     if N < 2:
@@ -157,25 +165,41 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
     if T < 3:
         raise EstimationError("correlation matrix needs at least 3 observations")
 
-    Xc = X - X.mean(axis=0)
-    norms = _column_norms(Xc)
+    X -= X.mean(axis=0)
+    norms = _column_norms(X)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise EstimationError(
             f"correlation undefined for constant column {tickers[zero[0]]}")
-    Xc /= norms  # in place: Xc is this function's copy, X the caller's
-    rho = Xc.T @ Xc
-    del Xc  # free the N x T copy before the N x N filter step
-    rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
+    X /= norms
+    rho = X.T @ X
+    blocks = [(a, min(a + NORM_ROWS, N)) for a in range(0, N, NORM_ROWS)]
+    # rho = clip((rho + rho.T) / 2): block a reads rows and columns a:b from
+    # a on, which no earlier block has written
+    for a, b in blocks:
+        s = rho[a:b, a:] + rho[a:, a:b].T
+        s /= 2.0
+        np.clip(s, -1.0, 1.0, out=s)
+        rho[a:b, a:] = s
+        rho[a:, a:b] = s.T
     np.fill_diagonal(rho, 1.0)
 
-    work = rho.copy()
-    np.fill_diagonal(work, 0.0)
-    if significance_mode == "filtered":
-        # the zero diagonal is in the mask too, which changes nothing
-        work[insignificant(work, alpha, T - 2)] = 0.0
-    rho_bar = work.sum(axis=0) / (N - 1)
+    # rho_bar: the filtered off-diagonal rows summed into buf[0] in row
+    # order, as work.sum(axis=0) does; the zero diagonal is in the mask,
+    # which changes nothing, and only the pairs i < j are counted
+    buf = np.zeros((NORM_ROWS + 1, N))
+    zeroed = 0
+    for a, b in blocks:
+        work = buf[1:b - a + 1]
+        work[...] = rho[a:b]
+        np.fill_diagonal(work[:, a:b], 0.0)
+        if significance_mode == "filtered":
+            mask = insignificant(work, alpha, T - 2)
+            zeroed += int(np.count_nonzero(np.triu(mask, a + 1)))
+            work[mask] = 0.0
+        buf[0] = np.sum(buf[:b - a + 1], axis=0)
+    rho_bar = buf[0] / (N - 1)
 
     return CorrelationSummary(tickers=tickers, rho=rho, rho_bar=rho_bar,
                               significance_mode=significance_mode,
-                              alpha=alpha, n_obs=T)
+                              alpha=alpha, n_obs=T, zeroed=zeroed)

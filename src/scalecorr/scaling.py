@@ -15,10 +15,11 @@ arrays; a single series is the panel ``x[:, None]``. Its kernel
 ``MAX_WORKERS`` threads (numpy ufuncs release the GIL). A block holds its
 series as contiguous rows, one cumulative sum per block, and each moment is
 a row mean (numpy's pairwise summation). The powers |r|^q come from a power
-ladder (:func:`_ladder`): one ``exp`` per anchor q and one per horizon for
-the step, then one product per further q of an evenly spaced grid. Every
-series goes through the same operations in the same order whatever the
-block width or thread count, so the output does not depend on either.
+ladder (:func:`_ladder`): one ``exp`` per horizon for the step and one per
+anchor q other than the step, then one product per further q of an evenly
+spaced grid. Every series goes through the same operations in the same
+order whatever the block width or thread count, so the output does not
+depend on either.
 """
 
 import os
@@ -90,13 +91,15 @@ def panel_moments(X, q_grid, tau_range):
     horizons >= 1 that leave MIN_AGGREGATED_OBS values.
 
     Each block of columns, copied to [width x T] rows, takes one cumulative
-    sum for all horizons. Per horizon it takes ln|r_tau| once and walks the
-    q grid down its :func:`_ladder`: an anchor q is ``exp(q * ln|r_tau|)``,
-    a rung multiplies the previous power by ``exp(h * ln|r_tau|)`` in place,
-    and each power is reduced to its row means. An evenly spaced grid thus
-    costs two ``exp`` passes per horizon instead of one per q; the products
-    differ from a per-q ``exp`` in the last few bits. Blocks run on up to
-    MAX_WORKERS threads and write disjoint slices of the result.
+    sum for all horizons. Per horizon it takes ln|r_tau| once and, if the
+    grid has rungs, the step ``exp(h * ln|r_tau|)`` once, and walks the q
+    grid down its :func:`_ladder`: an anchor q is ``exp(q * ln|r_tau|)`` (a
+    copy of the step where q == h), a rung multiplies the previous power by
+    the step in place, and each power is reduced to its row means. An evenly
+    spaced grid that starts at its step thus costs one ``exp`` pass per
+    horizon instead of one per q; the products differ from a per-q ``exp``
+    in the last few bits. Blocks run on up to MAX_WORKERS threads and write
+    disjoint slices of the result.
     """
     T, N = X.shape
     tau_range = np.asarray(tau_range)
@@ -107,6 +110,7 @@ def panel_moments(X, q_grid, tau_range):
             f"series length {T} leaves fewer than {MIN_AGGREGATED_OBS} "
             f"observations at tau={tau_range.max()}")
     h, rung = _ladder(q_grid)
+    ladder = rung.any()
     moments = np.empty((len(q_grid), len(tau_range), N))
 
     # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp or a product
@@ -131,17 +135,17 @@ def panel_moments(X, q_grid, tau_range):
                 np.subtract(csum[:, tau:], csum[:, :-tau], out=ln_abs)
                 np.abs(ln_abs, out=ln_abs)
             np.log(ln_abs, out=ln_abs)
-            have_step = False
+            if ladder:
+                np.multiply(ln_abs, h, out=step)
+                np.exp(step, out=step)
             for i, q in enumerate(q_grid):
-                if not rung[i]:
+                if rung[i]:
+                    power *= step
+                elif ladder and q == h:
+                    np.copyto(power, step)
+                else:
                     np.multiply(ln_abs, q, out=power)
                     np.exp(power, out=power)
-                else:
-                    if not have_step:
-                        np.multiply(ln_abs, h, out=step)
-                        np.exp(step, out=step)
-                        have_step = True
-                    power *= step
                 moments[i, j, cols] = np.mean(power, axis=1)
 
     blocks = _column_blocks(T, N)

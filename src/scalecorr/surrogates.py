@@ -16,6 +16,7 @@ from scipy import special
 
 from .errors import EstimationError
 from .panel import ReturnPanel
+from .scaling import _column_blocks
 
 
 @dataclass
@@ -58,11 +59,15 @@ def synchronous_shuffle(panel, seed, permutation=None):
 
 def mid_rank_levels(X):
     """(rank + 0.5) / T per column of a [T x N] array, ranks 0..T-1 with
-    ties broken by time index (stable sort)."""
+    ties broken by time index (stable sort). The columns are sorted one
+    block of about BLOCK_BYTES at a time, so the sort order is never
+    N x T."""
     T, N = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
     levels = np.empty(X.shape)
-    levels[order, np.arange(N)[None, :]] = ((np.arange(T) + 0.5) / T)[:, None]
+    mid = ((np.arange(T) + 0.5) / T)[:, None]
+    for cols in _column_blocks(T, N):
+        order = np.argsort(X[:, cols], axis=0, kind="stable")
+        np.put_along_axis(levels[:, cols], order, mid, axis=0)
     return levels
 
 

@@ -15,10 +15,11 @@ def rng():
 
 
 def make_return_panel(matrix, tickers=None):
-    """Wrap a [time x stock] matrix as a ReturnPanel with synthetic dates."""
+    """Wrap a copy of a [time x stock] matrix as a ReturnPanel with synthetic
+    dates (correlation_matrix overwrites the panel's returns)."""
     import datetime as dt
 
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.array(matrix, dtype=float)
     T, N = matrix.shape
     tickers = tickers or [f"S{i:04d}" for i in range(N)]
     dates = [dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(T)]

@@ -339,9 +339,13 @@ class TestBlockedKernel:
         monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * self.T * width)
         monkeypatch.setattr(scaling, "MAX_WORKERS", workers)
         X = panel[:, :n]
-        got = panel_moments(X, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
-        want = _unblocked_moments(X, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
-        assert np.array_equal(got, want)
+        # both grids start at their step; THOUSAND_Q also re-anchors at q
+        # other than the step (one horizon keeps its 1000 q quick)
+        for q_grid, taus in ((DEFAULT_Q_GRID, DEFAULT_TAU_RANGE),
+                             (THOUSAND_Q, [2])):
+            got = panel_moments(X, q_grid, taus)
+            want = _unblocked_moments(X, q_grid, taus)
+            assert np.array_equal(got, want)
 
     def test_many_threads_stress(self, panel, monkeypatch):
         # more workers than cores, two-column blocks and a short switch

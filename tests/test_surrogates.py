@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from scalecorr import scaling
 from scalecorr.crosscorr import correlation_matrix
 from scalecorr.errors import EstimationError
 from scalecorr.surrogates import (marginal_gaussianize, mid_rank_levels,
@@ -119,7 +120,9 @@ class TestMarginalGaussianize:
         sums = np.abs(out.returns.sum(axis=0))
         assert np.all(sums <= 1e-9 * out.returns.shape[0])
 
-    def test_equals_scipy_stats_ppf_bit_for_bit(self, rng):
+    def test_equals_scipy_stats_ppf_bit_for_bit(self, rng, monkeypatch):
+        # sorted in column blocks of 3 and 1
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * 1000 * 3)
         X = rng.standard_t(3, (1000, 4))
         X[::7, 2] = 0.25  # ties, broken by time index
         out, _ = marginal_gaussianize(make_return_panel(X))
@@ -130,16 +133,19 @@ class TestMarginalGaussianize:
 
 class TestSurrogateMemory:
     """A surrogate allocates its output and, for the Gaussianization, the
-    sort order: no further N x T copy of the panel is made on the way."""
+    sort order of one column block: no further N x T array is made on the
+    way."""
 
     # measured (bytes per cell): shuffle ~8 with one copy, ~16 with two;
-    # Gaussianization ~17 in place, ~24 with a new array per step
-    BYTES_PER_CELL = {synchronous_shuffle: 12, marginal_gaussianize: 20}
+    # Gaussianization ~10.7 sorting a block at a time, ~16 sorting the whole
+    # panel, ~24 with a new array per step. The panel is some six column
+    # blocks wide, so that one block's sort is a small part of it.
+    BYTES_PER_CELL = {synchronous_shuffle: 12, marginal_gaussianize: 12}
 
     @pytest.mark.parametrize("surrogate", list(BYTES_PER_CELL),
                              ids=lambda f: f.__name__)
     def test_peak_per_cell(self, rng, surrogate):
-        T, N = 2000, 100
+        T, N = 2000, 400
         panel = make_return_panel(rng.standard_normal((T, N)))
         tracemalloc.start()
         try:
