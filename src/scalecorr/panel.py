@@ -139,7 +139,7 @@ def _read_dated(path):
 
 @dataclass
 class _Records:
-    """(ticker, date, value) records read column-wise from one source.
+    """(ticker, date, value) records read column-wise from one file.
 
     Records are in file order; ``line`` holds each one's 1-based line
     number. ``code`` indexes ``tickers`` (sorted names) and ``date_code``
@@ -230,38 +230,23 @@ def _file_windows(fh):
         yield window, text if text.endswith("\n") else text + "\n"
 
 
-def _list_windows(lines):
-    """A list of lines as :func:`_file_windows` gives a file's."""
-    for k in range(0, len(lines), CHUNK_LINES):
-        window = lines[k:k + CHUNK_LINES]
-        text = "\n".join(window) + "\n"
-        if text.count("\n") != len(window):
-            # some line holds a line break of its own: scan a stand-in with
-            # the same numbering; that line is normalised from ``window``
-            text = "\n".join(ln.replace("\n", "\0") for ln in window) + "\n"
-        yield window, text
-
-
-def _read_records(source, what):
-    """Read (ticker, date, value) records from a path or iterable of lines.
+def _read_records(path, what):
+    """Read (ticker, date, value) records from the file at ``path``.
 
     Lines are comma- or whitespace-delimited; blank lines and lines starting
     with ``#`` are skipped. The reader's own faults (field count, value,
     date) are collected, not raised, so that callers can report the first
     faulty line across their own checks too (:meth:`_Records.raise_first`).
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            try:  # counts the lines; a byte that does not decode comes first
-                size = 1 + sum(block.count("\n") for block in
-                               iter(lambda: fh.read(1 << 16), ""))
-            except UnicodeDecodeError:
-                textio.read_text(source)  # raises, naming the file offset
-                raise
-            fh.seek(0)
-            return _read_windows(_file_windows(fh), size, what)
-    lines = list(source)
-    return _read_windows(_list_windows(lines), len(lines), what)
+    with open(path) as fh:
+        try:  # counts the lines; a byte that does not decode comes first
+            size = 1 + sum(block.count("\n") for block in
+                           iter(lambda: fh.read(1 << 16), ""))
+        except UnicodeDecodeError:
+            textio.read_text(path)  # raises, naming the file offset
+            raise
+        fh.seek(0)
+        return _read_windows(_file_windows(fh), size, what)
 
 
 def _read_windows(windows, size, what):
@@ -363,10 +348,10 @@ def _read_windows(windows, size, what):
                     error=None if first is None else (first[0], first[2]))
 
 
-def _sorted_prices(source):
+def _sorted_prices(path):
     """Checked close records: tickers, the day of each date code, closes and
     date codes sorted by ticker and day, and each ticker's block bounds."""
-    rec = _read_records(source, "close")
+    rec = _read_records(path, "close")
     value, line = rec.value, rec.line
     order, repeat, bounds = rec.sort()
     rec.raise_first(
@@ -379,15 +364,16 @@ def _sorted_prices(source):
     return rec.tickers, rec.days, value[order], rec.date_code[order], bounds
 
 
-def load_prices(source):
-    """Parse (ticker, ISO date, close) records into per-ticker series.
+def load_prices(path):
+    """Parse the (ticker, ISO date, close) records of the file at ``path``
+    into per-ticker series.
 
-    Accepts a path or an iterable of lines; comma- or whitespace-delimited,
-    ``#`` comments and blank lines skipped. Raises DataError for the first
-    faulty line in file order: a wrong field count, an unparseable close or
-    date, a non-finite or non-positive close, or a repeated (ticker, date).
+    Lines are comma- or whitespace-delimited, ``#`` comments and blank lines
+    skipped. Raises DataError for the first faulty line in file order: a
+    wrong field count, an unparseable close or date, a non-finite or
+    non-positive close, or a repeated (ticker, date).
     """
-    tickers, days, prices, date_code, bounds = _sorted_prices(source)
+    tickers, days, prices, date_code, bounds = _sorted_prices(path)
     days = days[date_code]  # once the records' columns are freed
     return [RawPriceSeries(ticker=t, dates=days[a:b], prices=prices[a:b])
             for t, a, b in zip(tickers, bounds, bounds[1:])]
@@ -445,14 +431,15 @@ def compute_returns(panel):
                        returns=raw - raw.mean(axis=0))
 
 
-def load_capitalizations(source):
-    """Parse (ticker, ISO date, capitalization) records into per-ticker lists.
+def load_capitalizations(path):
+    """Parse the (ticker, ISO date, capitalization) records of the file at
+    ``path`` into per-ticker lists.
 
     Tickers keep the order of their first record; each list is sorted by
     date. Raises DataError for the first faulty line in file order, as
     :func:`load_prices` does, for a non-finite or negative capitalization.
     """
-    rec = _read_records(source, "capitalization")
+    rec = _read_records(path, "capitalization")
     value, line = rec.value, rec.line
     rec.raise_first(
         (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite "

@@ -1,7 +1,7 @@
 """Pipeline orchestration: full runs and report comparison.
 
-A run reads price (or return) data, optionally replaces the panel by one of
-the two surrogates, estimates per-stock scaling proxies and the
+A run reads either price or return data, never both, optionally replaces
+the panel by one of the two surrogates, estimates per-stock scaling proxies and the
 significance-filtered average cross-correlations, and writes the output
 bundle: the per-stock results, the surrogate returns of the surrogate modes
 and a manifest that pins config, seed, and input digests. From the pinned
@@ -10,7 +10,6 @@ inputs, the chain ``clean`` -> ``returns`` -> ``scaling``/``xcorr`` ->
 the results. Re-runs with the same inputs are byte-identical.
 """
 
-import ctypes
 import hashlib
 import json
 import os
@@ -40,22 +39,6 @@ def _sha256(path):
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _release_free_heap():
-    """Return the C heap's free pages to the OS (glibc's ``malloc_trim``).
-
-    Record ingest works one window of lines at a time, so it leaves little
-    free heap: a trim after it lowers peak RSS by a median 0.14 MB of 141 MB
-    for 500 tickers x 2500 days. The scaling threads allocate in heaps of
-    their own, which keep what they freed; a trim after the scaling stage
-    lowers the peak by ~10 MB of 124 MB at 1202 stocks x 4000 days, where
-    the correlation stage comes next. On the 500 x 2500 price panel, whose
-    peak is set in ingest, it moves the peak by less than 0.2 MB.
-    """
-    libc = ctypes.CDLL(None) if os.name == "posix" else None
-    if hasattr(libc, "malloc_trim"):  # glibc
-        libc.malloc_trim(0)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -135,7 +118,6 @@ def _write_bundle(config, mode, out):
     else:
         digests["prices"] = _sha256(config.prices)
         series = _stage("load", load_prices, config.prices)
-        _release_free_heap()
         panel = _stage("clean", preprocess, series, config.k)
         del series  # neither the series nor the panel outlives its next stage
         returns = _stage("returns", compute_returns, panel)
@@ -152,7 +134,6 @@ def _write_bundle(config, mode, out):
     scaling = _stage("scaling", estimate_scaling_panel, returns.returns,
                      config.q_grid(), config.tau_range(),
                      tickers=returns.tickers)
-    _release_free_heap()
     write_proxies_table(out("proxies.tsv"), returns.tickers, scaling)
 
     # correlation_matrix overwrites returns.returns with its centred,
@@ -193,8 +174,9 @@ def run(config: PipelineConfig, mode="raw"):
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
     config.validate()
-    if config.prices is None and config.returns is None:
-        raise ConfigError("either a prices file or a returns file is required")
+    if (config.prices is None) == (config.returns is None):
+        raise ConfigError("exactly one of a prices file and a returns file "
+                          "is required")
     outdir = config.output_dir
     previous = _previous_outputs(outdir)
     staging = os.path.join(outdir, STAGING_DIR)

@@ -12,13 +12,14 @@ panel at once and returns one :class:`ScalingResult` of [Q, N] and [N]
 arrays; a single series is the panel ``x[:, None]``. Its kernel
 (:func:`panel_moments`) evaluates the moments in blocks of about
 ``BLOCK_BYTES`` per buffer, small enough for a core's L2 cache, spread over
-``MAX_WORKERS`` threads (numpy ufuncs release the GIL). A block holds its
-series as contiguous rows, one cumulative sum per block, and each moment is
-a row mean (numpy's pairwise summation). The powers |r|^q come from a power
-ladder (:func:`_ladder`): one ``exp`` per horizon for the step and one per
-anchor q other than the step, then one product per further q of an evenly
-spaced grid. Every series goes through the same operations in the same
-order whatever the block width or thread count, so the output does not
+``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Each thread works
+in one set of scratch buffers that the calling thread allocates. A block
+holds its series as contiguous rows, one cumulative sum per block, and each
+moment is a row mean (numpy's pairwise summation). The powers |r|^q come
+from a power ladder (:func:`_ladder`): one ``exp`` per horizon for the step
+and one per anchor q other than the step, then one product per further q of
+an evenly spaced grid. Every series goes through the same operations in the
+same order whatever the block width or thread count, so the output does not
 depend on either.
 """
 
@@ -98,8 +99,11 @@ def panel_moments(X, q_grid, tau_range):
     the step in place, and each power is reduced to its row means. An evenly
     spaced grid that starts at its step thus costs one ``exp`` pass per
     horizon instead of one per q; the products differ from a per-q ``exp``
-    in the last few bits. Blocks run on up to MAX_WORKERS threads and write
-    disjoint slices of the result.
+    in the last few bits. Each of up to MAX_WORKERS threads takes every
+    n-th block and works in one scratch set (block copy, cumulative sum,
+    ``ln``, power and step buffers) sized for the widest block, of which a
+    narrower block uses the first rows; the calling thread allocates every
+    set. Blocks write disjoint slices of the result.
     """
     T, N = X.shape
     tau_range = np.asarray(tau_range)
@@ -112,17 +116,26 @@ def panel_moments(X, q_grid, tau_range):
     h, rung = _ladder(q_grid)
     ladder = rung.any()
     moments = np.empty((len(q_grid), len(tau_range), N))
+    blocks = _column_blocks(T, N)
+    n_workers = min(MAX_WORKERS, len(blocks))
+    width = blocks[0].stop  # the widest block
+    # the caller allocates every worker's scratch: memory a worker thread
+    # allocates comes from that thread's own malloc arena, which keeps the
+    # pages once they are freed and so adds them to the peak RSS of the
+    # stages that follow
+    scratch = [(np.empty((width, T)), np.zeros((width, T + 1)),
+                *(np.empty((width, T)) for _ in range(3)))
+               for _ in range(n_workers)]
 
     # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp or a product
     # that overflows gives inf, which _loglog_fit rejects (errstate holds
     # per thread)
     @np.errstate(divide="ignore", over="ignore")
-    def fill(cols):
-        block = np.ascontiguousarray(X[:, cols].T)
-        width = block.shape[0]
-        csum = np.zeros((width, T + 1))
+    def fill(cols, buffers):
+        w = cols.stop - cols.start
+        block, csum, ln_buf, power_buf, step_buf = (buf[:w] for buf in buffers)
+        np.copyto(block, X[:, cols].T)
         np.cumsum(block, axis=1, out=csum[:, 1:])
-        ln_buf, power_buf, step_buf = (np.empty((width, T)) for _ in range(3))
         for j, tau in enumerate(int(t) for t in tau_range):
             m = T - tau + 1
             ln_abs, power, step = (buf[:, :m]
@@ -148,9 +161,12 @@ def panel_moments(X, q_grid, tau_range):
                     np.exp(power, out=power)
                 moments[i, j, cols] = np.mean(power, axis=1)
 
-    blocks = _column_blocks(T, N)
-    with ThreadPoolExecutor(max_workers=min(MAX_WORKERS, len(blocks))) as pool:
-        list(pool.map(fill, blocks))
+    def work(k):
+        for cols in blocks[k::n_workers]:
+            fill(cols, scratch[k])
+
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        list(pool.map(work, range(n_workers)))
     return moments
 
 

@@ -35,22 +35,16 @@ class SurrogateSpec:
         return pairs + [("permutation_digest", self.digest())]
 
 
-def synchronous_shuffle(panel, seed, permutation=None):
+def synchronous_shuffle(panel, seed):
     """Apply one seeded random permutation of the time axis to all columns.
 
-    ``permutation`` overrides the random draw (test hook). Returns the
-    shuffled panel and a spec recording the permutation.
+    Returns the shuffled panel and a spec recording the permutation.
     """
     X = np.asarray(panel.returns)
     T = X.shape[0]
     if T < 2:
         raise EstimationError("shuffle needs at least 2 time points")
-    if permutation is None:
-        permutation = np.random.default_rng(seed).permutation(T)
-    else:
-        permutation = np.asarray(permutation)
-        if sorted(permutation) != list(range(T)):
-            raise EstimationError("permutation is not a bijection on 0..T-1")
+    permutation = np.random.default_rng(seed).permutation(T)
     out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
                       returns=X[permutation])
     return out, SurrogateSpec(kind="synchronous_shuffle", seed=seed,

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ def make_return_panel(matrix, tickers=None):
     tickers = tickers or [f"S{i:04d}" for i in range(N)]
     dates = [dt.date(2000, 1, 3) + dt.timedelta(days=i) for i in range(T)]
     return ReturnPanel(dates=dates, tickers=tickers, returns=matrix)
+
+
+def write_lines(directory, lines, newline="\n"):
+    """Write ``lines`` to ``records.csv`` in ``directory``, each ended by
+    ``newline``, and return its path (the record loaders read a path)."""
+    path = os.path.join(directory, "records.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write(newline.join(lines) + newline)
+    return path
 
 
 def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,

@@ -758,6 +758,31 @@ class TestRun:
             "the run would overwrite it\n")
         _assert_same_files(before, out)
 
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_prices_and_returns_together_is_2(self, returns_file,
+                                              long_prices_file, tmp_path,
+                                              capsys, via):
+        """A run given both inputs would analyse one of them only: a config
+        error that writes nothing, in a fresh or a used output directory."""
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(used)]) == 0
+        before = tmp_path / "before"
+        shutil.copytree(used, before)
+        both = ["--prices", long_prices_file, "--returns", returns_file]
+        if via == "config":
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(f"prices={long_prices_file}\n"
+                           f"returns={returns_file}\n")
+            both = ["--config", str(cfg)]
+        for out in (used, fresh):
+            assert main(["run", *both, "--output-dir", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: exactly one of a prices file and a returns file is "
+                "required\n")
+        _assert_same_files(before, used)
+        assert not fresh.exists()
+
     def test_price_series_are_released_after_cleaning(
             self, long_prices_file, tmp_path, monkeypatch):
         """No price series outlives the clean stage: each is dead by the

@@ -1,6 +1,5 @@
 import datetime as dt
 import math
-import os
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -17,7 +16,7 @@ from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
                              load_capitalizations, load_prices,
                              median_capitalization, preprocess)
 
-from conftest import PRICE_FIXTURE
+from conftest import PRICE_FIXTURE, write_lines
 
 D = dt.date
 
@@ -33,35 +32,39 @@ def series(ticker, day_price_pairs):
 
 
 class TestLoadPrices:
-    def test_sorts_shuffled_dates(self):
-        out = load_prices(PRICE_FIXTURE.splitlines())
+    def test_sorts_shuffled_dates(self, tmp_path):
+        out = load_prices(write_lines(tmp_path, PRICE_FIXTURE.splitlines()))
         aaa = next(s for s in out if s.ticker == "AAA")
         assert list(aaa.dates) == [D(2020, 1, 1), D(2020, 1, 2), D(2020, 1, 3)]
         assert list(aaa.prices) == [100, 101, 102]
 
-    def test_series_dates_are_day_arrays(self):
+    def test_series_dates_are_day_arrays(self, tmp_path):
         # as loaded, and as built from a tuple of dates
-        for s in load_prices(PRICE_FIXTURE.splitlines()) + [
+        path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
+        for s in load_prices(path) + [
                 series("AAA", [(1, 1.0), (3, 2.0)])]:
             assert s.dates.dtype == np.dtype("datetime64[D]")
         assert s.dates.tolist() == [D(2020, 1, 1), D(2020, 1, 3)]
 
-    def test_zero_close_rejected(self):
+    def test_zero_close_rejected(self, tmp_path):
         with pytest.raises(DataError, match="non-positive"):
-            load_prices(["AAA,2020-01-01,0"])
+            load_prices(write_lines(tmp_path, ["AAA,2020-01-01,0"]))
 
-    def test_duplicate_ticker_date_rejected(self):
+    def test_duplicate_ticker_date_rejected(self, tmp_path):
         with pytest.raises(DataError, match="duplicate"):
-            load_prices(["AAA,2020-01-01,1", "AAA,2020-01-01,2"])
+            load_prices(write_lines(
+                tmp_path, ["AAA,2020-01-01,1", "AAA,2020-01-01,2"]))
 
-    def test_malformed_row_names_line(self):
+    def test_malformed_row_names_line(self, tmp_path):
         with pytest.raises(DataError, match="line 2"):
-            load_prices(["AAA,2020-01-01,1", "AAA,2020-01-02"])
+            load_prices(write_lines(
+                tmp_path, ["AAA,2020-01-01,1", "AAA,2020-01-02"]))
 
-    def test_merged_disjoint_files_sum_ticker_counts(self):
+    def test_merged_disjoint_files_sum_ticker_counts(self, tmp_path):
         # fixture hand-count: 2 tickers + 1 ticker = 3 series
         extra = ["CCC,2020-01-01,5", "CCC,2020-01-02,6"]
-        out = load_prices(PRICE_FIXTURE.splitlines() + extra)
+        out = load_prices(write_lines(tmp_path,
+                                      PRICE_FIXTURE.splitlines() + extra))
         assert len(out) == 3
 
 
@@ -218,11 +221,8 @@ class TestColumnarReaderMatchesReference:
         for new, old in ((load_prices, _reference_load_prices),
                          (load_capitalizations,
                           _reference_load_capitalizations)):
-            assert _outcome(new, lines) == _outcome(old, lines)
             with tempfile.TemporaryDirectory() as tmp:
-                path = os.path.join(tmp, "records.csv")
-                with open(path, "w", newline="") as fh:
-                    fh.write(newline.join(lines) + newline)
+                path = write_lines(tmp, lines, newline)
                 assert _outcome(new, path) == _outcome(old, path)
 
     @settings(max_examples=300, deadline=None)
@@ -306,15 +306,17 @@ class TestIngestMemory:
 
 class TestNonFiniteAndZero:
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
-    def test_non_finite_close_rejected(self, token):
+    def test_non_finite_close_rejected(self, tmp_path, token):
         with pytest.raises(DataError, match="line 2: non-finite close"):
-            load_prices(["AAA,2020-01-01,1", f"AAA,2020-01-02,{token}"])
+            load_prices(write_lines(
+                tmp_path, ["AAA,2020-01-01,1", f"AAA,2020-01-02,{token}"]))
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
-    def test_non_finite_cap_rejected(self, token):
+    def test_non_finite_cap_rejected(self, tmp_path, token):
         with pytest.raises(DataError,
                            match="line 1: non-finite capitalization"):
-            load_capitalizations([f"AAA,2020-01-01,{token}"])
+            load_capitalizations(write_lines(
+                tmp_path, [f"AAA,2020-01-01,{token}"]))
 
     def test_non_finite_series_rejected(self):
         with pytest.raises(DataError, match="non-finite price"):

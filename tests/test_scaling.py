@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -361,3 +362,38 @@ class TestBlockedKernel:
             sys.setswitchinterval(interval)
         want = _unblocked_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
         assert all(np.array_equal(g, want) for g in got)
+
+
+class TestKernelScratch:
+    def test_allocated_by_the_calling_thread(self, monkeypatch):
+        # memory a worker thread allocates stays in that thread's malloc
+        # arena once freed, so every array comes from the caller; 23
+        # columns in blocks of 4 leave a last block of 3
+        T = 120
+        panel = np.random.default_rng(7).standard_t(3, size=(T, 23)) * 0.01
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * T * 4)
+        monkeypatch.setattr(scaling, "MAX_WORKERS", 3)
+        want = _unblocked_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        allocators = {"empty", "zeros", "ones", "full", "empty_like",
+                      "zeros_like", "array", "copy", "ascontiguousarray"}
+        calls = []  # (name, thread)
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name not in allocators | {"cumsum"}:
+                    return fn
+
+                def recorded(*args, **kwargs):
+                    calls.append((name, threading.get_ident()))
+                    return fn(*args, **kwargs)
+                return recorded
+
+        monkeypatch.setattr(scaling, "np", RecordingNumpy())
+        got = panel_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        caller = threading.get_ident()
+        allocated = [t for name, t in calls if name in allocators]
+        block_threads = [t for name, t in calls if name == "cumsum"]
+        assert np.array_equal(got, want)
+        assert len(block_threads) == 6 and caller not in block_threads
+        assert len(allocated) >= 5 * 3 and set(allocated) == {caller}
