@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .crosscorr import pearson, pearson_pvalue, t_pvalue
 from .errors import EstimationError
 from . import textio

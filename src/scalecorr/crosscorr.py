@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .config import SIGNIFICANCE_MODES as MODES, PipelineConfig
 from .errors import EstimationError
 from . import textio

@@ -178,6 +178,8 @@ def run(config: PipelineConfig, mode="raw"):
         raise ConfigError("exactly one of a prices file and a returns file "
                           "is required")
     outdir = config.output_dir
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise ConfigError(f"output_dir {outdir} exists and is not a directory")
     previous = _previous_outputs(outdir)
     staging = os.path.join(outdir, STAGING_DIR)
     shutil.rmtree(staging, ignore_errors=True)  # left by a killed run

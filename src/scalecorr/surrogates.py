@@ -12,8 +12,8 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .errors import EstimationError
 from .panel import ReturnPanel
 from .scaling import _column_blocks
@@ -38,31 +38,35 @@ class SurrogateSpec:
 def synchronous_shuffle(panel, seed):
     """Apply one seeded random permutation of the time axis to all columns.
 
-    Returns the shuffled panel and a spec recording the permutation.
+    The rows are permuted in place, one column block at a time, so the
+    panel's returns hold the shuffled values afterwards; returns that are
+    not a writeable float64 array are copied first. Returns the shuffled
+    panel and a spec recording the permutation.
     """
-    X = np.asarray(panel.returns)
-    T = X.shape[0]
+    X = np.require(panel.returns, float, "W")
+    T, N = X.shape
     if T < 2:
         raise EstimationError("shuffle needs at least 2 time points")
     permutation = np.random.default_rng(seed).permutation(T)
+    for cols in _column_blocks(T, N):
+        X[:, cols] = X[permutation, cols]
     out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),
-                      returns=X[permutation])
+                      returns=X)
     return out, SurrogateSpec(kind="synchronous_shuffle", seed=seed,
                               permutation=permutation)
 
 
 def mid_rank_levels(X):
-    """(rank + 0.5) / T per column of a [T x N] array, ranks 0..T-1 with
-    ties broken by time index (stable sort). The columns are sorted one
-    block of about BLOCK_BYTES at a time, so the sort order is never
-    N x T."""
+    """Overwrite a writeable [T x N] float array with (rank + 0.5) / T per
+    column, ranks 0..T-1 with ties broken by time index (stable sort), and
+    return it. The columns are sorted one block of about BLOCK_BYTES at a
+    time, so the sort order is never N x T."""
     T, N = X.shape
-    levels = np.empty(X.shape)
     mid = ((np.arange(T) + 0.5) / T)[:, None]
     for cols in _column_blocks(T, N):
         order = np.argsort(X[:, cols], axis=0, kind="stable")
-        np.put_along_axis(levels[:, cols], order, mid, axis=0)
-    return levels
+        np.put_along_axis(X[:, cols], order, mid, axis=0)
+    return X
 
 
 def marginal_gaussianize(panel, seed=0):
@@ -70,9 +74,11 @@ def marginal_gaussianize(panel, seed=0):
 
     Rank ties are broken deterministically by original time index (stable
     sort), so a fixed input maps to a fixed output regardless of seed.
-    Returns the new panel and a spec recording the seed.
+    The quantiles replace the panel's returns in place; returns that are not
+    a writeable float64 array are copied first. Returns the new panel and a
+    spec recording the seed.
     """
-    X = np.asarray(panel.returns, dtype=float)
+    X = np.require(panel.returns, float, "W")
     if X.shape[0] < 10:
         raise EstimationError("gaussianization needs at least 10 time points")
     const = np.flatnonzero(np.ptp(X, axis=0) == 0.0)

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .errors import ConfigError
 from .panel import ReturnPanel
 from .surrogates import mid_rank_levels

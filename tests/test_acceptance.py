@@ -77,9 +77,9 @@ def test_criterion_3_shuffle_preservation():
     vol = np.exp(0.5 * np.cumsum(g.standard_normal((T, 8)), axis=0) / math.sqrt(T))
     X = vol * g.standard_t(4, (T, 8))
     X -= X.mean(axis=0)
-    panel = make_return_panel(X)
-    shuffled, _ = synchronous_shuffle(panel, seed=99)
-    before = correlation_matrix(panel).rho
+    # the shuffle permutes its panel's returns in place: one copy of X each
+    shuffled, _ = synchronous_shuffle(make_return_panel(X), seed=99)
+    before = correlation_matrix(make_return_panel(X)).rho
     after = correlation_matrix(shuffled).rho
     max_diff = np.abs(before - after).max()
     assert max_diff < 1e-12

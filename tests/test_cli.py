@@ -837,6 +837,16 @@ class TestStagedRun:
         assert "[capitalization]" in capsys.readouterr().err
         _assert_same_files(before, out)
 
+    def test_output_dir_that_is_a_file_is_2(self, returns_file, tmp_path,
+                                            capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(afile)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output_dir {afile} exists and is not a directory\n")
+        assert afile.read_text() == "keep\n"
+
     def test_every_pair_zeroed_stops_at_xcorr(self, returns_file, caps,
                                               tmp_path, capsys):
         # six independent random walks: the filter zeroes all 15 pairs
@@ -972,8 +982,10 @@ class TestCompare:
 
 
 def test_cli_import_leaves_out_scipy_stats_and_linalg():
-    """The package needs only scipy.special; a fresh interpreter shows it,
-    where this test process may have imported scipy.stats itself."""
+    """The package loads only four ufuncs from scipy's special-function
+    extension, not scipy.special, scipy.stats or scipy.linalg; a fresh
+    interpreter shows it, where this test process may have imported
+    scipy.stats itself."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     code = ("import sys, scalecorr.cli; print(sorted(m for m in "
@@ -982,7 +994,7 @@ def test_cli_import_leaves_out_scipy_stats_and_linalg():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['scipy.special']\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_readme_cli_examples_parse():

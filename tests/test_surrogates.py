@@ -25,24 +25,25 @@ class TestSynchronousShuffle:
             order.astype(np.int64).tobytes()).hexdigest()
 
     def test_column_multisets_preserved(self, rng):
-        panel = make_return_panel(rng.standard_normal((200, 4)))
-        out, _ = synchronous_shuffle(panel, seed=9)
+        X = rng.standard_normal((200, 4))
+        out, _ = synchronous_shuffle(make_return_panel(X), seed=9)
         for i in range(4):
             np.testing.assert_array_equal(np.sort(out.returns[:, i]),
-                                          np.sort(panel.returns[:, i]))
+                                          np.sort(X[:, i]))
 
     def test_correlation_matrix_preserved(self, rng):
-        panel = make_return_panel(rng.standard_normal((300, 6)))
-        out, _ = synchronous_shuffle(panel, seed=3)
-        a = correlation_matrix(panel)
+        X = rng.standard_normal((300, 6))
+        out, _ = synchronous_shuffle(make_return_panel(X), seed=3)
+        a = correlation_matrix(make_return_panel(X))
         b = correlation_matrix(out)
         assert np.abs(a.rho - b.rho).max() < 1e-12
 
-    def test_rows_shuffled_synchronously(self, rng):
-        panel = make_return_panel(rng.standard_normal((100, 5)))
-        out, spec = synchronous_shuffle(panel, seed=1)
-        np.testing.assert_array_equal(out.returns,
-                                      panel.returns[spec.permutation])
+    def test_rows_shuffled_synchronously(self, rng, monkeypatch):
+        # permuted in column blocks of 2, 2 and 1
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * 100 * 2)
+        X = rng.standard_normal((100, 5))
+        out, spec = synchronous_shuffle(make_return_panel(X), seed=1)
+        np.testing.assert_array_equal(out.returns, X[spec.permutation])
 
     def test_lag1_autocorrelation_destroyed(self):
         # persistent series; after shuffling acf1 is O(1/sqrt(T))
@@ -59,9 +60,9 @@ class TestSynchronousShuffle:
             assert abs(acf1) < 4 / np.sqrt(T)
 
     def test_fixed_seed_reproducible(self, rng):
-        panel = make_return_panel(rng.standard_normal((64, 2)))
-        a, sa = synchronous_shuffle(panel, seed=77)
-        b, sb = synchronous_shuffle(panel, seed=77)
+        X = rng.standard_normal((64, 2))
+        a, sa = synchronous_shuffle(make_return_panel(X), seed=77)
+        b, sb = synchronous_shuffle(make_return_panel(X), seed=77)
         np.testing.assert_array_equal(a.returns, b.returns)
         assert sa.digest() == sb.digest()
 
@@ -88,16 +89,16 @@ class TestMarginalGaussianize:
             assert abs(col.var() - 1.0) < 0.05
 
     def test_rank_order_preserved(self, rng):
-        panel = make_return_panel(rng.standard_normal((500, 2)))
-        out, _ = marginal_gaussianize(panel)
+        X = rng.standard_normal((500, 2))
+        out, _ = marginal_gaussianize(make_return_panel(X))
         for i in range(2):
             np.testing.assert_array_equal(np.argsort(out.returns[:, i]),
-                                          np.argsort(panel.returns[:, i]))
+                                          np.argsort(X[:, i]))
 
     def test_idempotent_on_unique_ranks(self, rng):
         panel = make_return_panel(rng.standard_normal((256, 3)))
         once, _ = marginal_gaussianize(panel)
-        twice, _ = marginal_gaussianize(once)
+        twice, _ = marginal_gaussianize(make_return_panel(once.returns))
         assert np.abs(twice.returns - once.returns).max() < 1e-12
 
     def test_constant_column_errors(self, rng):
@@ -107,9 +108,9 @@ class TestMarginalGaussianize:
             marginal_gaussianize(make_return_panel(X))
 
     def test_deterministic(self, rng):
-        panel = make_return_panel(rng.standard_normal((128, 2)))
-        a, _ = marginal_gaussianize(panel)
-        b, _ = marginal_gaussianize(panel)
+        X = rng.standard_normal((128, 2))
+        a, _ = marginal_gaussianize(make_return_panel(X))
+        b, _ = marginal_gaussianize(make_return_panel(X))
         np.testing.assert_array_equal(a.returns, b.returns)
 
     def test_column_sums_within_tolerance(self, rng):
@@ -130,15 +131,15 @@ class TestMarginalGaussianize:
 
 
 class TestSurrogateMemory:
-    """A surrogate allocates its output and, for the Gaussianization, the
-    sort order of one column block: no further N x T array is made on the
-    way."""
+    """A surrogate works inside the returns it is given: it allocates one
+    column block at a time (the shuffle's permuted rows, the
+    Gaussianization's sort order), and no N x T array on the way."""
 
-    # measured (bytes per cell): shuffle ~8 with one copy, ~16 with two;
-    # Gaussianization ~10.7 sorting a block at a time, ~16 sorting the whole
-    # panel, ~24 with a new array per step. The panel is some six column
-    # blocks wide, so that one block's sort is a small part of it.
-    BYTES_PER_CELL = {synchronous_shuffle: 12, marginal_gaussianize: 12}
+    # measured (bytes per cell): shuffle ~1.3 in place, ~8 with a new
+    # output; Gaussianization ~2.7 in place, ~10.7 with a new output. The
+    # panel is some six column blocks wide, so that one block is a small
+    # part of it.
+    BYTES_PER_CELL = {synchronous_shuffle: 4, marginal_gaussianize: 4}
 
     @pytest.mark.parametrize("surrogate", list(BYTES_PER_CELL),
                              ids=lambda f: f.__name__)
@@ -155,3 +156,14 @@ class TestSurrogateMemory:
             tracemalloc.stop()
         assert out.returns.shape == (T, N)
         assert peak / (T * N) < self.BYTES_PER_CELL[surrogate]
+
+    @pytest.mark.parametrize("surrogate", list(BYTES_PER_CELL),
+                             ids=lambda f: f.__name__)
+    def test_read_only_input_unchanged(self, rng, surrogate):
+        panel = make_return_panel(rng.standard_normal((50, 3)))
+        panel.returns.flags.writeable = False
+        before = panel.returns.copy()
+        out, _ = surrogate(panel, 3)
+        assert out.returns is not panel.returns
+        np.testing.assert_array_equal(panel.returns, before)
+        assert not np.array_equal(out.returns, before)
