@@ -225,8 +225,8 @@ def main(argv=None):
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:  # a bare MemoryError has no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return ConfigError.exit_code
     return 0
 

@@ -1,13 +1,15 @@
 """Pairwise Pearson correlations, significance, and per-stock averages.
 
-The N x N coefficient matrix is assembled from once-centered, once-normalized
-columns so the whole matrix is two matrix products instead of O(N^2) passes
-over the data. :func:`correlation_matrix` centres and normalises the returns
-it is given in place, so the caller's return matrix holds those columns
-afterwards. Each stock's average cross-correlation rho_bar_i is the mean
-of its coefficients with the other N-1 stocks; in "filtered" mode
-coefficients compatible with the uncorrelated null (p >= alpha) are zeroed
-before averaging.
+The N x N coefficient matrix is one matrix product of once-centred,
+once-normalised columns instead of O(N^2) passes over the data. numpy
+computes a matrix times its own transpose with BLAS ``syrk`` and copies one
+triangle into the other, so rho is exactly symmetric.
+:func:`correlation_matrix` centres and normalises the returns it is given
+in place, so the caller's return matrix holds those columns afterwards, and
+takes the column norms and rho_bar in the blocks of ``_column_blocks``.
+Each stock's average cross-correlation rho_bar_i is the mean of its
+coefficients with the other N-1 stocks; in "filtered" mode coefficients
+compatible with the uncorrelated null (p >= alpha) count as 0.
 
 The two-sided t-test p-value falls as |r| grows, so the filter compares |r|
 with the critical coefficient r_c = t_c / sqrt(dof + t_c^2),
@@ -26,11 +28,11 @@ import numpy as np
 from . import _special as special
 from .config import SIGNIFICANCE_MODES as MODES, PipelineConfig
 from .errors import EstimationError
+from .scaling import _column_blocks
 from . import textio
 
 DEFAULT_ALPHA = PipelineConfig.alpha
 SIGNIFICANCE_BAND = 1e-6  # relative half-width around r_c that gets p-values
-NORM_ROWS = 256           # rows at a time of the column norms and of rho
 
 
 @dataclass
@@ -115,6 +117,7 @@ def insignificant(r, alpha, dof):
     widened the other way is not, and only the |r| in between get
     :func:`t_pvalue`. Both band edges are checked with t_pvalue first; an
     alpha so close to 0 or 1 that r_c misses the band widens it to [0, 1].
+    r is compared with the signed band edges, so no float |r| array is built.
     """
     r = np.asarray(r, dtype=float)
     r_c = critical_r(alpha, dof)
@@ -122,25 +125,19 @@ def insignificant(r, alpha, dof):
     hi = min(r_c * (1.0 + SIGNIFICANCE_BAND), 1.0)
     if not (t_pvalue(lo, dof) >= alpha and t_pvalue(hi, dof) < alpha):
         lo, hi = 0.0, 1.0
-    abs_r = np.abs(r)
-    mask = abs_r < lo
-    near = np.flatnonzero((abs_r >= lo) & (abs_r <= hi))
-    del abs_r
+    mask = (r > -lo) & (r < lo)
+    near = np.flatnonzero(((r >= lo) & (r <= hi)) | ((r >= -hi) & (r <= -lo)))
     mask.flat[near] = t_pvalue(r.flat[near], dof) >= alpha
     return mask
 
 
-def _column_norms(Xc):
-    """The root sum of squares of each column of a [T x N >= 2] array,
-    summed row after row in order exactly as ``np.sum(Xc * Xc, axis=0)``
-    does, but squaring NORM_ROWS rows at a time instead of all N x T."""
-    T, N = Xc.shape
-    buf = np.zeros((NORM_ROWS + 1, N))  # row 0 carries the running sum
-    for a in range(0, T, NORM_ROWS):
-        n = min(NORM_ROWS, T - a)
-        np.multiply(Xc[a:a + n], Xc[a:a + n], out=buf[1:n + 1])
-        buf[0] = np.sum(buf[:n + 1], axis=0)
-    return np.sqrt(buf[0])
+def _sum_rows(block, where=True):
+    """``np.sum(block, axis=0, where=where)`` of a [n x w] block, each column
+    summed row after row from +0.0 as numpy does for w >= 2. numpy would sum
+    a lone column pairwise, so that column is read as both of a [n x 2]
+    view instead."""
+    wide = np.broadcast_to(block, (len(block), max(block.shape[1], 2)))
+    return np.sum(wide, axis=0, where=where)[:block.shape[1]]
 
 
 def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
@@ -152,8 +149,10 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
     The returns are the only N x T buffer: a writeable float64 array is
     centred and scaled to unit-norm columns in place, so ``panel.returns``
     holds those columns afterwards (any other array is copied first). Beside
-    rho, the N x N work is done NORM_ROWS rows at a time, with the same bits
-    as whole-matrix temporaries.
+    rho, the work is done in the column blocks of ``_column_blocks``: the
+    squares of a block of returns for the norms, and a block of rho's
+    columns and its boolean filter mask for rho_bar. Each column sum adds
+    its rows in order, so the bits match whole-matrix sums.
     """
     if significance_mode not in MODES:
         raise EstimationError(f"unknown significance mode {significance_mode!r}")
@@ -166,39 +165,32 @@ def correlation_matrix(panel, alpha=DEFAULT_ALPHA,
         raise EstimationError("correlation matrix needs at least 3 observations")
 
     X -= X.mean(axis=0)
-    norms = _column_norms(X)
+    norms = np.empty(N)
+    for cols in _column_blocks(T, N):
+        norms[cols] = _sum_rows(np.square(X[:, cols]))
+    np.sqrt(norms, out=norms)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise EstimationError(
             f"correlation undefined for constant column {tickers[zero[0]]}")
     X /= norms
-    rho = X.T @ X
-    blocks = [(a, min(a + NORM_ROWS, N)) for a in range(0, N, NORM_ROWS)]
-    # rho = clip((rho + rho.T) / 2): block a reads rows and columns a:b from
-    # a on, which no earlier block has written
-    for a, b in blocks:
-        s = rho[a:b, a:] + rho[a:, a:b].T
-        s /= 2.0
-        np.clip(s, -1.0, 1.0, out=s)
-        rho[a:b, a:] = s
-        rho[a:, a:b] = s.T
+    rho = X.T @ X  # syrk: exactly symmetric
+    np.clip(rho, -1.0, 1.0, out=rho)
     np.fill_diagonal(rho, 1.0)
 
-    # rho_bar: the filtered off-diagonal rows summed into buf[0] in row
-    # order, as work.sum(axis=0) does; the zero diagonal is in the mask,
-    # which changes nothing, and only the pairs i < j are counted
-    buf = np.zeros((NORM_ROWS + 1, N))
+    # rho_bar: each column's off-diagonal entries that pass the filter;
+    # only the pairs i < j that it skips are counted
+    rho_bar = np.empty(N)
     zeroed = 0
-    for a, b in blocks:
-        work = buf[1:b - a + 1]
-        work[...] = rho[a:b]
-        np.fill_diagonal(work[:, a:b], 0.0)
+    for cols in _column_blocks(N, N):
         if significance_mode == "filtered":
-            mask = insignificant(work, alpha, T - 2)
-            zeroed += int(np.count_nonzero(np.triu(mask, a + 1)))
-            work[mask] = 0.0
-        buf[0] = np.sum(buf[:b - a + 1], axis=0)
-    rho_bar = buf[0] / (N - 1)
+            skip = insignificant(rho[:, cols], alpha, T - 2)
+            zeroed += int(np.count_nonzero(np.triu(skip, 1 - cols.start)))
+        else:
+            skip = np.zeros((N, cols.stop - cols.start), dtype=bool)
+        np.fill_diagonal(skip[cols], True)
+        rho_bar[cols] = _sum_rows(rho[:, cols], where=~skip)
+    rho_bar /= N - 1
 
     return CorrelationSummary(tickers=tickers, rho=rho, rho_bar=rho_bar,
                               significance_mode=significance_mode,

@@ -437,7 +437,8 @@ def load_capitalizations(path):
 
     Tickers keep the order of their first record; each list is sorted by
     date. Raises DataError for the first faulty line in file order, as
-    :func:`load_prices` does, for a non-finite or negative capitalization.
+    :func:`load_prices` does, for a non-finite or negative capitalization,
+    and for a file with no records.
     """
     rec = _read_records(path, "capitalization")
     value, line = rec.value, rec.line
@@ -446,6 +447,8 @@ def load_capitalizations(path):
          f"capitalization {float(value[i])} for {rec.ticker(i)}"),
         (value < 0, lambda i: f"line {line[i]}: negative capitalization "
          f"{float(value[i])} for {rec.ticker(i)}"))
+    if not value.size:
+        raise DataError(f"{path}: no capitalization records")
     order, _, bounds = rec.sort(value)
     first_record = np.minimum.reduceat(order, bounds[:-1])
     values = value[order].tolist()

@@ -143,6 +143,8 @@ def _write_bundle(config, mode, out):
                   config.significance_mode)
     _stage("xcorr", _varying_rho_bar, corr)
     corr.write(rho_bar_path=out("rho_bar.tsv"))
+    tickers, rho_bar = returns.tickers, corr.rho_bar
+    del returns, corr  # neither the N x T returns nor rho is read again
 
     ln_cap = None
     if config.capitalization is not None:
@@ -154,10 +156,10 @@ def _write_bundle(config, mode, out):
         medians = np.array([caps.values[t] for t in names])
         textio.write_matrix(out("median_cap.tsv"), names, ["median_cap"],
                             medians[:, None], corner="ticker")
-        ln_cap = caps.log_values(returns.tickers)
+        ln_cap = caps.log_values(tickers)
 
     report = _stage("associate", build_report, scaling.A_hat, scaling.B_hat,
-                    corr.rho_bar, ln_cap)
+                    rho_bar, ln_cap)
     report.write(out("association.tsv"), out("association.txt"))
     return digests
 

@@ -13,7 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
-from scalecorr import pipeline, textio
+from scalecorr import cli, pipeline, textio
 from scalecorr.association import build_report
 from scalecorr.cli import main, make_parser
 from scalecorr.config import PipelineConfig
@@ -301,6 +301,52 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith(f"{bad}: line 5: date {day} is not later than "
                             "2020-01-03\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("Unable to allocate 72.8 TiB for an array with shape "
+         "(100000000, 100000) and data type float64", None),
+        ("", "out of memory")])
+    def test_memory_error_is_2(self, tmp_path, monkeypatch, capsys, text,
+                               message):
+        """An allocation that fails is one error line, not a traceback (the
+        command is replaced: no such allocation is tried)."""
+        def synth(args):
+            raise MemoryError(text) if text else MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "synth", synth)
+        out = tmp_path / "x.tsv"
+        assert main(["synth", "--kind", "gaussian_iid", "--n-stocks",
+                     "100000", "--n-days", "100000000", "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message or text}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "# no records\n\n"])
+    @pytest.mark.parametrize("command", ["run", "associate"])
+    def test_capitalization_without_records_is_1(
+            self, returns_file, tmp_path, capsys, command, text):
+        caps = tmp_path / "caps.csv"
+        caps.write_text(text)
+        out = tmp_path / "o"
+        if command == "run":
+            argv = ["run", "--returns", returns_file, "--output-dir",
+                    str(out)]
+        else:
+            proxies = str(tmp_path / "proxies.tsv")
+            rho_bar = str(tmp_path / "rho_bar.tsv")
+            assert main(["scaling", "--returns", returns_file,
+                         "--out", proxies]) == 0
+            assert main(["xcorr", "--returns", returns_file, "--rho-out",
+                         str(tmp_path / "rho.tsv"), "--rho-bar-out",
+                         rho_bar]) == 0
+            capsys.readouterr()
+            argv = ["associate", "--proxies", proxies, "--rho-bar", rho_bar,
+                    "--out", str(out)]
+        assert main(argv + ["--capitalization", str(caps)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{caps}: no capitalization records\n")
         assert not out.exists()
 
     def test_zero_median_cap_is_1(self, returns_file, tmp_path, capsys):
@@ -804,6 +850,28 @@ class TestRun:
                             estimate_scaling_panel)
         assert main(["run", "--prices", long_prices_file, "--mode",
                      "shuffled", "--output-dir", str(tmp_path / "o")]) == 0
+
+    def test_returns_and_rho_are_released_after_rho_bar(
+            self, returns_file, tmp_path, monkeypatch):
+        """Once rho_bar.tsv is written, neither the N x T returns nor rho
+        is alive: both are dead by the time the association starts."""
+        refs = []
+
+        def correlation_matrix(panel, *args, **kwargs):
+            corr = correlate(panel, *args, **kwargs)
+            refs.extend([weakref.ref(panel.returns), weakref.ref(corr.rho)])
+            return corr
+
+        def build_report(*args, **kwargs):
+            assert refs and all(ref() is None for ref in refs)
+            return report(*args, **kwargs)
+
+        correlate, report = pipeline.correlation_matrix, pipeline.build_report
+        monkeypatch.setattr(pipeline, "correlation_matrix", correlation_matrix)
+        monkeypatch.setattr(pipeline, "build_report", build_report)
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(tmp_path / "o")]) == 0
+        assert len(refs) == 2
 
     def test_gaussianized_mode_runs(self, returns_file, tmp_path):
         out = str(tmp_path / "g")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from scalecorr import crosscorr
+from scalecorr import crosscorr, scaling
 from scalecorr.crosscorr import (correlation_matrix, critical_r, insignificant,
                                  pearson, pearson_pvalue, t_pvalue)
 from scalecorr.errors import EstimationError
@@ -173,7 +173,7 @@ class TestCorrelationMatrix:
     @pytest.mark.parametrize("mode", ["filtered", "all"])
     @pytest.mark.parametrize("T", [3, 4, 40, 256, 257, 600])
     def test_panel_lengths_equal_reference(self, rng, T, mode):
-        """Short panels and panels past the NORM_ROWS row chunks."""
+        """Panels from the shortest allowed to longer than N."""
         X = rng.standard_normal((T, 12))
         c = correlation_matrix(make_return_panel(X), 0.3, mode)
         _, rho, pvalue, rho_bar, zeroed = reference_correlation(X, 0.3, mode)
@@ -185,8 +185,8 @@ class TestCorrelationMatrix:
     @pytest.mark.parametrize("mode", ["filtered", "all"])
     @pytest.mark.parametrize("N", [30, 600])
     def test_equals_reference_and_normalises_input(self, rng, N, mode):
-        """The returns are left as the reference's G; rho_bar's row blocks
-        cover one block (N = 30) and three, the last one partial."""
+        """The returns are left as the reference's G; rho_bar's column
+        blocks are one (N = 30) and three, the last one partial."""
         # loadings from 0 to 0.4: some pairs pass the filter, some do not
         X = (np.linspace(0.0, 0.4, N) * rng.standard_normal((250, 1))
              + rng.standard_normal((250, N)))
@@ -202,6 +202,28 @@ class TestCorrelationMatrix:
             assert 0 < zeroed < N * (N - 1) // 2
         else:
             assert zeroed == 0
+
+    @pytest.mark.parametrize("mode", ["filtered", "all"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 11])
+    def test_column_blocks_equal_reference(self, rng, monkeypatch, width,
+                                           mode):
+        """Both passes in several column blocks, the last one partial: the
+        norms in blocks of ``width`` columns (2 and 11 end in a lone
+        column, which numpy alone would sum pairwise) and rho_bar in blocks
+        of 1, 3, 6 and 19 columns."""
+        T, N = 40, 23
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * T * width)
+        X = (np.linspace(0.0, 0.6, N) * rng.standard_normal((T, 1))
+             + rng.standard_normal((T, N)))
+        panel = make_return_panel(X)
+        c = correlation_matrix(panel, 0.05, mode)
+        G, rho, _, rho_bar, zeroed = reference_correlation(X, 0.05, mode)
+        assert np.array_equal(panel.returns, G)
+        assert np.array_equal(c.rho, rho)
+        assert np.array_equal(c.rho_bar, rho_bar)
+        assert c.zeroed == zeroed
+        if mode == "filtered":
+            assert 0 < zeroed < N * (N - 1) // 2
 
     def test_read_only_returns_are_copied(self, rng):
         X = rng.standard_normal((100, 4))
@@ -251,7 +273,7 @@ class TestCorrelationMatrix:
     def test_matrix_invariants(self, rng):
         X = rng.standard_normal((300, 8))
         c = correlation_matrix(make_return_panel(X))
-        assert np.abs(c.rho - c.rho.T).max() < 1e-12
+        assert np.array_equal(c.rho, c.rho.T)  # syrk fills both triangles
         assert np.abs(c.rho).max() <= 1.0
         assert np.all(np.diag(c.rho) == 1.0)
         assert np.all(np.diag(c.pvalue) == 0.0)
@@ -304,8 +326,9 @@ class TestCorrelationMatrix:
 
 class TestCorrelationMemory:
     """correlation_matrix works inside the returns it is given: beside the
-    rho it returns, it holds blocks of NORM_ROWS rows, and neither an N x T
-    copy of the panel nor a whole N x N temporary."""
+    rho it returns, it holds one column block of the returns' squares or of
+    rho's boolean mask at a time, and neither an N x T copy of the panel nor
+    a whole N x N temporary."""
 
     @staticmethod
     def peak_above_rho(rng, T, N):
@@ -322,13 +345,14 @@ class TestCorrelationMemory:
 
     def test_no_panel_copy(self, rng):
         # measured (bytes per N x T cell): 8.0 with a centred copy, 2.6
-        # in place
+        # in place in blocks of 256 rows, 0.77 in column blocks
         T, N = 2000, 300
         peak, _ = self.peak_above_rho(rng, T, N)
-        assert peak / (T * N) < 4
+        assert peak / (T * N) < 1.5
 
     def test_no_matrix_copy(self, rng):
         # measured (multiples of rho's bytes): 2.4 with whole N x N
-        # temporaries, 1.15 in row blocks
+        # temporaries, 1.15 in float row blocks, 0.28 in boolean column
+        # blocks
         peak, rho_bytes = self.peak_above_rho(rng, 500, 600)
-        assert peak / rho_bytes < 1.5
+        assert peak / rho_bytes < 0.5

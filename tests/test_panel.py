@@ -137,6 +137,8 @@ def _reference_load_capitalizations(source):
             raise DataError(f"line {lineno}: negative capitalization {value} "
                             f"for {ticker}")
         by_ticker.setdefault(ticker, []).append((date, value))
+    if not by_ticker:
+        raise DataError(f"{source}: no capitalization records")
     return {t: [v for _, v in sorted(obs)] for t, obs in by_ticker.items()}
 
 
