@@ -15,9 +15,13 @@ Records are then grouped, sorted and checked with array operations. Only
 lines that are not plain records (comments, blank lines, whitespace
 delimiters, padded fields) get per-line work, and that work only normalises
 them into the same columns. The file's text is never held whole: beyond the
-columns, ingest holds one window's lines, bytes and fields, then the sort
-order, so ``load_prices`` peaks at 41 bytes per record for 1.2M records (46
-for 200k); the series keep 16-17: a ``datetime64[D]`` day and a close each.
+columns, ingest holds one window's lines, bytes and fields. The two code
+columns then become one int64 (ticker, day) key, which is sorted in place
+next to its sort order; the sorted key gives each ticker's bounds and each
+close's day, and the closes are the one column gathered into sorted order.
+So ``load_prices`` peaks at 30 bytes per record for 1.2M records (46 for
+200k, where a window outweighs the columns); the series keep 16-17: a
+``datetime64[D]`` day and a close each.
 """
 
 import datetime as dt
@@ -142,52 +146,59 @@ class _Records:
     """(ticker, date, value) records read column-wise from one file.
 
     Records are in file order; ``line`` holds each one's 1-based line
-    number. ``code`` indexes ``tickers`` (sorted names) and ``date_code``
-    indexes ``days``: the ``datetime64[D]`` day of each distinct date text,
-    NaT for a text that does not parse. A record whose value does not parse
-    has a NaN value. ``error`` is (line, message) of the first line the
-    reader itself rejects (field count, value or date), or None.
+    number. ``days`` are the distinct ``datetime64[D]`` days of the date
+    texts, sorted (NaT for a text that does not parse), and ``key`` is each
+    record's (ticker, day) key ``code * len(days) + day``, where ``code``
+    indexes ``tickers`` (sorted names) and ``day`` indexes ``days``. A
+    record whose value does not parse has a NaN value. ``error`` is (line,
+    message) of the first line the reader itself rejects (field count, value
+    or date), or None. :meth:`sort` sorts ``key`` in place and sets
+    ``order``; the other columns stay in file order.
     """
 
     tickers: list
-    code: np.ndarray
     days: np.ndarray
-    date_code: np.ndarray
+    key: np.ndarray
     value: np.ndarray
     line: np.ndarray
     error: tuple
-
-    def ticker(self, i):
-        return self.tickers[self.code[i]]
+    order: np.ndarray = None
 
     def sort(self, *minor):
         """Sort records by ticker, then day, then the ``minor`` keys, then
-        line. Returns the order, whether each record repeats the (ticker,
-        day) of the one before it in that order, and the start of each
-        ticker's block in that order, then the end."""
-        days, rank = np.unique(self.days, return_inverse=True)
-        key = self.code.astype(np.int64)
-        key *= days.size
-        key += rank.astype(self.date_code.dtype)[self.date_code]
-        order = np.lexsort(minor + (key,))
-        key.sort()  # in place: key[order] without a copy
-        repeat = np.zeros(order.size, dtype=bool)
-        repeat[order[1:]] = key[1:] == key[:-1]
-        bounds = np.searchsorted(key, np.arange(len(self.tickers) + 1)
-                                 * days.size)
-        return order, repeat, bounds.tolist()
+        line: ``order`` is the sorting permutation and ``key`` becomes
+        ``key[order]``, without a copy."""
+        self.order = np.lexsort(minor + (self.key,))
+        self.key.sort()
+
+    def bounds(self):
+        """The start of each ticker's block in sorted order, then the end."""
+        return np.searchsorted(self.key, np.arange(len(self.tickers) + 1)
+                               * self.days.size).tolist()
+
+    def _key_of(self, i):
+        # record i's (ticker code, day rank), found through the sort order
+        return divmod(int(self.key[np.argmax(self.order == i)]),
+                      self.days.size)
+
+    def ticker(self, i):
+        return self.tickers[self._key_of(i)[0]]
+
+    def day(self, i):
+        return self.days[self._key_of(i)[1]]
 
     def raise_first(self, *rules):
         """Raise DataError for the first faulty line in file order.
 
-        Each rule is (mask over records, message of record i); rules are
-        given in the order a line is checked in, after the reader's checks.
+        Each rule is (the records it rejects, message of record i); rules
+        are given in the order a line is checked in, after the reader's
+        checks. Messages look records up in sorted order.
         """
         first = self.error
-        for mask, message in rules:
-            hits = np.flatnonzero(mask)
-            if hits.size and (first is None or self.line[hits[0]] < first[0]):
-                first = (self.line[hits[0]], message(hits[0]))
+        for hits, message in rules:
+            i = hits.min() if hits.size else None
+            if i is not None and (first is None or self.line[i] < first[0]):
+                first = (self.line[i], message(i))
         if first is not None:
             raise DataError(first[1])
 
@@ -328,10 +339,8 @@ def _read_windows(windows, size, what):
         first += len(window)
 
     names = sorted(tickers)
-    rank = np.empty(len(names), index)
+    rank = np.empty(len(names), np.int64)
     rank[[tickers[t] for t in names]] = np.arange(len(names))
-    code = rank[code[:n]]
-    date_code = date_code[:n]
     days = np.empty(len(date_texts), "datetime64[D]")
     bad = {}  # date code -> message, for texts that do not parse
     for k, text in enumerate(date_texts):
@@ -339,29 +348,46 @@ def _read_windows(windows, size, what):
             days[k] = _parse_date(text)
         except DataError as exc:
             days[k], bad[k] = None, str(exc)  # None is NaT
+    date_code = date_code[:n]
     if bad:
         i = np.argmax(np.isnat(days)[date_code])
         errors.append((line[i], 1, bad[date_code[i]]))
+    days, day = np.unique(days, return_inverse=True)
+    key = rank[code[:n]]
+    del code  # the key replaces both code columns
+    key *= days.size
+    key += day.astype(index)[date_code]
+    del date_code
     first = min(errors, default=None)
-    return _Records(tickers=names, code=code, days=days,
-                    date_code=date_code, value=value[:n], line=line[:n],
+    return _Records(tickers=names, days=days, key=key, value=value[:n],
+                    line=line[:n],
                     error=None if first is None else (first[0], first[2]))
 
 
 def _sorted_prices(path):
-    """Checked close records: tickers, the day of each date code, closes and
-    date codes sorted by ticker and day, and each ticker's block bounds."""
+    """Checked close records: tickers, their sorted distinct days, closes
+    sorted by ticker and day with the index of each one's day, and each
+    ticker's block bounds."""
     rec = _read_records(path, "close")
-    value, line = rec.value, rec.line
-    order, repeat, bounds = rec.sort()
+    value = rec.value
+    rec.sort()
+    # a record that repeats the (ticker, day) of the one before it in sorted
+    # order repeats an earlier line's: equal keys keep their file order
+    key, order = rec.key, rec.order
     rec.raise_first(
-        (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite close "
-         f"{float(value[i])} for {rec.ticker(i)}"),
-        (value <= 0, lambda i: f"line {line[i]}: non-positive close "
-         f"{float(value[i])} for {rec.ticker(i)}"),
-        (repeat, lambda i: f"line {line[i]}: duplicate record for "
-         f"({rec.ticker(i)}, {rec.days[rec.date_code[i]]})"))
-    return rec.tickers, rec.days, value[order], rec.date_code[order], bounds
+        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line "
+         f"{rec.line[i]}: non-finite close {float(value[i])} for "
+         f"{rec.ticker(i)}"),
+        (np.flatnonzero(value <= 0), lambda i: f"line {rec.line[i]}: "
+         f"non-positive close {float(value[i])} for {rec.ticker(i)}"),
+        (order[1:][key[1:] == key[:-1]], lambda i: f"line {rec.line[i]}: "
+         f"duplicate record for ({rec.ticker(i)}, {rec.day(i)})"))
+    tickers, days, bounds = rec.tickers, rec.days, rec.bounds()
+    del rec  # the line numbers
+    day = np.remainder(key, days.size, out=key).astype(
+        np.min_scalar_type(days.size))
+    del key
+    return tickers, days, value[order], day, bounds
 
 
 def load_prices(path):
@@ -373,8 +399,8 @@ def load_prices(path):
     wrong field count, an unparseable close or date, a non-finite or
     non-positive close, or a repeated (ticker, date).
     """
-    tickers, days, prices, date_code, bounds = _sorted_prices(path)
-    days = days[date_code]  # once the records' columns are freed
+    tickers, days, prices, day, bounds = _sorted_prices(path)
+    days = days[day]  # once the records' columns are freed
     return [RawPriceSeries(ticker=t, dates=days[a:b], prices=prices[a:b])
             for t, a, b in zip(tickers, bounds, bounds[1:])]
 
@@ -398,8 +424,14 @@ def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
                        key=lambda s: s.ticker)
 
     start = max(s.dates[0] for s in survivors)
-    ref = np.unique(np.concatenate([s.dates[s.dates >= start]
-                                    for s in survivors]))
+    # the survivors' days from start on, marked on a calendar to the last
+    calendar = np.zeros((max(s.dates[-1] for s in survivors) - start)
+                        .astype(np.intp) + 1, dtype=bool)
+    for s in survivors:
+        calendar[(s.dates[np.searchsorted(s.dates, start):] - start)
+                 .astype(np.intp)] = True
+    ref = start + np.flatnonzero(calendar)
+    del calendar
 
     T, N = len(ref), len(survivors)
     prices = np.empty((T, N))
@@ -427,8 +459,9 @@ def compute_returns(panel):
         raise DataError(f"non-positive price {panel.prices[t, i]:g} for "
                         f"{panel.tickers[i]} on {panel.dates[t]}")
     raw = np.diff(np.log(panel.prices), axis=0)
+    raw -= raw.mean(axis=0)
     return ReturnPanel(dates=list(panel.dates[1:]), tickers=list(panel.tickers),
-                       returns=raw - raw.mean(axis=0))
+                       returns=raw)
 
 
 def load_capitalizations(path):
@@ -442,16 +475,17 @@ def load_capitalizations(path):
     """
     rec = _read_records(path, "capitalization")
     value, line = rec.value, rec.line
+    rec.sort(value)
     rec.raise_first(
-        (~np.isfinite(value), lambda i: f"line {line[i]}: non-finite "
-         f"capitalization {float(value[i])} for {rec.ticker(i)}"),
-        (value < 0, lambda i: f"line {line[i]}: negative capitalization "
-         f"{float(value[i])} for {rec.ticker(i)}"))
+        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line {line[i]}: "
+         f"non-finite capitalization {float(value[i])} for {rec.ticker(i)}"),
+        (np.flatnonzero(value < 0), lambda i: f"line {line[i]}: negative "
+         f"capitalization {float(value[i])} for {rec.ticker(i)}"))
     if not value.size:
         raise DataError(f"{path}: no capitalization records")
-    order, _, bounds = rec.sort(value)
-    first_record = np.minimum.reduceat(order, bounds[:-1])
-    values = value[order].tolist()
+    bounds = rec.bounds()
+    first_record = np.minimum.reduceat(rec.order, bounds[:-1])
+    values = value[rec.order].tolist()
     return {rec.tickers[k]: values[bounds[k]:bounds[k + 1]]
             for k in np.argsort(first_record).tolist()}
 

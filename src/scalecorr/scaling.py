@@ -194,7 +194,8 @@ def _checked_moments(returns_matrix, q_grid, tau_range, tickers):
 
 def _loglog_fit(taus, moments):
     """OLS of ln(moment) on ln(tau) over [Q, Tau, N] positive, finite
-    moments and >= 3 distinct horizons: [Q, N] slopes zeta, ln K and R^2."""
+    moments and >= 3 distinct horizons: [Q, N] slopes zeta, ln K and R^2.
+    The moments are overwritten by their logarithms."""
     n_taus = len(np.unique(taus))
     if n_taus < 3:
         raise EstimationError(
@@ -204,14 +205,17 @@ def _loglog_fit(taus, moments):
     ln_tau = np.log(np.asarray(taus, dtype=float))
     xc = ln_tau - ln_tau.mean()
     sxx = np.dot(xc, xc)
-    Y = np.log(moments)  # [Q, Tau, N]
+    Y = np.log(moments, out=moments)  # [Q, Tau, N]
     zeta = np.tensordot(xc, Y, axes=(0, 1)) / sxx          # [Q, N]
-    ybar = Y.mean(axis=1)
-    lnK = ybar - zeta * ln_tau.mean()
-    resid = Y - zeta[:, None, :] * ln_tau[None, :, None] - lnK[:, None, :]
-    tss = np.sum((Y - ybar[:, None, :]) ** 2, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r2 = np.where(tss > 0, 1.0 - np.sum(resid ** 2, axis=1) / tss, 1.0)
+    lnK, r2 = np.empty_like(zeta), np.empty_like(zeta)
+    for i, y in enumerate(Y):  # one q at a time: [Tau, N]
+        ybar = y.mean(axis=0)
+        lnK[i] = ybar - zeta[i] * ln_tau.mean()
+        resid = y - zeta[i] * ln_tau[:, None] - lnK[i]
+        tss = np.sum((y - ybar) ** 2, axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r2[i] = np.where(tss > 0, 1.0 - np.sum(resid ** 2, axis=0) / tss,
+                             1.0)
     return zeta, lnK, r2
 
 

@@ -273,9 +273,9 @@ def read_matrix(path, parse_label=None):
                                   lines)
     if not lines:
         raise DataError(f"{path}: no data rows")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        row, col = bad[0]
+    # min and max are NaN or infinite where any value is
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        row, col = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"{path}: line {list(lines.values())[row]}: "
                         f"non-finite value {float(values[row, col])} in "
                         f"column {header[col + 1]!r}")

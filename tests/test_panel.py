@@ -249,6 +249,16 @@ class TestColumnarReaderMatchesReference:
         ["# header", "BBB,2020-01-05,3", "", " AAA , 2020-01-02 , 1 ",
          "AAA\t2020-01-01\t2", "AAA,2020-01-03,4\r"],
         [],
+        # file order is not (ticker, day) order: the messages' tickers and
+        # days are looked up through the sort; a later ticker's bad close
+        # before a duplicate, then a duplicate before it
+        ["CCC,2020-01-02,1", "AAA,2020-01-03,2", "BBB,2020-01-01,0",
+         "AAA,2020-01-03,5"],
+        ["CCC,2020-01-02,1", "AAA,2020-01-03,2", "AAA,2020-01-03,3",
+         "BBB,2020-01-01,nan"],
+        # a basic-format date repeated in extended format
+        ["BBB,20200102,1", "AAA,2020-01-05,2", "CCC,2020-01-02,3",
+         "BBB,2020-01-02,4"],
     ])
     def test_hand_cases(self, lines):
         self._check(lines, "\n")
@@ -281,19 +291,30 @@ class TestIngestMemory:
     columns, so the traced peak (numpy buffers included) grows with the
     record count only through those columns and the sort."""
 
-    # measured: ~41 with 8192-line windows; ~238 when the whole file's text,
-    # line index and per-byte arrays were held at once
+    # measured: ~46 with 8192-line windows, which outweigh the columns of
+    # this 200k-record file; ~238 when the whole file's text, line index and
+    # per-byte arrays were held at once
     BYTES_PER_RECORD = 64
+    # with 1024-line windows the columns and the sort set the peak: ~30
+    # (value, line, int64 key and sort order); ~41 when the sort also held
+    # the file-order code columns, a repeat mask and a date-code gather
+    SORT_BYTES_PER_RECORD = 34
+    N_TICKERS, N_DAYS = 250, 800  # 200k records
 
-    def test_load_prices_peak_per_record(self, tmp_path):
-        n_tickers, n_days = 250, 800  # 200k records
-        days = [(_DAY0 + dt.timedelta(d)).isoformat() for d in range(n_days)]
-        closes = np.random.default_rng(7).uniform(1, 500, (n_tickers, n_days))
+    @pytest.fixture
+    def path(self, tmp_path):
+        days = [(_DAY0 + dt.timedelta(d)).isoformat()
+                for d in range(self.N_DAYS)]
+        closes = np.random.default_rng(7).uniform(1, 500, (self.N_TICKERS,
+                                                           self.N_DAYS))
         path = tmp_path / "prices.csv"
         with open(path, "w") as fh:
             for i, row in enumerate(closes):
                 fh.writelines(f"T{i:03d},{d},{c:.4f}\n"
                               for d, c in zip(days, row))
+        return path
+
+    def _peak_per_record(self, path):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -302,8 +323,16 @@ class TestIngestMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert sum(len(s.prices) for s in out) == n_tickers * n_days
-        assert peak / (n_tickers * n_days) < self.BYTES_PER_RECORD
+        n = self.N_TICKERS * self.N_DAYS
+        assert sum(len(s.prices) for s in out) == n
+        return peak / n
+
+    def test_load_prices_peak_per_record(self, path):
+        assert self._peak_per_record(path) < self.BYTES_PER_RECORD
+
+    def test_sort_peak_per_record(self, path, monkeypatch):
+        monkeypatch.setattr(panel_module, "CHUNK_LINES", 1024)
+        assert self._peak_per_record(path) < self.SORT_BYTES_PER_RECORD
 
 
 class TestNonFiniteAndZero:
@@ -355,6 +384,27 @@ class TestPreprocessMatchesReference:
 
 
 class TestPreprocess:
+    def test_peak_above_input(self):
+        # the reference axis comes from a calendar of the survivors' days,
+        # not from a sort of all their dates: the traced peak is the panel
+        # and its fill mask plus per-column work (~1.03x; 2.4x when every
+        # date was concatenated and sorted)
+        rng = np.random.default_rng(5)
+        days = np.datetime64("2020-01-01") + np.arange(1500)
+        raw = [RawPriceSeries(f"T{i:03d}", kept, rng.uniform(1, 9, kept.size))
+               for i in range(200)
+               for kept in [days[i % 30:][rng.random(1500 - i % 30) > 0.02]]]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            panel = preprocess(raw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert panel.fill_mask.any()
+        assert peak < 1.3 * (panel.prices.nbytes + panel.fill_mask.nbytes)
+
     def test_single_stock_gap_fill(self):
         # hand trace: [100, missing, 110] on reference dates d1..d3
         a = series("AAA", [(1, 100), (3, 110)])
