@@ -208,7 +208,7 @@ class AssociationReport:
         to ``text_path``."""
         textio.write_keyvalues(path, self.to_pairs())
         if text_path is not None:
-            with open(text_path, "w", newline="\n") as fh:
+            with open(text_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(self.to_text())
 
 

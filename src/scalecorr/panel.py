@@ -22,11 +22,20 @@ close's day, and the closes are the one column gathered into sorted order.
 So ``load_prices`` peaks at 30 bytes per record for 1.2M records (46 for
 200k, where a window outweighs the columns); the series keep 16-17: a
 ``datetime64[D]`` day and a close each.
+
+Record files are UTF-8, with or without a leading byte order mark. From
+``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.forked`)
+reads the second half of the lines into its own columns while this process
+reads the first half; its columns come back through the pipe into the slots
+after this process's records, and its ticker and date codes are mapped onto
+this process's. The result is the one-process result: the same series and
+the same first faulty line.
 """
 
 import datetime as dt
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,12 +242,19 @@ def _parse_floats(texts):
         raise
 
 
-def _file_windows(fh):
-    """The lines of an open text file, CHUNK_LINES at a time, each window
-    with its text: the lines, each ended by one line break."""
-    for window in iter(lambda: list(itertools.islice(fh, CHUNK_LINES)), []):
+def _file_windows(lines):
+    """The lines of a text file, given as an iterator over them,
+    CHUNK_LINES at a time, each window with its text: the lines, each ended
+    by one line break."""
+    for window in iter(lambda: list(itertools.islice(lines, CHUNK_LINES)),
+                       []):
         text = "".join(window)
         yield window, text if text.endswith("\n") else text + "\n"
+
+
+def _open_records(path):
+    # a leading UTF-8 byte order mark is not part of the first ticker
+    return open(path, encoding="utf-8-sig")
 
 
 def _read_records(path, what):
@@ -248,8 +264,15 @@ def _read_records(path, what):
     with ``#`` are skipped. The reader's own faults (field count, value,
     date) are collected, not raised, so that callers can report the first
     faulty line across their own checks too (:meth:`_Records.raise_first`).
+
+    From ``textio.SPLIT_READ_BYTES`` bytes on, where :func:`textio.can_fork`
+    allows it, a forked child reads the second half of the lines: it skips
+    the first half itself, numbers its lines from the file's start, and
+    sends its columns and its ticker and date texts, which this process
+    maps onto its own codes. Where this process's half holds a reader fault
+    the child's result is not used, as a serial read would stop there.
     """
-    with open(path) as fh:
+    with _open_records(path) as fh:
         try:  # counts the lines; a byte that does not decode comes first
             size = 1 + sum(block.count("\n") for block in
                            iter(lambda: fh.read(1 << 16), ""))
@@ -257,24 +280,74 @@ def _read_records(path, what):
             textio.read_text(path)  # raises, naming the file offset
             raise
         fh.seek(0)
-        return _read_windows(_file_windows(fh), size, what)
+        index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+        columns = _columns(size, index)
+        if (os.fstat(fh.fileno()).st_size < textio.SPLIT_READ_BYTES
+                or not textio.can_fork()):
+            return _records(columns, *_scan(_file_windows(fh), 1, columns,
+                                            what))
+        head = size // 2
+
+        def second():
+            theirs = _columns(size - head, index)
+            with _open_records(path) as child_fh:
+                for _ in itertools.islice(child_fh, head):
+                    pass
+                n, tickers, date_texts, errors = _scan(
+                    _file_windows(child_fh), head + 1, theirs, what)
+            return ((n, list(tickers), list(date_texts), errors),
+                    [column[:n] for column in theirs])
+
+        with textio.forked(second) as pipe:
+            n, tickers, date_texts, errors = _scan(
+                _file_windows(itertools.islice(fh, head)), 1, columns, what)
+            if not errors:
+                k, errors = _receive_records(pipe, columns, n, tickers,
+                                             date_texts)
+                n += k
+    return _records(columns, n, tickers, date_texts, errors)
 
 
-def _read_windows(windows, size, what):
-    """Read the records of at most ``size`` lines given as line windows.
+def _receive_records(pipe, columns, n, tickers, date_texts):
+    """Read the records a forked :func:`_scan` sent into the slots of
+    ``columns`` from ``n`` on, its codes mapped onto ``tickers`` and
+    ``date_texts``; returns its record count and faults."""
+    exc, theirs = textio.receive(pipe)
+    if exc is not None:
+        raise exc
+    k, their_tickers, their_dates, errors = theirs
+    slots = [column[n:n + k] for column in columns]
+    textio.receive_into(pipe, slots)
+    for c, codes, texts in zip(slots, (tickers, date_texts),
+                               (their_tickers, their_dates)):
+        mine = np.fromiter(map(codes.__getitem__, texts), c.dtype, len(texts))
+        # in place: the default mode="raise" would buffer ``out``
+        np.take(mine, c, out=c, mode="clip")
+    return k, errors
+
+
+def _columns(size, index):
+    """Ticker code, date code, line and value columns for ``size`` records."""
+    return [*(np.empty(size, index) for _ in range(3)), np.empty(size)]
+
+
+def _scan(windows, first, columns, what):
+    """Read the records of the lines given as line windows, the first of
+    them line ``first``, into the first slots of ``columns``.
 
     Plain printable-ASCII ``a,b,c`` lines are split in bulk; any other line
     is stripped and split on its own. Each window's records go to their
-    file-order slots of columns allocated once for ``size`` records, so no
-    per-byte array or per-field string outlives its window. Reading stops
-    after the window that holds the first fault the reader finds: no later
-    line can hold the first fault.
+    file-order slots, so no per-byte array or per-field string outlives its
+    window. Tickers and date texts are coded in the order they are first
+    seen. Reading stops after the window that holds the first fault the
+    reader finds: no later line can hold the first fault. Returns the
+    record count, the ticker and date-text codes, and the faults, each
+    (line, rank within the line, message).
     """
-    index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    code, date_code, line = (np.empty(size, index) for _ in range(3))
-    value = np.empty(size)
+    code, date_code, line, value = columns
+    index = code.dtype
     tickers, date_texts = _Codes(), _Codes()
-    errors = []  # (line, rank within the line, message)
+    errors = []
     n = 0  # records so far
 
     def put(slots, ticker_texts, day_texts, value_texts):
@@ -289,7 +362,6 @@ def _read_windows(windows, size, what):
             map(date_texts.__getitem__, day_texts), index, len(slots))
         value[slots] = values
 
-    first = 1  # line number of the window's first line
     for window, text in windows:
         raw = text.encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, np.uint8)
@@ -336,8 +408,18 @@ def _read_windows(windows, size, what):
             put(slot[loose[0]], *loose[1:])
         if errors:
             break
-        first += len(window)
+        first += len(window)  # the next window's first line
 
+    return n, tickers, date_texts, errors
+
+
+def _records(columns, n, tickers, date_texts, errors):
+    """The _Records of the first ``n`` records in :func:`_scan`'s columns,
+    which it takes out of the list ``columns``, so that the key it builds
+    replaces both code columns."""
+    code, date_code, line, value = columns
+    columns.clear()
+    index = code.dtype
     names = sorted(tickers)
     rank = np.empty(len(names), np.int64)
     rank[[tickers[t] for t in names]] = np.arange(len(names))

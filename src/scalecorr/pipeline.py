@@ -205,7 +205,8 @@ def run(config: PipelineConfig, mode="raw"):
         manifest = {"version": __version__, "mode": mode, "config": {
             k: v for k, v in config.to_pairs() if k != "output_dir"},
             "input_digests": digests, "outputs": sorted(names)}
-        with open(out("manifest.json"), "w", newline="\n") as fh:
+        with open(out("manifest.json"), "w", encoding="utf-8",
+                  newline="\n") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         for name in names:

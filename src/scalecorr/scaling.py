@@ -11,24 +11,25 @@ A = 0.5, B = 0.
 panel at once and returns one :class:`ScalingResult` of [Q, N] and [N]
 arrays; a single series is the panel ``x[:, None]``. Its kernel
 (:func:`panel_moments`) evaluates the moments in blocks of about
-``BLOCK_BYTES`` per buffer, small enough for a core's L2 cache, spread over
-``MAX_WORKERS`` threads (numpy ufuncs release the GIL). Each thread works
-in one set of scratch buffers that the calling thread allocates. A block
-holds its series as contiguous rows, one cumulative sum per block, and each
-moment is a row mean (numpy's pairwise summation). The powers |r|^q come
-from a power ladder (:func:`_ladder`): one ``exp`` per horizon for the step
-and one per anchor q other than the step, then one product per further q of
-an evenly spaced grid. Every series goes through the same operations in the
-same order whatever the block width or thread count, so the output does not
-depend on either.
+``BLOCK_BYTES`` per buffer, small enough for a core's L2 cache, in one set
+of scratch buffers. From ``SPLIT_CELLS`` panel cells on, a forked child
+(:func:`textio.forked`) takes the blocks right of the middle block boundary
+while this process takes the rest: the short ufunc calls on a block leave
+threads waiting on the GIL most of the time. A block holds its series as
+contiguous rows, one cumulative sum per block, and each moment is a row
+mean (numpy's pairwise summation). The powers |r|^q come from a power
+ladder (:func:`_ladder`): one ``exp`` per horizon for the step and one per
+anchor q other than the step, then one product per further q of an evenly
+spaced grid. Every series goes through the same operations in the same
+order whatever the block width or process, so the output depends on
+neither.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import textio
 from .config import PipelineConfig
 from .errors import EstimationError
 
@@ -36,7 +37,10 @@ DEFAULT_Q_GRID = PipelineConfig().q_grid()
 DEFAULT_TAU_RANGE = PipelineConfig().tau_range()
 MIN_AGGREGATED_OBS = 30
 BLOCK_BYTES = 1 << 20          # float64 bytes per [block x T] buffer
-MAX_WORKERS = os.cpu_count() or 1
+# panel cells (T * N) from which a forked child fills half the blocks; the
+# fork and hand-over take ~3 ms with 60 MB resident, the kernel ~0.3-0.6 us
+# a cell (2 cores), so a smaller panel gains too little to be worth it
+SPLIT_CELLS = 1 << 17
 LADDER_RUNGS = 32              # products before the ladder re-anchors
 LADDER_ULPS = 4                # how far a rung's q may sit off the ladder
 
@@ -99,11 +103,13 @@ def panel_moments(X, q_grid, tau_range):
     the step in place, and each power is reduced to its row means. An evenly
     spaced grid that starts at its step thus costs one ``exp`` pass per
     horizon instead of one per q; the products differ from a per-q ``exp``
-    in the last few bits. Each of up to MAX_WORKERS threads takes every
-    n-th block and works in one scratch set (block copy, cumulative sum,
-    ``ln``, power and step buffers) sized for the widest block, of which a
-    narrower block uses the first rows; the calling thread allocates every
-    set. Blocks write disjoint slices of the result.
+    in the last few bits. Every block works in one scratch set (block copy,
+    cumulative sum, ``ln``, power and step buffers) sized for the widest
+    block, of which a narrower block uses the first rows. From SPLIT_CELLS
+    cells on, where :func:`textio.can_fork` allows it, the blocks from the
+    block boundary nearest N/2 on are filled by a forked child, in its copy
+    of the scratch and of the result, and their moments come back through
+    the pipe into the result's columns.
     """
     T, N = X.shape
     tau_range = np.asarray(tau_range)
@@ -117,23 +123,16 @@ def panel_moments(X, q_grid, tau_range):
     ladder = rung.any()
     moments = np.empty((len(q_grid), len(tau_range), N))
     blocks = _column_blocks(T, N)
-    n_workers = min(MAX_WORKERS, len(blocks))
     width = blocks[0].stop  # the widest block
-    # the caller allocates every worker's scratch: memory a worker thread
-    # allocates comes from that thread's own malloc arena, which keeps the
-    # pages once they are freed and so adds them to the peak RSS of the
-    # stages that follow
-    scratch = [(np.empty((width, T)), np.zeros((width, T + 1)),
-                *(np.empty((width, T)) for _ in range(3)))
-               for _ in range(n_workers)]
+    scratch = (np.empty((width, T)), np.zeros((width, T + 1)),
+               *(np.empty((width, T)) for _ in range(3)))
 
     # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp or a product
-    # that overflows gives inf, which _loglog_fit rejects (errstate holds
-    # per thread)
+    # that overflows gives inf, which _loglog_fit rejects
     @np.errstate(divide="ignore", over="ignore")
-    def fill(cols, buffers):
+    def fill(cols):
         w = cols.stop - cols.start
-        block, csum, ln_buf, power_buf, step_buf = (buf[:w] for buf in buffers)
+        block, csum, ln_buf, power_buf, step_buf = (buf[:w] for buf in scratch)
         np.copyto(block, X[:, cols].T)
         np.cumsum(block, axis=1, out=csum[:, 1:])
         for j, tau in enumerate(int(t) for t in tau_range):
@@ -161,12 +160,25 @@ def panel_moments(X, q_grid, tau_range):
                     np.exp(power, out=power)
                 moments[i, j, cols] = np.mean(power, axis=1)
 
-    def work(k):
-        for cols in blocks[k::n_workers]:
-            fill(cols, scratch[k])
+    if T * N < SPLIT_CELLS or len(blocks) < 2 or not textio.can_fork():
+        for cols in blocks:
+            fill(cols)
+        return moments
+    k = min(range(1, len(blocks)), key=lambda b: abs(2 * blocks[b].start - N))
+    theirs = list(moments.reshape(-1, N)[:, blocks[k].start:])  # their rows
 
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        list(pool.map(work, range(n_workers)))
+    def second():
+        for cols in blocks[k:]:
+            fill(cols)
+        return None, theirs
+
+    with textio.forked(second) as pipe:
+        for cols in blocks[:k]:
+            fill(cols)
+        exc, _ = textio.receive(pipe)
+        if exc is not None:
+            raise exc
+        textio.receive_into(pipe, theirs)
     return moments
 
 

@@ -1,19 +1,23 @@
-"""Tab-delimited text serialization used by every stage.
+"""Tab-delimited text serialization used by every stage, and the forked
+child through which the package uses a second core.
 
-All floats are written with 17 significant digits so that a written value
-round-trips bit-exactly and re-runs produce byte-identical files. Labelled
-matrices are written with one ``%`` format per row over a whole-row spec and
-read back by ``np.loadtxt`` over the numeric block, one line at a time.
+Text files are read and written as UTF-8. All floats are written with 17
+significant digits so that a written value round-trips bit-exactly and
+re-runs produce byte-identical files. Labelled matrices are written with one
+``%`` format per row over a whole-row spec and read back by ``np.loadtxt``
+over the numeric block, one line at a time.
 
-A big matrix is read or written by two processes: :func:`_forked` starts a
-child for the second half of the data rows while this process handles the
-first, since ``np.loadtxt`` and ``%`` formatting hold the GIL. A read splits
-the file at the first line start after its middle byte, a write splits the
-rows. The result is the serial one: the same array, the same bytes and the
-same first error. Below ``SPLIT_READ_BYTES`` data bytes or
-``SPLIT_WRITE_CELLS`` values, without ``os.fork``, on Python 3.12 or later
-(where ``fork`` warns once BLAS has started its threads) and while another
-thread runs, the work stays in this process.
+Parallel work is this process plus one child that :func:`forked` starts,
+since ``np.loadtxt``, ``%`` formatting, record parsing and the scaling
+kernel's ufunc loops mostly hold the GIL. Here a big matrix is read or
+written with the child taking the second half of the data rows: a read
+splits the file at the first line start after its middle byte, a write
+splits the rows. The result is the serial one: the same array, the same
+bytes and the same first error. Below ``SPLIT_READ_BYTES`` data bytes or
+``SPLIT_WRITE_CELLS`` values, and wherever :func:`can_fork` is false
+(without ``os.fork``, on Python 3.12 or later, where ``fork`` warns once
+BLAS has started its threads, and while another thread runs), the work stays
+in this process.
 """
 
 import gc
@@ -46,29 +50,31 @@ def fmt(x) -> str:
 
 def read_text(path, error=DataError):
     """The text of a file; ``error``, naming the file, if it does not decode."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise error(f"{path}: {exc}") from exc
 
 
-def _can_fork():
+def can_fork():
+    """Whether work may go to a :func:`forked` child."""
     return (hasattr(os, "fork") and sys.version_info < (3, 12)
             and threading.active_count() == 1)
 
 
 @contextmanager
-def _forked(task):
+def forked(task):
     """Run ``task()`` in a forked child; yields the read end of its pipe.
 
-    ``task`` returns an object and a buffer or None: the child sends the
-    pickle of ``(None, object)`` and then the buffer's bytes (see
-    :func:`_receive`). An exception that escapes ``task`` is sent as
-    ``(exception, None)``, or as a RuntimeError with its type and text where
-    it does not pickle. The child starts no thread and leaves through
-    ``os._exit``. Whatever the block does, the child is killed, if still
-    alive, and reaped on leaving it.
+    ``task`` returns an object and a list of buffers: the child sends the
+    pickle of ``(None, object)`` and then each buffer's bytes, which the
+    parent reads with :func:`receive` and :func:`receive_into`. An
+    exception that escapes ``task`` is sent as ``(exception, None)``, or as
+    a RuntimeError with its type and text where it does not pickle. The
+    child starts no thread and leaves through ``os._exit``. Whatever the
+    block does, the child is killed, if still alive, and reaped on leaving
+    it.
     """
     rfd, wfd = os.pipe()
     pid = os.fork()
@@ -78,9 +84,9 @@ def _forked(task):
             os.close(rfd)
             with open(wfd, "wb") as out:
                 try:
-                    obj, buffer = task()
+                    obj, buffers = task()
                     out.write(pickle.dumps((None, obj)))
-                    if buffer is not None:
+                    for buffer in buffers:
                         out.write(buffer)
                 except BaseException as exc:  # relayed: the parent raises it
                     try:
@@ -100,13 +106,21 @@ def _forked(task):
         os.waitpid(pid, 0)
 
 
-def _receive(pipe):
-    """The ``(exception or None, object)`` a :func:`_forked` child sent."""
+def receive(pipe):
+    """The ``(exception or None, object)`` a :func:`forked` child sent."""
     try:
         return pickle.load(pipe)
     except EOFError:
-        raise OSError("a text I/O child process ended without a result"
-                      ) from None
+        raise OSError("a child process ended without a result") from None
+
+
+def receive_into(pipe, arrays):
+    """Fill each C-contiguous array in turn with the buffer bytes a
+    :func:`forked` child sent after its object."""
+    for array in arrays:
+        block = memoryview(array).cast("B")
+        if block.nbytes and pipe.readinto(block) != block.nbytes:
+            raise OSError("a child process ended before sending its data")
 
 
 def _decode(raw, path, end):
@@ -189,11 +203,11 @@ def _read_halves(fh, path, n_fields, start, split, line, lines):
             child_fh.seek(split)
             values, _ = _read_rows(child_fh, path, n_fields, split, None, 1,
                                    theirs)
-        return list(theirs.items()), values
+        return list(theirs.items()), [values]
 
-    with _forked(second) as pipe:
+    with forked(second) as pipe:
         top, line = _read_rows(fh, path, n_fields, start, split, line, lines)
-        exc, theirs = _receive(pipe)
+        exc, theirs = receive(pipe)
         if exc is not None and not isinstance(exc, DataError):
             raise exc
         if exc is not None or any(label in lines for label, _ in theirs):
@@ -204,11 +218,7 @@ def _read_halves(fh, path, n_fields, start, split, line, lines):
         # first half, and no freed block to raise malloc's mmap threshold
         n = len(top)
         top.resize((n + len(theirs), n_fields - 1), refcheck=False)
-        if theirs:
-            block = memoryview(top[n:]).cast("B")
-            if pipe.readinto(block) != block.nbytes:
-                raise OSError("a text I/O child process ended before "
-                              f"sending its rows of {path}")
+        receive_into(pipe, [top[n:]])
     lines.update((label, i + line - 1) for label, i in theirs)
     return top
 
@@ -218,7 +228,7 @@ def _split_point(fh, start):
     bytes of ``fh``, which stands at their ``start``; None where the read
     stays in this process."""
     size = os.fstat(fh.fileno()).st_size
-    if size - start < SPLIT_READ_BYTES or not _can_fork():
+    if size - start < SPLIT_READ_BYTES or not can_fork():
         return None
     middle = (start + size) // 2
     fh.seek(middle)
@@ -291,7 +301,7 @@ def read_matrix(path, parse_label=None):
 
 
 def _write_rows(path, text, row_fmt, labels, matrix):
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         for label, row in zip(labels, matrix):
             fh.write(row_fmt % (label, *row.tolist()))
@@ -311,7 +321,7 @@ def write_matrix(path, row_labels, col_labels, matrix, corner="date",
     matrix = np.asarray(matrix)
     row_fmt = DELIM.join(["%s"] + [spec] * matrix.shape[1]) + "\n"
     header = DELIM.join([corner] + list(col_labels)) + "\n"
-    if matrix.size < SPLIT_WRITE_CELLS or not _can_fork():
+    if matrix.size < SPLIT_WRITE_CELLS or not can_fork():
         _write_rows(path, header, row_fmt, row_labels, matrix)
         return
     labels = list(row_labels)
@@ -320,12 +330,12 @@ def write_matrix(path, row_labels, col_labels, matrix, corner="date",
 
     def second():
         _write_rows(part, "", row_fmt, labels[k:], matrix[k:])
-        return None, None
+        return None, []
 
     try:
-        with _forked(second) as pipe:
+        with forked(second) as pipe:
             _write_rows(path, header, row_fmt, labels[:k], matrix[:k])
-            exc, _ = _receive(pipe)
+            exc, _ = receive(pipe)
             if exc is not None:
                 raise exc
         with open(part, "rb") as src, open(path, "ab") as dst:
@@ -337,7 +347,7 @@ def write_matrix(path, row_labels, col_labels, matrix, corner="date",
 
 def write_table(path, header, rows):
     """Write a plain table with a header row; values pre-formatted as str."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(DELIM.join(header) + "\n")
         for row in rows:
             fh.write(DELIM.join(str(v) for v in row) + "\n")
@@ -345,7 +355,7 @@ def write_table(path, header, rows):
 
 def write_keyvalues(path, pairs):
     """Write an ordered key<TAB>value file."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in pairs:
             fh.write(f"{key}{DELIM}{value}\n")
 

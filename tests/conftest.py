@@ -1,4 +1,6 @@
 import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,6 +16,36 @@ from scalecorr.synth import generate_coupled_market
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts os.fork calls."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@contextmanager
+def running_threads(n):
+    """Keeps ``n`` more threads running, each waiting, inside the block."""
+    done = threading.Event()
+    threads = [threading.Thread(target=done.wait) for _ in range(n)]
+    for thread in threads:
+        thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 def make_return_panel(matrix, tickers=None):

@@ -1049,6 +1049,43 @@ class TestCompare:
         assert main(["compare", str(a), str(b)]) == 2
 
 
+def test_files_are_utf8_whatever_the_locale(long_prices_file, tmp_path):
+    """Under the C locale, without Python's UTF-8 mode, the stage commands
+    and a run read and write the same UTF-8 bytes as in this process."""
+    prices = tmp_path / "prices.csv"
+    with open(long_prices_file, encoding="utf-8") as fh:
+        text = fh.read().replace("S0000", "\u00c40000")
+    with open(prices, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), LC_ALL="C",
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    for where in ("utf8", "c"):
+        d = tmp_path / where
+        d.mkdir()
+        for argv in (["clean", "--prices", str(prices), "--out",
+                      str(d / "panel.tsv"), "--mask-out", str(d / "mask.tsv")],
+                     ["returns", "--panel", str(d / "panel.tsv"), "--out",
+                      str(d / "returns.tsv")],
+                     ["scaling", "--returns", str(d / "returns.tsv"), "--out",
+                      str(d / "proxies.tsv")],
+                     ["run", "--prices", str(prices), "--output-dir",
+                      str(d / "run")]):
+            if where == "utf8":
+                assert main(argv) == 0
+                continue
+            proc = subprocess.run([sys.executable, "-m", "scalecorr.cli",
+                                   *argv], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+    _assert_same_files(tmp_path / "utf8" / "run", tmp_path / "c" / "run")
+    (tmp_path / "utf8" / "run").rename(tmp_path / "utf8_run")
+    (tmp_path / "c" / "run").rename(tmp_path / "c_run")
+    _assert_same_files(tmp_path / "utf8", tmp_path / "c")
+    with open(tmp_path / "c" / "proxies.tsv", encoding="utf-8") as fh:
+        assert "\u00c40000" in fh.read()
+
+
 def test_cli_import_leaves_out_scipy_stats_and_linalg():
     """The package loads only four ufuncs from scipy's special-function
     extension, not scipy.special, scipy.stats or scipy.linalg; a fresh

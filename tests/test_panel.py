@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import os
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -16,7 +17,7 @@ from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
                              load_capitalizations, load_prices,
                              median_capitalization, preprocess)
 
-from conftest import PRICE_FIXTURE, write_lines
+from conftest import PRICE_FIXTURE, running_threads, write_lines
 
 D = dt.date
 
@@ -216,7 +217,9 @@ def record_files(draw):
 
 
 class TestColumnarReaderMatchesReference:
-    """The columnar reader gives the per-line reader's series or error."""
+    """The columnar reader gives the per-line reader's series or error, in
+    one process and with the second half of the lines read by a forked
+    child."""
 
     @staticmethod
     def _check(lines, newline):
@@ -225,7 +228,10 @@ class TestColumnarReaderMatchesReference:
                           _reference_load_capitalizations)):
             with tempfile.TemporaryDirectory() as tmp:
                 path = write_lines(tmp, lines, newline)
-                assert _outcome(new, path) == _outcome(old, path)
+                want = _outcome(old, path)
+                assert _outcome(new, path) == want
+                with mock.patch.object(textio, "SPLIT_READ_BYTES", 0):
+                    assert _outcome(new, path) == want
 
     @settings(max_examples=300, deadline=None)
     @given(record_files())
@@ -259,6 +265,27 @@ class TestColumnarReaderMatchesReference:
         # a basic-format date repeated in extended format
         ["BBB,20200102,1", "AAA,2020-01-05,2", "CCC,2020-01-02,3",
          "BBB,2020-01-02,4"],
+        # a forked read's second half starts at line size // 2 + 1, where
+        # size is one more than the line count: here at line 3, after a
+        # lone \r, which ends a line in text mode
+        ["AAA,2020-01-01,1", "AAA,2020-01-02,2\rAAA,2020-01-03,3",
+         "AAA,2020-01-04,4"],
+        ["AAA,2020-01-01,1", "AAA,2020-01-02,2\rAAA,2020-01-03,x",
+         "AAA,2020-01-04,4"],
+        # reader faults in both halves; a bad date in the first half
+        # against a bad close in the second
+        ["AAA,2020-01-01,x", "AAA,2020-01-02,1", "AAA,2020-01-03",
+         "AAA,2020-01-04,y"],
+        ["AAA,bad,1", "AAA,2020-01-02,1", "AAA,worse,2", "AAA,2020-01-04,3"],
+        ["AAA,2020-01-01,1", "AAA,bad,1", "AAA,2020-01-03,x",
+         "AAA,2020-01-04,3"],
+        # a duplicate of a first-half record in the second half
+        ["AAA,2020-01-01,1", "BBB,2020-01-01,1", "AAA,2020-01-01,2",
+         "BBB,2020-01-02,2"],
+        # tickers and dates first seen in the second half, before and
+        # after the first half's in sorted order
+        ["AAA,2020-01-02,1", "AAA,2020-01-03,2", "AAA,2020-01-04,4",
+         "CCC,2020-01-05,3", "CCC,2020-01-02,5", "BBB,2020-01-01,1"],
     ])
     def test_hand_cases(self, lines):
         self._check(lines, "\n")
@@ -283,6 +310,67 @@ class TestColumnarReaderMatchesReference:
         # lines, next to irregular lines and on the last line
         with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
             self._check(*drawn)
+
+
+class TestTwoProcessIngest:
+    """From textio.SPLIT_READ_BYTES on, a forked child reads the second
+    half of a record file's lines; elsewhere ingest stays in one process."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        return write_lines(tmp_path, PRICE_FIXTURE.splitlines())
+
+    def test_forks_from_the_threshold(self, path, monkeypatch, forks):
+        want = _outcome(load_prices, path)
+        size = os.path.getsize(path)
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", size + 1)
+        assert _outcome(load_prices, path) == want and not forks
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", size)
+        assert _outcome(load_prices, path) == want and len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_serial_where_fork_is_not_allowed(self, path, monkeypatch,
+                                              forks):
+        want = _outcome(load_prices, path)
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
+        with running_threads(1):
+            assert _outcome(load_prices, path) == want
+        monkeypatch.setattr(textio, "can_fork", lambda: False)
+        assert _outcome(load_prices, path) == want
+        assert not forks
+
+    def test_child_exception_is_raised_here(self, path, monkeypatch, forks):
+        parent, parse = os.getpid(), panel_module._parse_floats
+
+        def failing_in_the_child(texts):
+            if os.getpid() != parent:
+                raise ArithmeticError("in the child")
+            return parse(texts)
+
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
+        monkeypatch.setattr(panel_module, "_parse_floats",
+                            failing_in_the_child)
+        with pytest.raises(ArithmeticError, match="^in the child$"):
+            load_prices(path)
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("split", [1 << 62, 0])
+    def test_byte_order_mark_is_not_part_of_a_ticker(self, tmp_path,
+                                                     monkeypatch, split):
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", split)
+        path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
+        want = [_outcome(load_prices, path),
+                _outcome(load_capitalizations, path)]
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" + data)
+        assert [_outcome(load_prices, path),
+                _outcome(load_capitalizations, path)] == want
+        assert want[0][1][0][0] == "AAA"
 
 
 class TestIngestMemory:

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -15,6 +17,8 @@ from scalecorr.errors import EstimationError
 from scalecorr.scaling import (DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, _loglog_fit,
                                _proxy_fit, estimate_scaling_panel,
                                panel_moments)
+
+from conftest import running_threads
 
 
 def aggregate_returns(returns, tau):
@@ -323,7 +327,7 @@ class TestPowerLadder:
 
 class TestBlockedKernel:
     """panel_moments is bit-identical to the unblocked power ladder for any
-    block width and worker count."""
+    block width, in one process and with a forked child."""
 
     T = 120
 
@@ -335,69 +339,106 @@ class TestBlockedKernel:
         return X
 
     @pytest.mark.parametrize("width", [1, 2, 4, 5, 22, 1000])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 21, 23])
-    def test_bit_identical(self, panel, monkeypatch, width, workers, n):
+    def test_bit_identical(self, panel, monkeypatch, forks, width, threads,
+                           n):
+        # the calling thread alone hands half the blocks to a child once
+        # there are two; with two more threads running the kernel stays in
+        # one process
         monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * self.T * width)
-        monkeypatch.setattr(scaling, "MAX_WORKERS", workers)
+        monkeypatch.setattr(scaling, "SPLIT_CELLS", 0)
         X = panel[:, :n]
         # both grids start at their step; THOUSAND_Q also re-anchors at q
         # other than the step (one horizon keeps its 1000 q quick)
         for q_grid, taus in ((DEFAULT_Q_GRID, DEFAULT_TAU_RANGE),
                              (THOUSAND_Q, [2])):
-            got = panel_moments(X, q_grid, taus)
             want = _unblocked_moments(X, q_grid, taus)
+            with running_threads(threads - 1):
+                got = panel_moments(X, q_grid, taus)
             assert np.array_equal(got, want)
+        assert len(forks) == (2 if threads == 1 and n > width else 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-    def test_many_threads_stress(self, panel, monkeypatch):
-        # more workers than cores, two-column blocks and a short switch
-        # interval: a lost or misplaced block write breaks bit-identity
+    def test_many_threads_stress(self, panel, monkeypatch, forks):
+        # more calling threads than cores, two-column blocks and a short
+        # switch interval: each call stays in one process, and a block
+        # written to another call's scratch or result breaks bit-identity
         monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * self.T * 2)
-        monkeypatch.setattr(scaling, "MAX_WORKERS", 8)
+        monkeypatch.setattr(scaling, "SPLIT_CELLS", 0)
+        want = _unblocked_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        got = {}  # shift -> moments of the panel's columns rolled by it
+
+        def call(shift):
+            X = np.roll(panel, shift, axis=1)
+            got[shift] = [panel_moments(X, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+                          for _ in range(3)]
+
+        threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [panel_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
-                   for _ in range(5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-        want = _unblocked_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
-        assert all(np.array_equal(g, want) for g in got)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not forks
+        assert sorted(got) == [0, 1, 2, 3]
+        assert all(np.array_equal(m, np.roll(want, shift, axis=2))
+                   for shift, runs in got.items() for m in runs)
 
 
-class TestKernelScratch:
-    def test_allocated_by_the_calling_thread(self, monkeypatch):
-        # memory a worker thread allocates stays in that thread's malloc
-        # arena once freed, so every array comes from the caller; 23
-        # columns in blocks of 4 leave a last block of 3
-        T = 120
-        panel = np.random.default_rng(7).standard_t(3, size=(T, 23)) * 0.01
-        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * T * 4)
-        monkeypatch.setattr(scaling, "MAX_WORKERS", 3)
-        want = _unblocked_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
-        allocators = {"empty", "zeros", "ones", "full", "empty_like",
-                      "zeros_like", "array", "copy", "ascontiguousarray"}
-        calls = []  # (name, thread)
+class TestForkedKernel:
+    """The second core is a forked child, never a thread."""
 
-        class RecordingNumpy:
-            def __getattr__(self, name):
-                fn = getattr(np, name)
-                if name not in allocators | {"cumsum"}:
-                    return fn
+    @pytest.fixture
+    def panel(self, monkeypatch):
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * 120 * 4)
+        monkeypatch.setattr(scaling, "SPLIT_CELLS", 0)
+        return np.random.default_rng(7).standard_t(3, size=(120, 23)) * 0.01
 
-                def recorded(*args, **kwargs):
-                    calls.append((name, threading.get_ident()))
-                    return fn(*args, **kwargs)
-                return recorded
-
-        monkeypatch.setattr(scaling, "np", RecordingNumpy())
+    def test_starts_no_thread(self, panel, monkeypatch, forks):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread))
         got = panel_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
-        caller = threading.get_ident()
-        allocated = [t for name, t in calls if name in allocators]
-        block_threads = [t for name, t in calls if name == "cumsum"]
-        assert np.array_equal(got, want)
-        assert len(block_threads) == 6 and caller not in block_threads
-        assert len(allocated) >= 5 * 3 and set(allocated) == {caller}
+        assert not started and len(forks) == 1
+        assert np.array_equal(got, _unblocked_moments(
+            panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE))
+
+    def test_serial_below_the_threshold(self, panel, monkeypatch, forks):
+        monkeypatch.setattr(scaling, "SPLIT_CELLS", panel.size + 1)
+        panel_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        assert not forks
+
+    def test_child_exception_is_raised_here(self, panel, monkeypatch, forks):
+        parent, cumsum = os.getpid(), np.cumsum
+
+        def failing_in_the_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ArithmeticError("in the child")
+            return cumsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", failing_in_the_child)
+        with pytest.raises(ArithmeticError, match="^in the child$"):
+            panel_moments(panel, DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, scalecorr.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def _whole_panel_loglog_fit(taus, moments):

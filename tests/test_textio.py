@@ -1,7 +1,6 @@
 import datetime as dt
 import math
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from scalecorr import textio
 from scalecorr.cli import main
 from scalecorr.errors import DataError
 from scalecorr.panel import ReturnPanel
+
+from conftest import running_threads
 
 
 def _write(tmp_path, text, name="m.tsv"):
@@ -186,24 +187,10 @@ class TestReadKeyvalues:
 
 # --- two-process reads and writes ------------------------------------------
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts os.fork calls; with the split thresholds at 0, so that every
-    read and write takes the two-process path where it can."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
 def _serial_and_split(monkeypatch, forks, fn, forked=True):
     """(fn() with serial I/O, fn() with two-process I/O), each its result or
-    its exception's (type, text); checks that the second one forked, unless
+    its exception's (type, text), where ``forks`` (the fixture) counts
+    os.fork calls; checks that the second one forked, unless
     ``forked`` is false, and left no child process behind."""
     results = []
     for size in (1 << 62, 0):
@@ -317,16 +304,10 @@ class TestTwoProcessParity:
                                               forks):
         monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
         monkeypatch.setattr(textio, "SPLIT_WRITE_CELLS", 0)
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
+        with running_threads(1):
             textio.write_matrix(tmp_path / "m.tsv", list("xy"), list("ab"),
                                 np.ones((2, 2)))
             textio.read_matrix(tmp_path / "m.tsv")
-        finally:
-            done.set()
-            thread.join()
         assert not forks
 
 
