@@ -51,16 +51,20 @@ def _stage(name, fn, *args, **kwargs):
 
 def _varying_rho_bar(corr):
     """EstimationError where every stock has the same rho_bar, as when the
-    significance filter zeroes every pair: its ranks, and so its association
-    with the proxies, are then undefined."""
+    significance filter zeroes every pair or there are only two stocks: its
+    ranks, and so its association with the proxies, are then undefined."""
     rho_bar = corr.rho_bar
     if rho_bar.min() < rho_bar.max():
         return
     n = len(rho_bar)
-    raise EstimationError(
-        f"rho_bar is {rho_bar[0]:g} for all {n} stocks, so its association "
-        f"is undefined: the significance filter at alpha={corr.alpha:g} "
-        f"zeroed {corr.zeroed} of {n * (n - 1) // 2} pairs")
+    message = (f"rho_bar is {rho_bar[0]:g} for all {n} stocks, so its "
+               "association is undefined")
+    if n == 2:
+        message += ": two stocks always share rho_bar"
+    elif corr.significance_mode == "filtered":
+        message += (f": the significance filter at alpha={corr.alpha:g} "
+                    f"zeroed {corr.zeroed} of {n * (n - 1) // 2} pairs")
+    raise EstimationError(message)
 
 
 def write_proxies_table(path, tickers, result):
@@ -144,7 +148,9 @@ def _write_bundle(config, mode, out):
     _stage("xcorr", _varying_rho_bar, corr)
     corr.write(rho_bar_path=out("rho_bar.tsv"))
     tickers, rho_bar = returns.tickers, corr.rho_bar
-    del returns, corr  # neither the N x T returns nor rho is read again
+    # corr keeps the N x T returns to build rho on access; a run never asks
+    # for rho, and neither is read again
+    del returns, corr
 
     ln_cap = None
     if config.capitalization is not None:

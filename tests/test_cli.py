@@ -8,6 +8,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,7 +18,8 @@ from scalecorr import cli, pipeline, textio
 from scalecorr.association import build_report
 from scalecorr.cli import main, make_parser
 from scalecorr.config import PipelineConfig
-from scalecorr.errors import ConfigError
+from scalecorr.crosscorr import correlation_matrix
+from scalecorr.errors import ConfigError, EstimationError
 from scalecorr.scaling import DEFAULT_Q_GRID
 from scalecorr.panel import ReturnPanel
 from scalecorr.pipeline import STAGING_DIR, read_columns
@@ -851,15 +853,16 @@ class TestRun:
         assert main(["run", "--prices", long_prices_file, "--mode",
                      "shuffled", "--output-dir", str(tmp_path / "o")]) == 0
 
-    def test_returns_and_rho_are_released_after_rho_bar(
-            self, returns_file, tmp_path, monkeypatch):
-        """Once rho_bar.tsv is written, neither the N x T returns nor rho
-        is alive: both are dead by the time the association starts."""
+    def test_returns_are_released_after_rho_bar(self, returns_file, tmp_path,
+                                                monkeypatch):
+        """Once rho_bar.tsv is written, neither the N x T returns nor the
+        correlation summary, which keeps them, is alive: both are dead by
+        the time the association starts."""
         refs = []
 
         def correlation_matrix(panel, *args, **kwargs):
             corr = correlate(panel, *args, **kwargs)
-            refs.extend([weakref.ref(panel.returns), weakref.ref(corr.rho)])
+            refs.extend([weakref.ref(panel.returns), weakref.ref(corr)])
             return corr
 
         def build_report(*args, **kwargs):
@@ -872,6 +875,33 @@ class TestRun:
         assert main(["run", "--returns", returns_file,
                      "--output-dir", str(tmp_path / "o")]) == 0
         assert len(refs) == 2
+
+    def test_xcorr_stage_allocates_no_matrix(self, tmp_path, monkeypatch):
+        """The xcorr stage of a run never holds an N x N float array: its
+        traced peak stays below 8 N^2 bytes (measured: 0.57 of that, and
+        1.52 when the stage built rho)."""
+        N = 400
+        returns = str(tmp_path / "wide.tsv")
+        assert main(["synth", "--kind", "one_factor", "--n-stocks", str(N),
+                     "--n-days", "400", "--seed", "3", "--out", returns]) == 0
+        peaks = []
+
+        def correlation_matrix(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                corr = correlate(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            return corr
+
+        correlate = pipeline.correlation_matrix
+        monkeypatch.setattr(pipeline, "correlation_matrix", correlation_matrix)
+        assert main(["run", "--returns", returns,
+                     "--output-dir", str(tmp_path / "o")]) == 0
+        assert len(peaks) == 1 and peaks[0] < 8 * N * N
 
     def test_gaussianized_mode_runs(self, returns_file, tmp_path):
         out = str(tmp_path / "g")
@@ -944,6 +974,35 @@ class TestStagedRun:
             " is undefined: the significance filter at alpha=0.05 zeroed 15 "
             "of 15 pairs\n")
         _assert_same_files(before, out)
+
+    @pytest.mark.parametrize("significance", ["all", "filtered"])
+    def test_two_stocks_stop_at_xcorr(self, tmp_path, capsys, significance):
+        """Two stocks always share rho_bar, the one coefficient between
+        them, whatever the filter did: the error says so."""
+        returns = str(tmp_path / "two.tsv")
+        assert main(["synth", "--kind", "one_factor", "--n-stocks", "2",
+                     "--n-days", "300", "--seed", "4", "--out", returns]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns, "--significance-mode",
+                     significance, "--output-dir", str(out)]) == 3
+        assert re.fullmatch(
+            r"error: \[xcorr\] rho_bar is \S+ for all 2 stocks, so its "
+            r"association is undefined: two stocks always share rho_bar\n",
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_equal_rho_bar_without_filter_names_no_filter(self):
+        corr = correlation_matrix(ReturnPanel(
+            dates=None, tickers=["A", "B", "C"],
+            returns=np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, -1.0],
+                              [1.0, -1.0, 0.0]])), significance_mode="all")
+        assert corr.rho_bar.min() == corr.rho_bar.max()
+        with pytest.raises(EstimationError) as info:
+            pipeline._varying_rho_bar(corr)
+        assert str(info.value) == (
+            f"rho_bar is {corr.rho_bar[0]:g} for all 3 stocks, so its "
+            "association is undefined")
 
     def test_failed_write_leaves_no_staging_directory(self, returns_file,
                                                       tmp_path, monkeypatch):

@@ -106,6 +106,13 @@ def reference_correlation(X, alpha, significance_mode):
     rho = G.T @ G
     rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)
+    return (G, rho) + reference_from_rho(rho, T, alpha, significance_mode)
+
+
+def reference_from_rho(rho, T, alpha, significance_mode):
+    """The p-values, rho_bar and zeroed pairs i < j of a given N x N rho of
+    T observations, from whole N x N temporaries."""
+    N = len(rho)
     with np.errstate(divide="ignore"):
         t = np.abs(rho) * np.sqrt((T - 2) / (1.0 - rho * rho))
     pvalue = 2.0 * stats.t.sf(t, T - 2)
@@ -115,7 +122,7 @@ def reference_correlation(X, alpha, significance_mode):
     if significance_mode == "filtered":
         zeroed = int(np.sum(np.triu(pvalue >= alpha, 1)))
         work[pvalue >= alpha] = 0.0
-    return G, rho, pvalue, work.sum(axis=0) / (N - 1), zeroed
+    return pvalue, work.sum(axis=0) / (N - 1), zeroed
 
 
 def _neighbours(x, steps=3):
@@ -169,11 +176,31 @@ class TestSignificanceFilter:
         assert sum(evaluated) < 10  # two band edges, almost no pair
 
 
+def assert_equals_reference(c, X, alpha, mode):
+    """c.rho is exactly symmetric, has a unit diagonal and is within 1e-15
+    of the whole-matrix ``G.T @ G``, bit for bit where one row block holds
+    the panel (syrk); c's p-values, rho_bar and zeroed pairs are those of
+    the whole-matrix reference applied to c.rho, bit for bit."""
+    T, N = X.shape
+    _, rho, *_ = reference_correlation(X, alpha, mode)
+    assert np.array_equal(c.rho, c.rho.T)
+    assert np.all(np.diag(c.rho) == 1.0)
+    if len(crosscorr._blocks(N, N)) == 1:
+        assert np.array_equal(c.rho, rho)
+    else:
+        assert np.abs(c.rho - rho).max() <= 1e-15
+    pvalue, rho_bar, zeroed = reference_from_rho(c.rho, T, alpha, mode)
+    assert np.array_equal(c.pvalue, pvalue)
+    assert np.array_equal(c.rho_bar, rho_bar)
+    assert c.zeroed == zeroed
+
+
 class TestCorrelationMatrix:
     @pytest.mark.parametrize("mode", ["filtered", "all"])
     @pytest.mark.parametrize("T", [3, 4, 40, 256, 257, 600])
     def test_panel_lengths_equal_reference(self, rng, T, mode):
-        """Panels from the shortest allowed to longer than N."""
+        """Panels from the shortest allowed to longer than N, in one row
+        block: rho is the reference's syrk, bit for bit."""
         X = rng.standard_normal((T, 12))
         c = correlation_matrix(make_return_panel(X), 0.3, mode)
         _, rho, pvalue, rho_bar, zeroed = reference_correlation(X, 0.3, mode)
@@ -185,45 +212,58 @@ class TestCorrelationMatrix:
     @pytest.mark.parametrize("mode", ["filtered", "all"])
     @pytest.mark.parametrize("N", [30, 600])
     def test_equals_reference_and_normalises_input(self, rng, N, mode):
-        """The returns are left as the reference's G; rho_bar's column
-        blocks are one (N = 30) and three, the last one partial."""
+        """The returns are left as the reference's G; rho's row blocks are
+        one (N = 30) and six of 109 rows, the last one of 55."""
         # loadings from 0 to 0.4: some pairs pass the filter, some do not
         X = (np.linspace(0.0, 0.4, N) * rng.standard_normal((250, 1))
              + rng.standard_normal((250, N)))
         panel = make_return_panel(X)
         c = correlation_matrix(panel, 0.05, mode)
-        G, rho, pvalue, rho_bar, zeroed = reference_correlation(X, 0.05, mode)
+        G, *_ = reference_correlation(X, 0.05, mode)
         assert np.array_equal(panel.returns, G)
-        assert np.array_equal(c.rho, rho)
-        assert np.array_equal(c.pvalue, pvalue)
-        assert np.array_equal(c.rho_bar, rho_bar)
-        assert c.zeroed == zeroed
+        assert len(crosscorr._blocks(N, N)) == (1 if N == 30 else 6)
+        assert_equals_reference(c, X, 0.05, mode)
         if mode == "filtered":
-            assert 0 < zeroed < N * (N - 1) // 2
+            assert 0 < c.zeroed < N * (N - 1) // 2
         else:
-            assert zeroed == 0
+            assert c.zeroed == 0
 
     @pytest.mark.parametrize("mode", ["filtered", "all"])
     @pytest.mark.parametrize("width", [1, 2, 4, 11])
     def test_column_blocks_equal_reference(self, rng, monkeypatch, width,
                                            mode):
-        """Both passes in several column blocks, the last one partial: the
-        norms in blocks of ``width`` columns (2 and 11 end in a lone
-        column, which numpy alone would sum pairwise) and rho_bar in blocks
-        of 1, 3, 6 and 19 columns."""
+        """Both passes in several blocks, the last one partial: the norms
+        in row blocks of 1, 1, 3 and 9 of the 40 rows, and rho in row
+        blocks of 1, 1, 3 and 9 of its 23 rows."""
         T, N = 40, 23
         monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * T * width)
         X = (np.linspace(0.0, 0.6, N) * rng.standard_normal((T, 1))
              + rng.standard_normal((T, N)))
         panel = make_return_panel(X)
         c = correlation_matrix(panel, 0.05, mode)
-        G, rho, _, rho_bar, zeroed = reference_correlation(X, 0.05, mode)
+        G, *_ = reference_correlation(X, 0.05, mode)
         assert np.array_equal(panel.returns, G)
-        assert np.array_equal(c.rho, rho)
-        assert np.array_equal(c.rho_bar, rho_bar)
-        assert c.zeroed == zeroed
+        assert_equals_reference(c, X, 0.05, mode)
         if mode == "filtered":
-            assert 0 < zeroed < N * (N - 1) // 2
+            assert 0 < c.zeroed < N * (N - 1) // 2
+
+    @pytest.mark.parametrize("mode", ["filtered", "all"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 11, 22])
+    def test_row_blocks_equal_reference(self, rng, monkeypatch, rows, mode):
+        """rho and rho_bar in row blocks of ``rows`` rows; 2, 11 and 22 end
+        in a lone row. Building rho again gives the same bits."""
+        T, N = 40, 23
+        monkeypatch.setattr(scaling, "BLOCK_BYTES", 16 * N * rows)
+        heights = [b.stop - b.start for b in crosscorr._blocks(N, N)]
+        assert heights[0] == rows and sum(heights) == N
+        X = (np.linspace(0.0, 0.6, N) * rng.standard_normal((T, 1))
+             + rng.standard_normal((T, N)))
+        c = correlation_matrix(make_return_panel(X), 0.05, mode)
+        assert_equals_reference(c, X, 0.05, mode)
+        assert c.rho is c.rho  # built once per summary
+        first = c.rho.copy()
+        del c.rho
+        assert np.array_equal(c.rho, first)
 
     def test_read_only_returns_are_copied(self, rng):
         X = rng.standard_normal((100, 4))
@@ -273,7 +313,7 @@ class TestCorrelationMatrix:
     def test_matrix_invariants(self, rng):
         X = rng.standard_normal((300, 8))
         c = correlation_matrix(make_return_panel(X))
-        assert np.array_equal(c.rho, c.rho.T)  # syrk fills both triangles
+        assert np.array_equal(c.rho, c.rho.T)  # each tile fills both
         assert np.abs(c.rho).max() <= 1.0
         assert np.all(np.diag(c.rho) == 1.0)
         assert np.all(np.diag(c.pvalue) == 0.0)
@@ -325,34 +365,32 @@ class TestCorrelationMatrix:
 
 
 class TestCorrelationMemory:
-    """correlation_matrix works inside the returns it is given: beside the
-    rho it returns, it holds one column block of the returns' squares or of
-    rho's boolean mask at a time, and neither an N x T copy of the panel nor
-    a whole N x N temporary."""
+    """correlation_matrix works inside the returns it is given: it holds
+    one column block of the returns' squares, or one row block of rho with
+    its boolean filter mask, at a time, and neither an N x T copy of the
+    panel nor any N x N array."""
 
     @staticmethod
-    def peak_above_rho(rng, T, N):
+    def peak(rng, T, N):
         panel = make_return_panel(rng.standard_normal((T, N)))
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            c = correlation_matrix(panel)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            correlation_matrix(panel)
+            return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        return peak - c.rho.nbytes, c.rho.nbytes
 
     def test_no_panel_copy(self, rng):
-        # measured (bytes per N x T cell): 8.0 with a centred copy, 2.6
-        # in place in blocks of 256 rows, 0.77 in column blocks
+        # measured (bytes per N x T cell): 1.97 with rho and its column
+        # blocks, 1.22 in row blocks (beside rho: 8.0 with a centred copy,
+        # 2.6 in place in blocks of 256 rows, 0.77 in column blocks)
         T, N = 2000, 300
-        peak, _ = self.peak_above_rho(rng, T, N)
-        assert peak / (T * N) < 1.5
+        assert self.peak(rng, T, N) / (T * N) < 1.5
 
     def test_no_matrix_copy(self, rng):
-        # measured (multiples of rho's bytes): 2.4 with whole N x N
-        # temporaries, 1.15 in float row blocks, 0.28 in boolean column
-        # blocks
-        peak, rho_bytes = self.peak_above_rho(rng, 500, 600)
-        assert peak / rho_bytes < 0.5
+        # measured (multiples of one N x N float matrix): 1.28 with rho
+        # and its column blocks, 0.27 in row blocks
+        N = 600
+        assert self.peak(rng, 500, N) / (8 * N * N) < 0.5
