@@ -10,10 +10,10 @@ inputs, the chain ``clean`` -> ``returns`` -> ``scaling``/``xcorr`` ->
 the results. Re-runs with the same inputs are byte-identical.
 """
 
-import hashlib
 import json
 import os
 import shutil
+import stat
 
 import numpy as np
 
@@ -31,14 +31,49 @@ __version__ = "0.1.0"
 
 MODES = ("raw", "shuffled", "gaussianized")
 STAGING_DIR = ".scalecorr-staging"
+INPUTS = ("prices", "returns", "capitalization")
 
 
 def _sha256(path):
+    import hashlib  # OpenSSL maps in here, once the run is past its peak
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _identity(path):
+    """What changes when the file at ``path`` is replaced or rewritten."""
+    st = os.stat(path)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _input_files(config):
+    """{input name: identity} of the run's input files. The manifest pins
+    each by a digest taken after the stages, so an input must be a regular
+    file that can be read twice: a pipe, FIFO or device is a ConfigError."""
+    files = {}
+    for name in INPUTS:
+        path = getattr(config, name)
+        if path is None:
+            continue
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ConfigError(f"{name} input {path} is not a regular file")
+        files[name] = _identity(path)
+    return files
+
+
+def _digests(config, files):
+    """{input name: sha256} of the input files; DataError for one whose
+    identity is not what it was before its stage read it."""
+    digests = {}
+    for name, identity in files.items():
+        path = getattr(config, name)
+        digests[name] = _sha256(path)
+        if _identity(path) != identity:
+            raise DataError(f"{name} input {path} changed during the run")
+    return digests
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -114,13 +149,10 @@ def _input_at(path, inputs):
 
 
 def _write_bundle(config, mode, out):
-    """Run every stage, writing to ``out(name)``; returns the input digests."""
-    digests = {}
+    """Run every stage, writing to ``out(name)``."""
     if config.returns is not None:
-        digests["returns"] = _sha256(config.returns)
         returns = _stage("load", ReturnPanel.read, config.returns)
     else:
-        digests["prices"] = _sha256(config.prices)
         series = _stage("load", load_prices, config.prices)
         panel = _stage("clean", preprocess, series, config.k)
         del series  # neither the series nor the panel outlives its next stage
@@ -154,7 +186,6 @@ def _write_bundle(config, mode, out):
 
     ln_cap = None
     if config.capitalization is not None:
-        digests["capitalization"] = _sha256(config.capitalization)
         records = _stage("capitalization", load_capitalizations,
                          config.capitalization)
         caps = _stage("capitalization", median_capitalization, records)
@@ -167,7 +198,6 @@ def _write_bundle(config, mode, out):
     report = _stage("associate", build_report, scaling.A_hat, scaling.B_hat,
                     rho_bar, ln_cap)
     report.write(out("association.tsv"), out("association.txt"))
-    return digests
 
 
 def run(config: PipelineConfig, mode="raw"):
@@ -177,6 +207,8 @@ def run(config: PipelineConfig, mode="raw"):
     last, only once every stage has succeeded; then the files the earlier
     manifest listed and this run did not write, except its inputs, are
     removed; a bundle file that is one of its inputs is a ConfigError.
+    The inputs are hashed after the stages, when the run is past its peak
+    memory, and must not have changed since their stage read them.
     Returns {file name: path} of the written files.
     """
     if mode not in MODES:
@@ -185,6 +217,7 @@ def run(config: PipelineConfig, mode="raw"):
     if (config.prices is None) == (config.returns is None):
         raise ConfigError("exactly one of a prices file and a returns file "
                           "is required")
+    files = _input_files(config)
     outdir = config.output_dir
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise ConfigError(f"output_dir {outdir} exists and is not a directory")
@@ -206,7 +239,8 @@ def run(config: PipelineConfig, mode="raw"):
         return os.path.join(staging, name)
 
     try:
-        digests = _write_bundle(config, mode, out)
+        _write_bundle(config, mode, out)
+        digests = _digests(config, files)
         # output_dir is where the bundle lives, not part of what it holds
         manifest = {"version": __version__, "mode": mode, "config": {
             k: v for k, v in config.to_pairs() if k != "output_dir"},

@@ -8,7 +8,6 @@ their mid-ranks, removing distribution-shape effects while preserving the
 temporal rank structure).
 """
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ class SurrogateSpec:
     permutation: np.ndarray = None
 
     def digest(self):
+        import hashlib  # OpenSSL is left out of the package's import
         return hashlib.sha256(self.permutation.astype(np.int64).tobytes()).hexdigest()
 
     def to_pairs(self):

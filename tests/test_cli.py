@@ -1,6 +1,7 @@
 import datetime as dt
 import errno
 import filecmp
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -23,6 +25,11 @@ from scalecorr.errors import ConfigError, EstimationError
 from scalecorr.scaling import DEFAULT_Q_GRID
 from scalecorr.panel import ReturnPanel
 from scalecorr.pipeline import STAGING_DIR, read_columns
+
+
+def _sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _assert_same_files(a, b):
@@ -62,6 +69,28 @@ def long_prices_file(returns_file, tmp_path):
         for i, t in enumerate(panel.tickers)
         for d, p in enumerate(prices[:, i].tolist())))
     return str(path)
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    """A FIFO in tmp_path. Every reader that opens it is given an empty
+    stream within ~20 ms, so code that reads it fails instead of blocking."""
+    path = tmp_path / "input.fifo"
+    os.mkfifo(path)
+    stop = threading.Event()
+
+    def end_each_read():
+        while not stop.wait(0.02):
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # ENXIO: no reader has it open
+                pass
+
+    writer = threading.Thread(target=end_each_read, daemon=True)
+    writer.start()
+    yield str(path)
+    stop.set()
+    writer.join()
 
 
 @pytest.fixture
@@ -252,6 +281,39 @@ class TestExitCodes:
                      "--output-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["prices", "returns", "capitalization"])
+    def test_fifo_input_is_2(self, returns_file, fifo, tmp_path, capsys,
+                             flag):
+        """The manifest pins an input by a digest taken after the stages,
+        so an input whose bytes can be read only once is rejected before
+        any stage runs."""
+        out = tmp_path / "o"
+        argv = ["run", "--" + flag, fifo, "--output-dir", str(out)]
+        if flag == "capitalization":
+            argv += ["--returns", returns_file]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} input {fifo} is not a regular file\n")
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_piped_returns_is_2(self, returns_file, tmp_path, capsys):
+        """``run --returns <(cat returns.tsv)`` hands the run a pipe."""
+        with open(returns_file, "rb") as fh:
+            head = b"".join(fh.readlines()[:50])  # fits a pipe's buffer
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, head)
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            assert main(["run", "--returns", path, "--output-dir",
+                         str(tmp_path / "o")]) == 2
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().err == (
+            f"error: returns input {path} is not a regular file\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
     def test_non_finite_close_is_1_and_writes_nothing(self, prices_file,
@@ -625,7 +687,8 @@ class TestRun:
             manifest = json.load(fh)
         assert manifest["config"]["alpha"] == "0.1"
         assert manifest["config"]["seed"] == "3"
-        assert manifest["input_digests"]["returns"]
+        assert manifest["input_digests"] == {
+            "returns": _sha256_of(returns_file)}
 
     def test_capitalization_block_end_to_end(self, returns_file, tmp_path):
         rng = np.random.default_rng(2)
@@ -695,15 +758,20 @@ class TestRun:
         (the returns, correlations, p-values, the cleaned panel, its fill
         mask)."""
         out = tmp_path / "o"
-        argv = ["run", "--mode", mode, "--output-dir", str(out), "--" + source,
-                returns_file if source == "returns" else long_prices_file]
+        inputs = {source: returns_file if source == "returns"
+                  else long_prices_file}
         if caps:
             path = tmp_path / "caps.csv"
             path.write_text("".join(f"S{i:04d},2020-01-01,{1e9 * (i + 1)}\n"
                                     for i in range(8)))
-            argv += ["--capitalization", str(path)]
+            inputs["capitalization"] = str(path)
+        argv = ["run", "--mode", mode, "--output-dir", str(out)]
+        for flag, path in inputs.items():
+            argv += ["--" + flag, path]
         assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["input_digests"] == {
+            flag: _sha256_of(path) for flag, path in inputs.items()}
         assert manifest["outputs"] == sorted(
             ["association.tsv", "association.txt", "proxies.tsv",
              "rho_bar.tsv"] + extra)
@@ -935,6 +1003,33 @@ class TestStagedRun:
         assert "[capitalization]" in capsys.readouterr().err
         _assert_same_files(before, out)
 
+    @pytest.mark.parametrize("flag", ["returns", "capitalization"])
+    def test_input_changed_during_the_run_is_1(self, returns_file, caps,
+                                               tmp_path, capsys, monkeypatch,
+                                               flag):
+        """An input rewritten after its stage read it, before it is hashed,
+        stops the run: the manifest would pin bytes it did not analyse."""
+        out = tmp_path / "o"
+        argv = ["run", "--returns", returns_file, "--capitalization",
+                str(caps), "--output-dir", str(out)]
+        assert main(argv) == 0
+        before = tmp_path / "before"
+        shutil.copytree(out, before)
+        path = returns_file if flag == "returns" else str(caps)
+
+        def build_report(*args, **kwargs):  # every input has been read
+            with open(path, "a") as fh:
+                fh.write("\n")
+            return report(*args, **kwargs)
+
+        report = pipeline.build_report
+        monkeypatch.setattr(pipeline, "build_report", build_report)
+        capsys.readouterr()
+        assert main(argv + ["--mode", "shuffled"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flag} input {path} changed during the run\n")
+        _assert_same_files(before, out)
+
     def test_output_dir_that_is_a_file_is_2(self, returns_file, tmp_path,
                                             capsys):
         afile = tmp_path / "afile"
@@ -1145,20 +1240,46 @@ def test_files_are_utf8_whatever_the_locale(long_prices_file, tmp_path):
         assert "\u00c40000" in fh.read()
 
 
-def test_cli_import_leaves_out_scipy_stats_and_linalg():
-    """The package loads only four ufuncs from scipy's special-function
-    extension, not scipy.special, scipy.stats or scipy.linalg; a fresh
-    interpreter shows it, where this test process may have imported
-    scipy.stats itself."""
+def _fresh_python(*args):
+    """stdout of a fresh interpreter on this checkout's package."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    code = ("import sys, scalecorr.cli; print(sorted(m for m in "
-            "('scipy.stats', 'scipy.linalg', 'scipy.special') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_out_scipy_stats_and_linalg():
+    """The package loads only four ufuncs from scipy's special-function
+    extension, not scipy.special, scipy.stats or scipy.linalg, and not
+    OpenSSL's hashes (``_hashlib``), which only the digests need; a fresh
+    interpreter shows it, where this test process may have imported
+    scipy.stats itself."""
+    code = ("import sys, scalecorr.cli; print(sorted(m for m in "
+            "('scipy.stats', 'scipy.linalg', 'scipy.special', '_hashlib') "
+            "if m in sys.modules))")
+    assert _fresh_python("-c", code) == "[]\n"
+
+
+@pytest.mark.parametrize("mode", ["raw", "gaussianized"])
+def test_openssl_loads_after_the_correlation_stage(returns_file, tmp_path,
+                                                   mode):
+    """A run first loads OpenSSL's hashes to take its digests, after
+    correlation_matrix has returned; a fresh interpreter shows it. (The
+    shuffled mode loads them earlier: numpy.random imports ``secrets``.)"""
+    code = ("import sys\n"
+            "from scalecorr import cli, pipeline\n"
+            "correlate = pipeline.correlation_matrix\n"
+            "def correlation_matrix(*args, **kwargs):\n"
+            "    corr = correlate(*args, **kwargs)\n"
+            "    print('_hashlib' in sys.modules)\n"
+            "    return corr\n"
+            "pipeline.correlation_matrix = correlation_matrix\n"
+            "print(cli.main(sys.argv[1:]), '_hashlib' in sys.modules)\n")
+    assert _fresh_python("-c", code, "run", "--returns", returns_file,
+                         "--mode", mode, "--output-dir",
+                         str(tmp_path / "o")) == "False\n0 True\n"
 
 
 def test_readme_cli_examples_parse():
