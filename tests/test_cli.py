@@ -1282,6 +1282,33 @@ def test_openssl_loads_after_the_correlation_stage(returns_file, tmp_path,
                          str(tmp_path / "o")) == "False\n0 True\n"
 
 
+@pytest.mark.parametrize("libc", ["mallopt", "no-mallopt", "no-libc"])
+def test_mmap_threshold_is_fixed_where_libc_allows(returns_file, tmp_path,
+                                                   monkeypatch, libc):
+    """``main`` fixes glibc's mmap threshold at 128 KiB; a libc without
+    ``mallopt``, or none that ctypes can load, is left as it is, and the
+    run writes the same bundle."""
+    assert main(["run", "--returns", returns_file,
+                 "--output-dir", str(tmp_path / "a")]) == 0
+    calls = []
+
+    class Libc:
+        def mallopt(self, *args):
+            calls.append(args)
+            return 1
+
+    def CDLL(name):
+        if libc == "no-libc":
+            raise OSError("no C library")
+        return Libc() if libc == "mallopt" else object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", CDLL)
+    assert main(["run", "--returns", returns_file,
+                 "--output-dir", str(tmp_path / "b")]) == 0
+    assert calls == ([(-3, 131072)] if libc == "mallopt" else [])
+    _assert_same_files(tmp_path / "a", tmp_path / "b")
+
+
 def test_readme_cli_examples_parse():
     """Every ``scalecorr`` line of the README's CLI block and every inline
     `scalecorr ...` example parses, so a renamed or dropped flag fails."""
