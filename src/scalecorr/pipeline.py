@@ -43,9 +43,8 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _identity(path):
-    """What changes when the file at ``path`` is replaced or rewritten."""
-    st = os.stat(path)
+def _identity(st):
+    """What changes in ``os.stat`` when a file is replaced or rewritten."""
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
@@ -58,9 +57,10 @@ def _input_files(config):
         path = getattr(config, name)
         if path is None:
             continue
-        if not stat.S_ISREG(os.stat(path).st_mode):
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode):
             raise ConfigError(f"{name} input {path} is not a regular file")
-        files[name] = _identity(path)
+        files[name] = _identity(st)
     return files
 
 
@@ -71,7 +71,7 @@ def _digests(config, files):
     for name, identity in files.items():
         path = getattr(config, name)
         digests[name] = _sha256(path)
-        if _identity(path) != identity:
+        if _identity(os.stat(path)) != identity:
             raise DataError(f"{name} input {path} changed during the run")
     return digests
 
