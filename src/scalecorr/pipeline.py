@@ -38,7 +38,8 @@ def _sha256(path):
     import hashlib  # OpenSSL maps in here, once the run is past its peak
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        # below the CLI's mmap threshold, each chunk reuses one heap block
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 

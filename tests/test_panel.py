@@ -379,9 +379,9 @@ class TestIngestMemory:
     columns, so the traced peak (numpy buffers included) grows with the
     record count only through those columns and the sort."""
 
-    # measured: ~46 with 8192-line windows, which outweigh the columns of
-    # this 200k-record file; ~238 when the whole file's text, line index and
-    # per-byte arrays were held at once
+    # measured: ~33 with 4096-line windows and ~46 with 8192-line ones,
+    # which outweigh the columns of this 200k-record file; ~238 when the
+    # whole file's text, line index and per-byte arrays were held at once
     BYTES_PER_RECORD = 64
     # with 1024-line windows the columns and the sort set the peak: ~30
     # (value, line, int64 key and sort order); ~41 when the sort also held
