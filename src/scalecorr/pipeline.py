@@ -31,7 +31,6 @@ __version__ = "0.1.0"
 
 MODES = ("raw", "shuffled", "gaussianized")
 STAGING_DIR = ".scalecorr-staging"
-INPUTS = ("prices", "returns", "capitalization")
 
 
 def _sha256(path):
@@ -54,7 +53,7 @@ def _input_files(config):
     each by a digest taken after the stages, so an input must be a regular
     file that can be read twice: a pipe, FIFO or device is a ConfigError."""
     files = {}
-    for name in INPUTS:
+    for name in ("prices", "returns", "capitalization"):
         path = getattr(config, name)
         if path is None:
             continue
