@@ -24,7 +24,7 @@ So ``load_prices`` peaks at 29 bytes per record for 1.2M records (33 for
 ``datetime64[D]`` day and a close each.
 
 Record files are UTF-8, with or without a leading byte order mark. From
-``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.forked`)
+``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.halves`)
 reads the second half of the lines into its own columns while this process
 reads the first half; its columns come back through the pipe into the slots
 after this process's records, and its ticker and date codes are mapped onto
@@ -267,13 +267,8 @@ def _read_records(path, what):
     with ``#`` are skipped. The reader's own faults (field count, value,
     date) are collected, not raised, so that callers can report the first
     faulty line across their own checks too (:meth:`_Records.raise_first`).
-
     From ``textio.SPLIT_READ_BYTES`` bytes on, where :func:`textio.can_fork`
-    allows it, a forked child reads the second half of the lines: it skips
-    the first half itself, numbers its lines from the file's start, and
-    sends its columns and its ticker and date texts, which this process
-    maps onto its own codes. Where this process's half holds a reader fault
-    the child's result is not used, as a serial read would stop there.
+    allows it, the lines are read by :func:`_scan_halves`.
     """
     with _open_records(path) as fh:
         try:  # counts the lines; a byte that does not decode comes first
@@ -287,46 +282,52 @@ def _read_records(path, what):
         columns = _columns(size, index)
         if (os.fstat(fh.fileno()).st_size < textio.SPLIT_READ_BYTES
                 or not textio.can_fork()):
-            return _records(columns, *_scan(_file_windows(fh), 1, columns,
-                                            what))
-        head = size // 2
+            scanned = _scan(_file_windows(fh), 1, columns, what)
+        else:
+            scanned = _scan_halves(fh, path, size, columns, what)
+    return _records(columns, *scanned)
 
-        def second():
-            theirs = _columns(size - head, index)
-            with _open_records(path) as child_fh:
-                for _ in itertools.islice(child_fh, head):
-                    pass
-                n, tickers, date_texts, errors = _scan(
-                    _file_windows(child_fh), head + 1, theirs, what)
-            return ((n, list(tickers), list(date_texts), errors),
-                    [column[:n] for column in theirs])
 
-        with textio.forked(second) as pipe:
+def _scan_halves(fh, path, size, columns, what):
+    """:func:`_scan` of the lines of ``fh``, which has ``size - 1`` line
+    breaks, with the second half of the lines read by a forked child.
+
+    The child skips the first half itself, numbers its lines from the
+    file's start, and sends its columns, which go into the slots after
+    this process's records, and its ticker and date texts, which this
+    process maps onto its own codes. Where this process's half holds a
+    reader fault the child's result is not used, as a serial read would
+    stop there.
+    """
+    head = size // 2
+
+    def second():
+        theirs = _columns(size - head, columns[0].dtype)
+        with _open_records(path) as child_fh:
+            for _ in itertools.islice(child_fh, head):
+                pass
             n, tickers, date_texts, errors = _scan(
-                _file_windows(itertools.islice(fh, head)), 1, columns, what)
-            if not errors:
-                k, errors = _receive_records(pipe, columns, n, tickers,
-                                             date_texts)
-                n += k
-    return _records(columns, n, tickers, date_texts, errors)
+                _file_windows(child_fh), head + 1, theirs, what)
+        return ((n, list(tickers), list(date_texts), errors),
+                [column[:n] for column in theirs])
 
+    def into(scanned, theirs):
+        n, _, _, errors = scanned
+        return None if errors else [column[n:] for column in columns]
 
-def _receive_records(pipe, columns, n, tickers, date_texts):
-    """Read the records a forked :func:`_scan` sent into the slots of
-    ``columns`` from ``n`` on, its codes mapped onto ``tickers`` and
-    ``date_texts``; returns its record count and faults."""
-    exc, theirs = textio.receive(pipe)
-    if exc is not None:
-        raise exc
-    k, their_tickers, their_dates, errors = theirs
-    slots = [column[n:n + k] for column in columns]
-    textio.receive_into(pipe, slots)
-    for c, codes, texts in zip(slots, (tickers, date_texts),
-                               (their_tickers, their_dates)):
-        mine = np.fromiter(map(codes.__getitem__, texts), c.dtype, len(texts))
-        # in place: the default mode="raise" would buffer ``out``
-        np.take(mine, c, out=c, mode="clip")
-    return k, errors
+    (n, tickers, date_texts, errors), theirs = textio.halves(
+        lambda: _scan(_file_windows(itertools.islice(fh, head)), 1, columns,
+                      what), second, into)
+    if theirs is not None:
+        k, *texts, errors = theirs
+        for c, codes, their in zip(columns, (tickers, date_texts), texts):
+            c = c[n:n + k]
+            mine = np.fromiter(map(codes.__getitem__, their), c.dtype,
+                               len(their))
+            # in place: the default mode="raise" would buffer ``out``
+            np.take(mine, c, out=c, mode="clip")
+        n += k
+    return n, tickers, date_texts, errors
 
 
 def _columns(size, index):
@@ -582,7 +583,6 @@ def median_capitalization(records):
     """
     values = {}
     for ticker, obs in records.items():
-        obs = [v for v in obs if v is not None]
         if any(v < 0 for v in obs):
             raise DataError(f"{ticker}: negative capitalization value")
         if not obs:

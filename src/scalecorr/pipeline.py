@@ -114,11 +114,11 @@ def read_columns(path, *columns):
     """Read the named columns of a labelled matrix as {row label: (value of
     each column)}, in file order; a missing column is a DataError naming
     the header's line."""
-    with open(path, "rb") as fh:
-        line = textio.read_header(fh, path)[0]
     labels, header, values = textio.read_matrix(path)
     for column in columns:
         if column not in header:
+            with open(path, "rb") as fh:
+                line = textio.read_header(fh, path)[0]
             raise DataError(f"{path}: line {line}: no {column} column")
     picked = values[:, [header.index(column) for column in columns]]
     return dict(zip(labels, map(tuple, picked.tolist())))

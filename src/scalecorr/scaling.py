@@ -13,7 +13,7 @@ arrays; a single series is the panel ``x[:, None]``. Its kernel
 (:func:`panel_moments`) evaluates the moments in blocks of about
 ``BLOCK_BYTES`` per buffer, small enough for a core's L2 cache, in one set
 of scratch buffers. From ``SPLIT_CELLS`` panel cells on, a forked child
-(:func:`textio.forked`) takes the blocks right of the middle block boundary
+(:func:`textio.halves`) takes the blocks right of the middle block boundary
 while this process takes the rest: the short ufunc calls on a block leave
 threads waiting on the GIL most of the time. A block holds its series as
 contiguous rows, one cumulative sum per block, and each moment is a row
@@ -130,55 +130,49 @@ def panel_moments(X, q_grid, tau_range):
     # zeros give ln|r| = -inf and exp(q * -inf) = 0; an exp or a product
     # that overflows gives inf, which _loglog_fit rejects
     @np.errstate(divide="ignore", over="ignore")
-    def fill(cols):
-        w = cols.stop - cols.start
-        block, csum, ln_buf, power_buf, step_buf = (buf[:w] for buf in scratch)
-        np.copyto(block, X[:, cols].T)
-        np.cumsum(block, axis=1, out=csum[:, 1:])
-        for j, tau in enumerate(int(t) for t in tau_range):
-            m = T - tau + 1
-            ln_abs, power, step = (buf[:, :m]
-                                   for buf in (ln_buf, power_buf, step_buf))
-            # tau = 1 keeps the returns as they are: differencing the
-            # cumsum would round them
-            if tau == 1:
-                np.abs(block, out=ln_abs)
-            else:
-                np.subtract(csum[:, tau:], csum[:, :-tau], out=ln_abs)
-                np.abs(ln_abs, out=ln_abs)
-            np.log(ln_abs, out=ln_abs)
-            if ladder:
-                np.multiply(ln_abs, h, out=step)
-                np.exp(step, out=step)
-            for i, q in enumerate(q_grid):
-                if rung[i]:
-                    power *= step
-                elif ladder and q == h:
-                    np.copyto(power, step)
+    def fill(part):  # the moments of the blocks in ``part``
+        for cols in part:
+            w = cols.stop - cols.start
+            block, csum, ln_buf, power_buf, step_buf = (
+                buf[:w] for buf in scratch)
+            np.copyto(block, X[:, cols].T)
+            np.cumsum(block, axis=1, out=csum[:, 1:])
+            for j, tau in enumerate(int(t) for t in tau_range):
+                m = T - tau + 1
+                ln_abs, power, step = (
+                    buf[:, :m] for buf in (ln_buf, power_buf, step_buf))
+                # tau = 1 keeps the returns as they are: differencing the
+                # cumsum would round them
+                if tau == 1:
+                    np.abs(block, out=ln_abs)
                 else:
-                    np.multiply(ln_abs, q, out=power)
-                    np.exp(power, out=power)
-                moments[i, j, cols] = np.mean(power, axis=1)
+                    np.subtract(csum[:, tau:], csum[:, :-tau], out=ln_abs)
+                    np.abs(ln_abs, out=ln_abs)
+                np.log(ln_abs, out=ln_abs)
+                if ladder:
+                    np.multiply(ln_abs, h, out=step)
+                    np.exp(step, out=step)
+                for i, q in enumerate(q_grid):
+                    if rung[i]:
+                        power *= step
+                    elif ladder and q == h:
+                        np.copyto(power, step)
+                    else:
+                        np.multiply(ln_abs, q, out=power)
+                        np.exp(power, out=power)
+                    moments[i, j, cols] = np.mean(power, axis=1)
 
     if T * N < SPLIT_CELLS or len(blocks) < 2 or not textio.can_fork():
-        for cols in blocks:
-            fill(cols)
+        fill(blocks)
         return moments
     k = min(range(1, len(blocks)), key=lambda b: abs(2 * blocks[b].start - N))
     theirs = list(moments.reshape(-1, N)[:, blocks[k].start:])  # their rows
 
     def second():
-        for cols in blocks[k:]:
-            fill(cols)
+        fill(blocks[k:])
         return None, theirs
 
-    with textio.forked(second) as pipe:
-        for cols in blocks[:k]:
-            fill(cols)
-        exc, _ = textio.receive(pipe)
-        if exc is not None:
-            raise exc
-        textio.receive_into(pipe, theirs)
+    textio.halves(lambda: fill(blocks[:k]), second, lambda *_: theirs)
     return moments
 
 

@@ -7,7 +7,7 @@ re-runs produce byte-identical files. Labelled matrices are written with one
 ``%`` format per row over a whole-row spec and read back by ``np.loadtxt``
 over the numeric block, one line at a time.
 
-Parallel work is this process plus one child that :func:`forked` starts,
+Parallel work is this process plus one child that :func:`halves` starts,
 since ``np.loadtxt``, ``%`` formatting, record parsing and the scaling
 kernel's ufunc loops mostly hold the GIL. Here a big matrix is read or
 written with the child taking the second half of the data rows: a read
@@ -29,7 +29,6 @@ import shutil
 import signal
 import sys
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -58,23 +57,25 @@ def read_text(path, error=DataError):
 
 
 def can_fork():
-    """Whether work may go to a :func:`forked` child."""
+    """Whether work may go to a :func:`halves` child."""
     return (hasattr(os, "fork") and sys.version_info < (3, 12)
             and threading.active_count() == 1)
 
 
-@contextmanager
-def forked(task):
-    """Run ``task()`` in a forked child; yields the read end of its pipe.
+def halves(first, second, into):
+    """Run ``first()`` here while a forked child runs ``second()``; returns
+    (first's result, second's object, or None where it was dropped).
 
-    ``task`` returns an object and a list of buffers: the child sends the
-    pickle of ``(None, object)`` and then each buffer's bytes, which the
-    parent reads with :func:`receive` and :func:`receive_into`. An
-    exception that escapes ``task`` is sent as ``(exception, None)``, or as
-    a RuntimeError with its type and text where it does not pickle. The
-    child starts no thread and leaves through ``os._exit``. Whatever the
-    block does, the child is killed, if still alive, and reaped on leaving
-    it.
+    ``second`` returns an object and a list of C-contiguous buffers. Once
+    ``first`` is done, ``into(mine, theirs)``, given first's result and
+    second's object (None where second raised), returns the arrays that
+    second's buffers fill, in turn, each from its start, or None to drop
+    the child's result and any exception it raised. Otherwise an exception
+    that escaped ``second`` is raised here, as a RuntimeError with its type
+    and text where it does not pickle; one from ``first`` comes first. The
+    child starts no thread and leaves through ``os._exit``. Whatever
+    happens, it is killed, if still alive, and reaped before the call
+    returns.
     """
     rfd, wfd = os.pipe()
     pid = os.fork()
@@ -84,43 +85,44 @@ def forked(task):
             os.close(rfd)
             with open(wfd, "wb") as out:
                 try:
-                    obj, buffers = task()
-                    out.write(pickle.dumps((None, obj)))
+                    obj, buffers = second()
+                    sizes = [memoryview(b).nbytes for b in buffers]
+                    out.write(pickle.dumps((None, obj, sizes)))
                     for buffer in buffers:
                         out.write(buffer)
                 except BaseException as exc:  # relayed: the parent raises it
                     try:
-                        message = pickle.dumps((exc, None))
+                        message = pickle.dumps((exc, None, []))
                     except Exception:
                         message = pickle.dumps((RuntimeError(
-                            f"{type(exc).__name__}: {exc}"), None))
+                            f"{type(exc).__name__}: {exc}"), None, []))
                     out.write(message)
         finally:
             os._exit(0)
     try:
         os.close(wfd)
         with open(rfd, "rb") as pipe:
-            yield pipe
+            mine = first()
+            try:
+                exc, theirs, sizes = pickle.load(pipe)
+            except EOFError:
+                raise OSError("a child process ended without a result"
+                              ) from None
+            arrays = into(mine, theirs)
+            if arrays is None:
+                return mine, None
+            if exc is not None:
+                raise exc
+            for array, size in zip(arrays, sizes):
+                # memoryview does not cast an empty array of 2+ axes
+                if size and pipe.readinto(
+                        memoryview(array).cast("B")[:size]) != size:
+                    raise OSError("a child process ended before sending "
+                                  "its data")
+            return mine, theirs
     finally:
         os.kill(pid, signal.SIGKILL)  # done with it, or given up on it
         os.waitpid(pid, 0)
-
-
-def receive(pipe):
-    """The ``(exception or None, object)`` a :func:`forked` child sent."""
-    try:
-        return pickle.load(pipe)
-    except EOFError:
-        raise OSError("a child process ended without a result") from None
-
-
-def receive_into(pipe, arrays):
-    """Fill each C-contiguous array in turn with the buffer bytes a
-    :func:`forked` child sent after its object."""
-    for array in arrays:
-        block = memoryview(array).cast("B")
-        if block.nbytes and pipe.readinto(block) != block.nbytes:
-            raise OSError("a child process ended before sending its data")
 
 
 def _decode(raw, path, end):
@@ -205,20 +207,22 @@ def _read_halves(fh, path, n_fields, start, split, line, lines):
                                    theirs)
         return list(theirs.items()), [values]
 
-    with forked(second) as pipe:
-        top, line = _read_rows(fh, path, n_fields, start, split, line, lines)
-        exc, theirs = receive(pipe)
-        if exc is not None and not isinstance(exc, DataError):
-            raise exc
-        if exc is not None or any(label in lines for label, _ in theirs):
-            bottom, _ = _read_rows(fh, path, n_fields, split, None, line,
-                                   lines)  # raises the serial read's error
-            return np.concatenate([top, bottom])
+    def into(mine, theirs):
+        top, line = mine
+        if theirs is None or any(label in lines for label, _ in theirs):
+            # raises the serial read's error; where there is none, the
+            # child raised another exception, which halves raises
+            _read_rows(fh, path, n_fields, split, None, line, lines)
+            return []
         # grown in place (loadtxt's array owns its data): no copy of the
         # first half, and no freed block to raise malloc's mmap threshold
         n = len(top)
         top.resize((n + len(theirs), n_fields - 1), refcheck=False)
-        receive_into(pipe, [top[n:]])
+        return [top[n:]]
+
+    (top, line), theirs = halves(
+        lambda: _read_rows(fh, path, n_fields, start, split, line, lines),
+        second, into)
     lines.update((label, i + line - 1) for label, i in theirs)
     return top
 
@@ -333,11 +337,9 @@ def write_matrix(path, row_labels, col_labels, matrix, corner="date",
         return None, []
 
     try:
-        with forked(second) as pipe:
-            _write_rows(path, header, row_fmt, labels[:k], matrix[:k])
-            exc, _ = receive(pipe)
-            if exc is not None:
-                raise exc
+        halves(lambda: _write_rows(path, header, row_fmt, labels[:k],
+                                   matrix[:k]),
+               second, lambda *_: [])
         with open(part, "rb") as src, open(path, "ab") as dst:
             shutil.copyfileobj(src, dst, 1 << 20)
     finally:

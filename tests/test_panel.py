@@ -357,6 +357,29 @@ class TestTwoProcessIngest:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_fault_in_this_half_beats_the_child_exception(
+            self, tmp_path, monkeypatch, forks):
+        # a serial read stops at line 1: the child's half is never read
+        lines = PRICE_FIXTURE.splitlines()
+        lines[0] = "AAA,2020-01-03,x"
+        path = write_lines(tmp_path, lines)
+        want = ("error", "line 1: bad close 'x'")
+        assert _outcome(load_prices, path) == want
+        parent, parse = os.getpid(), panel_module._parse_floats
+
+        def failing_in_the_child(texts):
+            if os.getpid() != parent:
+                raise ArithmeticError("in the child")
+            return parse(texts)
+
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
+        monkeypatch.setattr(panel_module, "_parse_floats",
+                            failing_in_the_child)
+        assert _outcome(load_prices, path) == want
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("split", [1 << 62, 0])
     def test_byte_order_mark_is_not_part_of_a_ticker(self, tmp_path,
                                                      monkeypatch, split):

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from scalecorr import textio
+from scalecorr import scaling, textio
 from scalecorr.cli import main
 from scalecorr.errors import DataError
-from scalecorr.panel import ReturnPanel
+from scalecorr.panel import ReturnPanel, load_prices
+from scalecorr.scaling import DEFAULT_Q_GRID, DEFAULT_TAU_RANGE, panel_moments
 
-from conftest import running_threads
+from conftest import PRICE_FIXTURE, running_threads, write_lines
 
 
 def _write(tmp_path, text, name="m.tsv"):
@@ -250,6 +251,15 @@ class TestTwoProcessParity:
         data = _matrix_text(8, blank_after=4).encode()
         assert data[_data_split(data) - 2:_data_split(data)] == b"\n\n"
 
+    def test_read_with_a_blank_second_half(self, tmp_path, monkeypatch,
+                                           forks):
+        # the split lands among the trailing blank lines: the child's half
+        # has no rows
+        path = _write(tmp_path, _matrix_text(3) + "\n" * 200)
+        (r1, _, v1), (r2, _, v2) = _serial_and_split(
+            monkeypatch, forks, lambda: textio.read_matrix(path))
+        assert r1 == r2 and len(r1) == 3 and np.array_equal(v1, v2)
+
     def test_return_panel_dates(self, tmp_path, monkeypatch, forks):
         path = _write(tmp_path, _matrix_text(9))
         a, b = _serial_and_split(monkeypatch, forks,
@@ -400,6 +410,25 @@ class TestTwoProcessErrors:
             os.waitpid(-1, os.WNOHANG)
         assert os.listdir(tmp_path) == ["m.tsv"]
 
+    def test_read_child_exception_is_raised_here(self, tmp_path,
+                                                 monkeypatch, forks):
+        # only a DataError in the child's half is read again here
+        path = _write(tmp_path, _matrix_text(8))
+        parent, read_rows = os.getpid(), textio._read_rows
+
+        def failing_in_the_child(*args):
+            if os.getpid() != parent:
+                raise ArithmeticError("in the child")
+            return read_rows(*args)
+
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
+        monkeypatch.setattr(textio, "_read_rows", failing_in_the_child)
+        with pytest.raises(ArithmeticError, match="^in the child$"):
+            textio.read_matrix(path)
+        assert forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_child_error_that_does_not_pickle(self, tmp_path, monkeypatch,
                                               forks):
         class Local(Exception):  # a local class does not pickle
@@ -416,3 +445,28 @@ class TestTwoProcessErrors:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert os.listdir(tmp_path) == ["m.tsv"]
+
+
+def test_every_site_forks_through_halves(tmp_path, monkeypatch, forks):
+    """The matrix read and write, record ingest and the scaling kernel
+    fork only through textio.halves."""
+    calls = []
+    halves = textio.halves
+
+    def counted(*args):
+        calls.append(1)
+        return halves(*args)
+
+    monkeypatch.setattr(textio, "halves", counted)
+    monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
+    monkeypatch.setattr(textio, "SPLIT_WRITE_CELLS", 0)
+    monkeypatch.setattr(scaling, "SPLIT_CELLS", 0)
+    monkeypatch.setattr(scaling, "BLOCK_BYTES", 8 * 120 * 4)
+    path = tmp_path / "m.tsv"
+    textio.write_matrix(path, list("wxyz"), list("abc"),
+                        np.arange(12.0).reshape(4, 3))
+    textio.read_matrix(path)
+    load_prices(write_lines(tmp_path, PRICE_FIXTURE.splitlines()))
+    panel_moments(np.random.default_rng(7).standard_normal((120, 23)),
+                  DEFAULT_Q_GRID, DEFAULT_TAU_RANGE)
+    assert len(calls) == 4 and len(forks) == len(calls)
