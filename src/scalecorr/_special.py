@@ -13,6 +13,13 @@ exports. ``scipy`` resolves a missing attribute by importing the submodule
 (a module ``__getattr__``), so the stub is looked up with ``vars(scipy)``;
 ``getattr`` would import the whole package again. If scipy.special is
 already imported, or the bare load fails, the package itself is used.
+
+The extension, its OpenBLAS and libstdc++ hold ~5 MB of RSS, so they load
+on the first access to any of the four names (a module ``__getattr__``),
+not at import: raw and shuffled runs first need them for the significance
+filter in ``correlation_matrix``, after price ingest and the scaling
+stage, which set those runs' peaks. Callers look the names up as
+``special.X`` when they call them.
 """
 
 import importlib
@@ -45,7 +52,10 @@ def _load():
         return special
 
 
-_module = _load()
-ndtr, ndtri, stdtr, stdtrit = (_module.ndtr, _module.ndtri, _module.stdtr,
-                               _module.stdtrit)
-del _module
+def __getattr__(name):
+    names = ("ndtr", "ndtri", "stdtr", "stdtrit")
+    if name not in names:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _load()
+    globals().update((n, getattr(module, n)) for n in names)
+    return globals()[name]

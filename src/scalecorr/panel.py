@@ -15,11 +15,13 @@ Records are then grouped, sorted and checked with array operations. Only
 lines that are not plain records (comments, blank lines, whitespace
 delimiters, padded fields) get per-line work, and that work only normalises
 them into the same columns. The file's text is never held whole: beyond the
-columns, ingest holds one window's lines, bytes and fields. The two code
-columns then become one int64 (ticker, day) key, which is sorted in place
-next to its sort order; the sorted key gives each ticker's bounds and each
-close's day, and the closes are the one column gathered into sorted order.
-So ``load_prices`` peaks at 29 bytes per record for 1.2M records (33 for
+columns, ingest holds one window's lines, bytes and fields. The ticker-code
+column then becomes the (ticker, day) key in place, a slice at a time, and
+the date-code column is freed; the key stays int32 unless the number of
+(ticker, day) pairs outgrows it. The key is sorted in place next to its
+sort order; the sorted key gives each ticker's bounds and each close's
+day, and the closes are the one column gathered into sorted order. So
+``load_prices`` peaks at 26 bytes per record for 1.2M records (33 for
 200k, where a window outweighs the columns); the series keep 16-17: a
 ``datetime64[D]`` day and a close each.
 
@@ -161,11 +163,13 @@ class _Records:
     number. ``days`` are the distinct ``datetime64[D]`` days of the date
     texts, sorted (NaT for a text that does not parse), and ``key`` is each
     record's (ticker, day) key ``code * len(days) + day``, where ``code``
-    indexes ``tickers`` (sorted names) and ``day`` indexes ``days``. A
-    record whose value does not parse has a NaN value. ``error`` is (line,
-    message) of the first line the reader itself rejects (field count, value
-    or date), or None. :meth:`sort` sorts ``key`` in place and sets
-    ``order``; the other columns stay in file order.
+    indexes ``tickers`` (sorted names) and ``day`` indexes ``days``; it has
+    the code columns' dtype (int32) where ``len(tickers) * len(days)`` fits
+    in it, and int64 otherwise. A record whose value does not parse has a
+    NaN value. ``error`` is (line, message) of the first line the reader
+    itself rejects (field count, value or date), or None. :meth:`sort`
+    sorts ``key`` in place and sets ``order``; the other columns stay in
+    file order.
     """
 
     tickers: list
@@ -185,8 +189,10 @@ class _Records:
 
     def bounds(self):
         """The start of each ticker's block in sorted order, then the end."""
-        return np.searchsorted(self.key, np.arange(len(self.tickers) + 1)
-                               * self.days.size).tolist()
+        # in the key's dtype: mixed dtypes would copy the whole key
+        return np.searchsorted(self.key, np.arange(
+            len(self.tickers) + 1, dtype=self.key.dtype)
+            * self.days.size).tolist()
 
     def _key_of(self, i):
         # record i's (ticker code, day rank), found through the sort order
@@ -420,13 +426,10 @@ def _scan(windows, first, columns, what):
 def _records(columns, n, tickers, date_texts, errors):
     """The _Records of the first ``n`` records in :func:`_scan`'s columns,
     which it takes out of the list ``columns``, so that the key it builds
-    replaces both code columns."""
+    in the ticker-code column replaces both code columns."""
     code, date_code, line, value = columns
     columns.clear()
-    index = code.dtype
     names = sorted(tickers)
-    rank = np.empty(len(names), np.int64)
-    rank[[tickers[t] for t in names]] = np.arange(len(names))
     days = np.empty(len(date_texts), "datetime64[D]")
     bad = {}  # date code -> message, for texts that do not parse
     for k, text in enumerate(date_texts):
@@ -439,10 +442,22 @@ def _records(columns, n, tickers, date_texts, errors):
         i = np.argmax(np.isnat(days)[date_code])
         errors.append((line[i], 1, bad[date_code[i]]))
     days, day = np.unique(days, return_inverse=True)
-    key = rank[code[:n]]
-    del code  # the key replaces both code columns
-    key *= days.size
-    key += day.astype(index)[date_code]
+    # the key is built in the ticker-code column, unless the largest key
+    # (and the bounds' last search value) does not fit in its dtype
+    key = code[:n]
+    if len(names) * days.size > np.iinfo(key.dtype).max:
+        key = key.astype(np.int64)
+    del code
+    rank = np.empty(len(names), key.dtype)
+    rank[[tickers[t] for t in names]] = np.arange(len(names))
+    day = day.astype(key.dtype)
+    # a slice at a time: take converts its indices to intp, and a
+    # window-sized slice keeps that copy below the CLI's mmap threshold
+    for start in range(0, n, CHUNK_LINES):
+        part = key[start:start + CHUNK_LINES]
+        np.take(rank, part, out=part, mode="clip")  # in place, unbuffered
+        part *= days.size
+        part += day[date_code[start:start + CHUNK_LINES]]
     del date_code
     first = min(errors, default=None)
     return _Records(tickers=names, days=days, key=key, value=value[:n],

@@ -1282,6 +1282,41 @@ def test_openssl_loads_after_the_correlation_stage(returns_file, tmp_path,
                          str(tmp_path / "o")) == "False\n0 True\n"
 
 
+def test_package_import_maps_neither_scipy_ufuncs_nor_openssl():
+    """``import scalecorr`` imports every module of the package, and none
+    of them may load scipy's special-function extension or OpenSSL's
+    hashes at import: each belongs after the peak of a run (a module-level
+    import that pulls either one back in fails here)."""
+    code = ("import sys, scalecorr; print(sorted(m for m in "
+            "('scipy.special._ufuncs', '_hashlib') if m in sys.modules))")
+    assert _fresh_python("-c", code) == "[]\n"
+
+
+@pytest.mark.parametrize("mode, stage", [
+    ("raw", "xcorr correlation_matrix"),
+    ("shuffled", "xcorr correlation_matrix"),
+    ("gaussianized", "surrogate marginal_gaussianize")])
+def test_scipy_loads_at_the_first_stage_that_needs_it(returns_file, tmp_path,
+                                                      mode, stage):
+    """scipy's special functions load at the significance filter in raw and
+    shuffled runs, after the load and scaling stages, and at the surrogate
+    in gaussianized runs; a fresh interpreter shows the first stage after
+    which ``scipy.special._ufuncs`` is loaded."""
+    code = ("import sys\n"
+            "from scalecorr import cli, pipeline\n"
+            "run_stage, seen = pipeline._stage, []\n"
+            "def stage(name, fn, *args, **kwargs):\n"
+            "    out = run_stage(name, fn, *args, **kwargs)\n"
+            "    if not seen and 'scipy.special._ufuncs' in sys.modules:\n"
+            "        seen.append(f'{name} {fn.__name__}')\n"
+            "    return out\n"
+            "pipeline._stage = stage\n"
+            "print(cli.main(sys.argv[1:]), *seen)\n")
+    assert _fresh_python("-c", code, "run", "--returns", returns_file,
+                         "--mode", mode, "--output-dir",
+                         str(tmp_path / "o")) == f"0 {stage}\n"
+
+
 @pytest.mark.parametrize("libc", ["mallopt", "no-mallopt", "no-libc"])
 def test_mmap_threshold_is_fixed_where_libc_allows(returns_file, tmp_path,
                                                    monkeypatch, libc):

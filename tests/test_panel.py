@@ -406,10 +406,11 @@ class TestIngestMemory:
     # which outweigh the columns of this 200k-record file; ~238 when the
     # whole file's text, line index and per-byte arrays were held at once
     BYTES_PER_RECORD = 64
-    # with 1024-line windows the columns and the sort set the peak: ~30
-    # (value, line, int64 key and sort order); ~41 when the sort also held
-    # the file-order code columns, a repeat mask and a date-code gather
-    SORT_BYTES_PER_RECORD = 34
+    # with 1024-line windows the columns and the sort set the peak: ~26
+    # (value, line, int32 key and sort order); ~30 with an int64 key, and
+    # ~41 when the sort also held the file-order code columns, a repeat
+    # mask and a date-code gather
+    SORT_BYTES_PER_RECORD = 30
     N_TICKERS, N_DAYS = 250, 800  # 200k records
 
     @pytest.fixture
@@ -444,6 +445,42 @@ class TestIngestMemory:
     def test_sort_peak_per_record(self, path, monkeypatch):
         monkeypatch.setattr(panel_module, "CHUNK_LINES", 1024)
         assert self._peak_per_record(path) < self.SORT_BYTES_PER_RECORD
+
+
+class TestInt64Key:
+    """Where ``len(tickers) * len(days)`` outgrows the int32 code columns,
+    the (ticker, day) key is int64, with the same series, bounds and first
+    faulty line as the reference parsers give."""
+
+    N = 50_000  # tickers, one record each on its own day: 2.5e9 keys
+
+    @pytest.fixture
+    def lines(self):
+        rng = np.random.default_rng(11)
+        return [f"T{i:05d},{(_DAY0 - dt.timedelta(int(d))).isoformat()},"
+                f"{1 + i % 97}" for i, d in zip(rng.permutation(self.N),
+                                                 rng.permutation(self.N))]
+
+    @pytest.mark.parametrize("fault", [None, "repeat", "negative"])
+    def test_matches_reference(self, tmp_path, lines, fault):
+        if fault == "repeat":  # a duplicate price, a valid capitalization
+            lines.append(lines[123])
+        elif fault == "negative":
+            lines[40_000] = lines[40_000].rsplit(",", 1)[0] + ",-1"
+        path = write_lines(tmp_path, lines)
+        rec = panel_module._read_records(path, "close")
+        rec.sort()
+        assert rec.key.dtype == np.int64
+        counts = {}
+        for line in lines:
+            ticker = line.split(",", 1)[0]
+            counts[ticker] = counts.get(ticker, 0) + 1
+        assert rec.bounds() == np.cumsum(
+            [0] + [counts[t] for t in sorted(counts)]).tolist()
+        for loader, reference in [
+                (load_prices, _reference_load_prices),
+                (load_capitalizations, _reference_load_capitalizations)]:
+            assert _outcome(loader, path) == _outcome(reference, path)
 
 
 class TestNonFiniteAndZero:
