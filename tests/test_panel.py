@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -471,10 +472,7 @@ class TestInt64Key:
         rec = panel_module._read_records(path, "close")
         rec.sort()
         assert rec.key.dtype == np.int64
-        counts = {}
-        for line in lines:
-            ticker = line.split(",", 1)[0]
-            counts[ticker] = counts.get(ticker, 0) + 1
+        counts = Counter(line.split(",", 1)[0] for line in lines)
         assert rec.bounds() == np.cumsum(
             [0] + [counts[t] for t in sorted(counts)]).tolist()
         for loader, reference in [
