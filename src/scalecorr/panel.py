@@ -19,11 +19,13 @@ columns, ingest holds one window's lines, bytes and fields. The ticker-code
 column then becomes the (ticker, day) key in place, a slice at a time, and
 the date-code column is freed; the key stays int32 unless the number of
 (ticker, day) pairs outgrows it. The key is sorted in place next to its
-sort order; the sorted key gives each ticker's bounds and each close's
-day, and the closes are the one column gathered into sorted order. So
-``load_prices`` peaks at 26 bytes per record for 1.2M records (33 for
-200k, where a window outweighs the columns); the series keep 16-17: a
-``datetime64[D]`` day and a close each.
+sort order, which is narrowed to int32 in its own buffer; the sorted key
+gives each ticker's bounds and each close's day, and the closes are the
+one column gathered into sorted order. So ``load_prices`` peaks at 24
+bytes per record for 1.2M records, at the sort (33 for 200k, where a
+window outweighs the columns); the series keep 16-17: a ``datetime64[D]``
+day and a close each. The heap pages ingest freed go back to the system
+before the series are built.
 
 Record files are UTF-8, with or without a leading byte order mark. From
 ``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.halves`)
@@ -34,6 +36,7 @@ this process's. The result is the one-process result: the same series and
 the same first faulty line.
 """
 
+import ctypes
 import datetime as dt
 import itertools
 import math
@@ -53,6 +56,8 @@ DEFAULT_LENGTH_FRACTION = PipelineConfig.k
 # mmap threshold, so each window reuses heap blocks instead of faulting in
 # fresh pages (8192 lines: 2.3x the minor faults and +0.1 s for 1.2M records)
 CHUNK_LINES = 1 << 12
+# bytes of log-prices compute_returns holds beside the returns
+RETURN_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,8 +173,9 @@ class _Records:
     in it, and int64 otherwise. A record whose value does not parse has a
     NaN value. ``error`` is (line, message) of the first line the reader
     itself rejects (field count, value or date), or None. :meth:`sort`
-    sorts ``key`` in place and sets ``order``; the other columns stay in
-    file order.
+    sorts ``key`` in place and sets ``order``, the sorting permutation,
+    int32 where the record count fits in it and lexsort's intp otherwise;
+    the other columns stay in file order.
     """
 
     tickers: list
@@ -182,9 +188,23 @@ class _Records:
 
     def sort(self, *minor):
         """Sort records by ticker, then day, then the ``minor`` keys, then
-        line: ``order`` is the sorting permutation and ``key`` becomes
-        ``key[order]``, without a copy."""
-        self.order = np.lexsort(minor + (self.key,))
+        line: ``order`` is the sorting permutation, int32 where the record
+        count fits in it, and ``key`` becomes ``key[order]``, without a
+        copy."""
+        order = np.lexsort(minor + (self.key,))
+        n = order.size
+        if order.dtype == np.int64 and n <= np.iinfo(np.int32).max:
+            # narrowed into the first half of its own buffer, a slice at a
+            # time: int32 slot i never reaches past int64 slot i, so no
+            # slot is overwritten before it is read
+            narrow = order.view(np.int32)[:n]
+            for start in range(0, n, CHUNK_LINES):
+                narrow[start:start + CHUNK_LINES] = \
+                    order[start:start + CHUNK_LINES]
+            del narrow  # resize needs the buffer's only reference
+            order.resize((n + 1) // 2)  # hands the second half back
+            order = order.view(np.int32)[:n]
+        self.order = order
         self.key.sort()
 
     def bounds(self):
@@ -327,11 +347,13 @@ def _scan_halves(fh, path, size, columns, what):
     if theirs is not None:
         k, *texts, errors = theirs
         for c, codes, their in zip(columns, (tickers, date_texts), texts):
-            c = c[n:n + k]
             mine = np.fromiter(map(codes.__getitem__, their), c.dtype,
                                len(their))
-            # in place: the default mode="raise" would buffer ``out``
-            np.take(mine, c, out=c, mode="clip")
+            # in place (the default mode="raise" would buffer ``out``), a
+            # slice at a time, as in _records
+            for start in range(n, n + k, CHUNK_LINES):
+                part = c[start:min(start + CHUNK_LINES, n + k)]
+                np.take(mine, part, out=part, mode="clip")
         n += k
     return n, tickers, date_texts, errors
 
@@ -491,6 +513,17 @@ def _sorted_prices(path):
     return tickers, days, value[order], day, bounds
 
 
+def _release_free_heap():
+    """Hand the free pages of glibc's heap back to the system
+    (``malloc_trim(0)``). Ingest's windows free their blocks to the heap,
+    where a block still in use above them keeps them resident through
+    cleaning. A libc without ``malloc_trim`` keeps its own policy."""
+    try:
+        ctypes.CDLL(None).malloc_trim(ctypes.c_size_t(0))
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 def load_prices(path):
     """Parse the (ticker, ISO date, close) records of the file at ``path``
     into per-ticker series.
@@ -501,6 +534,7 @@ def load_prices(path):
     non-positive close, or a repeated (ticker, date).
     """
     tickers, days, prices, day, bounds = _sorted_prices(path)
+    _release_free_heap()
     days = days[day]  # once the records' columns are freed
     return [RawPriceSeries(ticker=t, dates=days[a:b], prices=prices[a:b])
             for t, a, b in zip(tickers, bounds, bounds[1:])]
@@ -559,7 +593,16 @@ def compute_returns(panel):
         t, i = bad[0]
         raise DataError(f"non-positive price {panel.prices[t, i]:g} for "
                         f"{panel.tickers[i]} on {panel.dates[t]}")
-    raw = np.diff(np.log(panel.prices), axis=0)
+    prices = panel.prices
+    T, N = prices.shape
+    raw = np.empty((T - 1, N))
+    # np.diff(np.log(prices)) in row blocks, the bits of log[t+1] - log[t],
+    # whose one temporary stays below the CLI's 128 KiB mmap threshold
+    rows = max(1, RETURN_BLOCK_BYTES // (max(N, 1) * raw.itemsize))
+    for t in range(0, T - 1, rows):
+        block = raw[t:t + rows]
+        np.log(prices[t + 1:t + 1 + len(block)], out=block)
+        block -= np.log(prices[t:t + len(block)])
     raw -= raw.mean(axis=0)
     return ReturnPanel(dates=list(panel.dates[1:]), tickers=list(panel.tickers),
                        returns=raw)

@@ -1,3 +1,4 @@
+import ctypes
 import datetime as dt
 import errno
 import filecmp
@@ -1341,6 +1342,33 @@ def test_mmap_threshold_is_fixed_where_libc_allows(returns_file, tmp_path,
     assert main(["run", "--returns", returns_file,
                  "--output-dir", str(tmp_path / "b")]) == 0
     assert calls == ([(-3, 131072)] if libc == "mallopt" else [])
+    _assert_same_files(tmp_path / "a", tmp_path / "b")
+
+
+@pytest.mark.parametrize("libc", ["malloc_trim", "no-malloc_trim",
+                                  "no-libc"])
+def test_free_heap_is_returned_where_libc_allows(long_prices_file, tmp_path,
+                                                 monkeypatch, libc):
+    """Once ingest is done, ``load_prices`` hands glibc's free heap pages
+    back with ``malloc_trim(0)``; a libc without it, or none that ctypes
+    can load, is left as it is, and the run writes the same bundle."""
+    argv = ["run", "--prices", long_prices_file, "--output-dir"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+    calls = []
+
+    class Libc:
+        def malloc_trim(self, pad):
+            calls.append(pad.value)
+            return 1
+
+    def CDLL(name):
+        if libc == "no-libc":
+            raise OSError("no C library")
+        return Libc() if libc == "malloc_trim" else object()
+
+    monkeypatch.setattr(ctypes, "CDLL", CDLL)
+    assert main(argv + [str(tmp_path / "b")]) == 0
+    assert calls == ([0] if libc == "malloc_trim" else [])
     _assert_same_files(tmp_path / "a", tmp_path / "b")
 
 

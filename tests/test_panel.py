@@ -396,6 +396,27 @@ class TestTwoProcessIngest:
                 _outcome(load_capitalizations, path)] == want
         assert want[0][1][0][0] == "AAA"
 
+    def test_child_codes_are_mapped_a_slice_at_a_time(
+            self, tmp_path, monkeypatch, forks):
+        # np.take converts its indices to intp: a whole half's would be a
+        # fresh mapping above the CLI's mmap threshold
+        monkeypatch.setattr(panel_module, "CHUNK_LINES", 16)
+        path = write_lines(tmp_path, [
+            f"T{i % 7},{(_DAY0 + dt.timedelta(i // 7)).isoformat()},{1 + i}"
+            for i in range(300)])
+        want = _outcome(load_prices, path)
+        sizes = []
+        take = np.take
+
+        def counted(a, indices, *args, **kwargs):
+            sizes.append(np.size(indices))
+            return take(a, indices, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", counted)
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 0)
+        assert _outcome(load_prices, path) == want
+        assert forks and sizes and max(sizes) <= 16
+
 
 class TestIngestMemory:
     """Ingest holds a bounded amount of memory per record: per-line and
@@ -407,11 +428,13 @@ class TestIngestMemory:
     # which outweigh the columns of this 200k-record file; ~238 when the
     # whole file's text, line index and per-byte arrays were held at once
     BYTES_PER_RECORD = 64
-    # with 1024-line windows the columns and the sort set the peak: ~26
-    # (value, line, int32 key and sort order); ~30 with an int64 key, and
-    # ~41 when the sort also held the file-order code columns, a repeat
-    # mask and a date-code gather
-    SORT_BYTES_PER_RECORD = 30
+    # with 1024-line windows the columns and the sort set the peak: ~24.2,
+    # lexsort's momentary int64 order beside the value, line and int32 key
+    # columns (the read itself peaks at ~23.8, and the int32 order it is
+    # narrowed to leaves ~22.6 at the closes' gather); ~26.2 when the order
+    # stayed int64, ~30 with an int64 key, and ~41 when the sort also held
+    # the file-order code columns, a repeat mask and a date-code gather
+    SORT_BYTES_PER_RECORD = 26
     N_TICKERS, N_DAYS = 250, 800  # 200k records
 
     @pytest.fixture
@@ -446,6 +469,46 @@ class TestIngestMemory:
     def test_sort_peak_per_record(self, path, monkeypatch):
         monkeypatch.setattr(panel_module, "CHUNK_LINES", 1024)
         assert self._peak_per_record(path) < self.SORT_BYTES_PER_RECORD
+
+
+class TestSortOrder:
+    """:meth:`_Records.sort` narrows lexsort's order to int32 in its own
+    buffer, with the same permutation."""
+
+    @staticmethod
+    def records(tmp_path, n):
+        # few tickers, days and values, so keys repeat and the minor key
+        # and the line decide ties
+        rng = np.random.default_rng(n)
+        lines = [f"T{t},{(_DAY0 + dt.timedelta(int(d))).isoformat()},{v}"
+                 for t, d, v in zip(rng.integers(0, 9, n),
+                                    rng.integers(0, 30, n),
+                                    rng.integers(1, 4, n))]
+        return panel_module._read_records(
+            write_lines(tmp_path, lines or ["# no records"]), "close")
+
+    @pytest.mark.parametrize("n", [0, 1, 2 * panel_module.CHUNK_LINES + 5])
+    @pytest.mark.parametrize("minor", [False, True])  # prices, caps
+    def test_int32_order_is_lexsorts(self, tmp_path, n, minor):
+        rec = self.records(tmp_path, n)
+        keys = (rec.value,) * minor + (rec.key.copy(),)
+        want = np.lexsort(keys)
+        rec.sort(*keys[:-1])
+        assert rec.order.dtype == np.int32
+        assert np.array_equal(rec.order, want)
+        assert np.array_equal(rec.key, keys[-1][want])
+
+    def test_order_takes_four_bytes_per_record(self, tmp_path):
+        n = 50_001
+        rec = self.records(tmp_path, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rec.sort()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 4 * n + 1024
 
 
 class TestInt64Key:
@@ -666,6 +729,37 @@ class TestComputeReturns:
         panel = preprocess([series("AAA", [(1, 100), (2, 101)])])
         with pytest.raises(EstimationError):
             compute_returns(panel)
+
+    @staticmethod
+    def panel(T, N):
+        prices = np.exp(np.random.default_rng(T).normal(0, 0.01, (T, N))
+                        .cumsum(axis=0))
+        return PricePanel(dates=[_DAY0 + dt.timedelta(t) for t in range(T)],
+                          tickers=[f"T{i}" for i in range(N)],
+                          prices=prices, fill_mask=None)
+
+    def test_peak_above_input_is_the_returns(self):
+        # row blocks of log-prices, not two whole log and diff arrays (~2x)
+        panel = self.panel(2000, 150)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            returns = compute_returns(panel).returns
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * returns.nbytes
+
+    @pytest.mark.parametrize("T", [3, 500])
+    def test_same_bits_as_diff_of_log(self, T):
+        N = 40
+        rows = panel_module.RETURN_BLOCK_BYTES // (8 * N)
+        assert (T - 1) % rows  # a last block shorter than the others
+        panel = self.panel(T, N)
+        want = np.diff(np.log(panel.prices), axis=0)
+        want -= want.mean(axis=0)
+        assert compute_returns(panel).returns.tobytes() == want.tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=3,
