@@ -15,9 +15,9 @@ from .config import PipelineConfig, build_config, parse_config_file
 from .crosscorr import (CorrelationSummary, correlation_matrix, pearson,
                         pearson_pvalue)
 from .errors import ConfigError, DataError, EstimationError, PipelineError
-from .panel import (CapitalizationTable, PricePanel, RawPriceSeries,
-                    ReturnPanel, compute_returns, load_capitalizations,
-                    load_prices, median_capitalization, preprocess)
+from .panel import (PricePanel, RawPriceSeries, ReturnPanel,
+                    compute_returns, load_capitalizations, load_prices,
+                    log_capitalizations, median_capitalization, preprocess)
 from .pipeline import __version__, compare_reports, run
 from .scaling import ScalingResult, estimate_scaling_panel
 from .surrogates import SurrogateSpec, marginal_gaussianize, synchronous_shuffle

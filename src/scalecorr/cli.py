@@ -18,8 +18,8 @@ from .config import (FIELD_TYPES, SIGNIFICANCE_MODES, build_config,
 from .crosscorr import correlation_matrix
 from .errors import ConfigError, PipelineError
 from .panel import (PricePanel, ReturnPanel, compute_returns,
-                    load_capitalizations, load_prices, median_capitalization,
-                    preprocess)
+                    load_capitalizations, load_prices, log_capitalizations,
+                    median_capitalization, preprocess)
 from .pipeline import (MODES, compare_reports, read_columns, run,
                        write_proxies_table)
 from .scaling import estimate_scaling_panel
@@ -158,8 +158,8 @@ def _cmd_associate(args):
     A, B, rho = np.array([proxies[t] + rho_bar[t] for t in tickers]).T
     ln_cap = None
     if cfg.capitalization:
-        ln_cap = median_capitalization(load_capitalizations(
-            cfg.capitalization)).log_values(tickers)
+        ln_cap = log_capitalizations(median_capitalization(
+            load_capitalizations(cfg.capitalization)), tickers)
     build_report(A, B, rho, ln_cap).write(args.out, args.text_out)
 
 

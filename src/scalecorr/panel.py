@@ -4,8 +4,9 @@ Raw (ticker, date, close) records are turned into a rectangular forward-filled
 price panel: series much shorter than the longest one are dropped, the panel
 starts at the latest first trading date among the survivors, the date axis is
 the union of the survivors' trading dates from that start, and every gap is
-filled by dragging the last available price. Demeaned one-day log-returns and
-per-ticker median capitalizations are derived from the cleaned panel.
+filled by dragging the last available price. Demeaned one-day log-returns
+are derived from the cleaned panel; per-ticker median capitalizations, and
+their logs, from a capitalization file's records, one array per ticker.
 
 Record files are read column-wise, one window of ``CHUNK_LINES`` lines at a
 time: the window's plain ``ticker,date,value`` lines are split in bulk and
@@ -13,14 +14,15 @@ its values, ticker and date codes go to compact columns allocated once for
 the file's line count (int32 codes and line numbers, float64 values).
 Records are then grouped, sorted and checked with array operations. Only
 lines that are not plain records (comments, blank lines, whitespace
-delimiters, padded fields) get per-line work, and that work only normalises
-them into the same columns. The file's text is never held whole: beyond the
-columns, ingest holds one window's lines, bytes and fields. The ticker-code
-column then becomes the (ticker, day) key in place, a slice at a time, and
-the date-code column is freed; the key stays int32 unless the number of
+delimiters, padded fields, a leading comma) get per-line work, which
+normalises them into the same columns and rejects a ticker that is empty
+or holds a tab. The file's text is never held whole: beyond the columns,
+ingest holds one window's lines, bytes and fields. The ticker-code column
+then becomes the (ticker, day) key in place, a slice at a time, and the
+date-code column is freed; the key stays int32 unless the number of
 (ticker, day) pairs outgrows it. The key is sorted in place next to its
 sort order, which is narrowed to int32 in its own buffer; the sorted key
-gives each ticker's bounds and each close's day, and the closes are the
+gives each ticker's bounds and each close's day, and the values are the
 one column gathered into sorted order. So ``load_prices`` peaks at 24
 bytes per record for 1.2M records, at the sort (33 for 200k, where a
 window outweighs the columns); the series keep 16-17: a ``datetime64[D]``
@@ -126,18 +128,6 @@ class ReturnPanel:
         return cls(dates=dates, tickers=list(tickers), returns=returns)
 
 
-@dataclass
-class CapitalizationTable:
-    """Median capitalization per ticker; tickers without data are absent."""
-
-    values: dict
-
-    def log_values(self, tickers):
-        """ln median capitalization per ticker, NaN where a ticker has none."""
-        return np.array([math.log(self.values[t]) if t in self.values
-                         else math.nan for t in tickers])
-
-
 def _parse_date(text):
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -186,12 +176,11 @@ class _Records:
     error: tuple
     order: np.ndarray = None
 
-    def sort(self, *minor):
-        """Sort records by ticker, then day, then the ``minor`` keys, then
-        line: ``order`` is the sorting permutation, int32 where the record
-        count fits in it, and ``key`` becomes ``key[order]``, without a
-        copy."""
-        order = np.lexsort(minor + (self.key,))
+    def sort(self):
+        """Sort records by ticker, then day, then line: ``order`` is the
+        sorting permutation, int32 where the record count fits in it, and
+        ``key`` becomes ``key[order]``, without a copy."""
+        order = np.lexsort((self.key,))
         n = order.size
         if order.dtype == np.int64 and n <= np.iinfo(np.int32).max:
             # narrowed into the first half of its own buffer, a slice at a
@@ -202,7 +191,10 @@ class _Records:
                 narrow[start:start + CHUNK_LINES] = \
                     order[start:start + CHUNK_LINES]
             del narrow  # resize needs the buffer's only reference
-            order.resize((n + 1) // 2)  # hands the second half back
+            try:
+                order.resize((n + 1) // 2)  # hands the second half back
+            except ValueError:  # another reference, as a tracer's f_locals
+                pass  # the same order, in the whole buffer
             order = order.view(np.int32)[:n]
         self.order = order
         self.key.sort()
@@ -404,7 +396,8 @@ def _scan(windows, first, columns, what):
         commas = np.flatnonzero(buf == ord(","))
         plain = ((ends > starts) & (_count_between(odd, starts, ends) == 0)
                  & (_count_between(commas, starts, ends) == 2))
-        plain[plain] = buf[starts[plain]] != ord("#")
+        # a comment, or a record with an empty ticker, is not plain
+        plain[plain] = np.isin(buf[starts[plain]], list(b"#,"), invert=True)
 
         loose = ([], [], [], [])  # window row, ticker, date, value
         for i in np.flatnonzero(~plain).tolist():
@@ -417,6 +410,10 @@ def _scan(windows, first, columns, what):
                 errors.append((first + i, 0, f"line {first + i}: expected 3 "
                                f"fields (ticker, date, {what}), "
                                f"got {len(parts)}"))
+                break
+            if not parts[0] or textio.DELIM in parts[0]:  # no TSV holds it
+                errors.append((first + i, 0, f"line {first + i}: bad "
+                               f"ticker {parts[0]!r}"))
                 break
             for column, part in zip(loose, [i] + parts):
                 column.append(part)
@@ -609,17 +606,15 @@ def compute_returns(panel):
 
 
 def load_capitalizations(path):
-    """Parse the (ticker, ISO date, capitalization) records of the file at
-    ``path`` into per-ticker lists.
-
-    Tickers keep the order of their first record; each list is sorted by
-    date. Raises DataError for the first faulty line in file order, as
-    :func:`load_prices` does, for a non-finite or negative capitalization,
-    and for a file with no records.
-    """
+    """{ticker: its values in date order, a day's in file order} of the
+    (ticker, ISO date, capitalization) records of the file at ``path``, in
+    the order of each ticker's first record; each is a float64 slice of one
+    array. DataError for the first faulty line in file order, as for
+    :func:`load_prices`, for a non-finite or negative capitalization, and
+    for a file with no records."""
     rec = _read_records(path, "capitalization")
     value, line = rec.value, rec.line
-    rec.sort(value)
+    rec.sort()
     rec.raise_first(
         (np.flatnonzero(~np.isfinite(value)), lambda i: f"line {line[i]}: "
          f"non-finite capitalization {float(value[i])} for {rec.ticker(i)}"),
@@ -629,25 +624,25 @@ def load_capitalizations(path):
         raise DataError(f"{path}: no capitalization records")
     bounds = rec.bounds()
     first_record = np.minimum.reduceat(rec.order, bounds[:-1])
-    values = value[rec.order].tolist()
+    values = value[rec.order]
     return {rec.tickers[k]: values[bounds[k]:bounds[k + 1]]
             for k in np.argsort(first_record).tolist()}
 
 
 def median_capitalization(records):
-    """Median capitalization per ticker; tickers with no observations absent.
-
-    ``records`` maps ticker to a list of capitalization values.
+    """{ticker: median} of ``records``, which maps each ticker to its
+    capitalization values; a ticker without values is absent. DataError,
+    naming the first such ticker, for a median without a finite logarithm.
     """
-    values = {}
-    for ticker, obs in records.items():
-        if any(v < 0 for v in obs):
-            raise DataError(f"{ticker}: negative capitalization value")
-        if not obs:
-            continue
-        median = float(np.median(obs))
-        if not 0 < median < math.inf:
-            raise DataError(f"{ticker}: median capitalization {median} has "
-                            "no finite logarithm")
-        values[ticker] = median
-    return CapitalizationTable(values=values)
+    medians = {t: float(np.median(v)) for t, v in records.items() if len(v)}
+    bad = next((t for t, m in medians.items() if not 0 < m < math.inf), None)
+    if bad is not None:
+        raise DataError(f"{bad}: median capitalization {medians[bad]} has "
+                        "no finite logarithm")
+    return medians
+
+
+def log_capitalizations(medians, tickers):
+    """ln of each ticker's median in ``medians``, NaN where it has none."""
+    return np.array([math.log(medians[t]) if t in medians else math.nan
+                     for t in tickers])

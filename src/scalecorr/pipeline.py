@@ -23,7 +23,8 @@ from .config import PipelineConfig
 from .crosscorr import correlation_matrix
 from .errors import ConfigError, DataError, EstimationError, PipelineError
 from .panel import (ReturnPanel, compute_returns, load_capitalizations,
-                    load_prices, median_capitalization, preprocess)
+                    load_prices, log_capitalizations, median_capitalization,
+                    preprocess)
 from .scaling import estimate_scaling_panel
 from .surrogates import marginal_gaussianize, synchronous_shuffle
 
@@ -188,12 +189,12 @@ def _write_bundle(config, mode, out):
     if config.capitalization is not None:
         records = _stage("capitalization", load_capitalizations,
                          config.capitalization)
-        caps = _stage("capitalization", median_capitalization, records)
-        names = sorted(caps.values)
-        medians = np.array([caps.values[t] for t in names])
+        medians = _stage("capitalization", median_capitalization, records)
+        names = sorted(medians)
         textio.write_matrix(out("median_cap.tsv"), names, ["median_cap"],
-                            medians[:, None], corner="ticker")
-        ln_cap = caps.log_values(tickers)
+                            np.array([[medians[t]] for t in names]),
+                            corner="ticker")
+        ln_cap = log_capitalizations(medians, tickers)
 
     report = _stage("associate", build_report, scaling.A_hat, scaling.B_hat,
                     rho_bar, ln_cap)

@@ -1,11 +1,12 @@
 """Tab-delimited text serialization used by every stage, and the forked
 child through which the package uses a second core.
 
-Text files are read and written as UTF-8. All floats are written with 17
-significant digits so that a written value round-trips bit-exactly and
-re-runs produce byte-identical files. Labelled matrices are written with one
-``%`` format per row over a whole-row spec and read back by ``np.loadtxt``
-over the numeric block, one line at a time.
+Text files are read and written as UTF-8; a leading byte order mark is
+not part of the text read. All floats are written with 17 significant
+digits so that a written value round-trips bit-exactly and re-runs produce
+byte-identical files. Labelled matrices are written with one ``%`` format
+per row over a whole-row spec and read back by ``np.loadtxt`` over the
+numeric block, one line at a time.
 
 Parallel work is this process plus one child that :func:`halves` starts,
 since ``np.loadtxt``, ``%`` formatting, record parsing and the scaling
@@ -35,6 +36,7 @@ import numpy as np
 from .errors import DataError
 
 DELIM = "\t"
+BOM = "\ufeff"
 # Sizes from which a matrix is read or written by two processes; below them
 # the fork and the hand-over cost more than the second core saves (they
 # break even at about 1 MB or 50,000 values, on 2 cores with 60 MB resident).
@@ -48,10 +50,11 @@ def fmt(x) -> str:
 
 
 def read_text(path, error=DataError):
-    """The text of a file; ``error``, naming the file, if it does not decode."""
-    with open(path, encoding="utf-8") as fh:
+    """The text of a file, less a leading byte order mark; ``error``, naming
+    the file and the offset of its first bad byte, if it does not decode."""
+    with open(path, encoding="utf-8") as fh:  # "utf-8-sig" offsets skip it
         try:
-            return fh.read()
+            return fh.read().removeprefix(BOM)
         except UnicodeDecodeError as exc:
             raise error(f"{path}: {exc}") from exc
 
@@ -248,7 +251,7 @@ def read_header(fh, path):
     h, header, pos = 0, "", 0
     for i, raw in enumerate(iter(fh.readline, b""), start=1):
         pos += len(raw)
-        ln = _decode(raw, path, pos)
+        ln = _decode(raw, path, pos).removeprefix(BOM if i == 1 else "")
         if ln.strip():
             h, header = i, ln
             break

@@ -10,7 +10,7 @@ from scalecorr.association import (build_report, kendall_tau,
                                    partial_correlation, simple_ols)
 from scalecorr.crosscorr import pearson
 from scalecorr.errors import EstimationError
-from scalecorr.panel import CapitalizationTable
+from scalecorr.panel import log_capitalizations
 
 
 def brute_force_tau(x, y):
@@ -201,9 +201,9 @@ class TestBuildReport:
         lncap = np.linspace(1.0, 10.0, 30)
         rho_bar = 0.05 * lncap + 0.05 * g.standard_normal(30)
         B = 0.02 * lncap - 0.3 + 0.02 * g.standard_normal(30)
-        caps = CapitalizationTable(
-            values={t: math.exp(lncap[i]) for i, t in enumerate(tickers)})
-        report = build_report(0.5 - B, B, rho_bar, caps.log_values(tickers))
+        medians = {t: math.exp(lncap[i]) for i, t in enumerate(tickers)}
+        report = build_report(0.5 - B, B, rho_bar,
+                              log_capitalizations(medians, tickers))
         assert report.cap_block_available
         assert report.n_used == 30
         assert report.pearson_B_lncap[0] > 0.5

@@ -639,6 +639,63 @@ class TestUndecodableInput:
         assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err
 
 
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark is not part of a config file or a
+    key-value report, and a bad byte is still named at its file offset."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_config_file(self, returns_file, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(self.BOM + f"returns={returns_file}\nk=0.9\n"
+                        .encode())
+        assert main(["run", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")]) == 0
+
+    def test_config_file_bad_byte_offset(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(self.BOM + b"k=\xff\n")
+        assert main(["run", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "o")]) == 2
+        assert "byte 0xff in position 5:" in capsys.readouterr().err
+
+    def test_key_value_report(self, returns_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--returns", returns_file,
+                     "--output-dir", str(out)]) == 0
+        report = out / "association.tsv"
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(self.BOM + report.read_bytes())
+        diff = tmp_path / "diff.tsv"
+        assert main(["compare", str(report), str(marked),
+                     "--out", str(diff)]) == 0
+        rows = [ln.split("\t") for ln in diff.read_text().splitlines()[1:]]
+        assert rows and all(row[3] in ("0", "-") for row in rows)
+
+
+@pytest.mark.parametrize("ticker", ["", "T\tX"])
+@pytest.mark.parametrize("what", ["prices", "capitalization"])
+def test_ticker_that_is_empty_or_holds_a_tab_is_1(long_prices_file, tmp_path,
+                                                  capsys, ticker, what):
+    """No tab-delimited bundle file could hold such a ticker."""
+    caps = tmp_path / "caps.csv"
+    caps.write_text("".join(f"S{i:04d},2020-01-0{d},{1e6 * (i + d)}\n"
+                            for i in range(8) for d in (1, 2)))
+    path = caps if what == "capitalization" else long_prices_file
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[4] = ticker + "," + lines[4].partition(",")[2]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    assert main(["run", "--prices", long_prices_file, "--capitalization",
+                 str(caps), "--output-dir", str(out)]) == 1
+    stage = "capitalization" if what == "capitalization" else "load"
+    assert capsys.readouterr().err == (
+        f"error: [{stage}] line 5: bad ticker {ticker!r}\n")
+    assert not out.exists()
+
+
 class TestRun:
     def test_bundle_and_determinism(self, returns_file, tmp_path):
         out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")

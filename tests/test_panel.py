@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -16,7 +17,8 @@ from scalecorr import textio
 from scalecorr.errors import DataError, EstimationError
 from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
                              load_capitalizations, load_prices,
-                             median_capitalization, preprocess)
+                             log_capitalizations, median_capitalization,
+                             preprocess)
 
 from conftest import PRICE_FIXTURE, running_threads, write_lines
 
@@ -71,8 +73,8 @@ class TestLoadPrices:
 
 
 # Reference record parser: the per-line reader the columnar one replaced,
-# kept verbatim except for the non-finite checks (marked), which the
-# columnar reader adds at the same point of a line's checks.
+# kept verbatim except for the ticker and non-finite checks (marked), which
+# the columnar reader adds at the same point of a line's checks.
 def _reference_parse_date(text):
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -95,6 +97,8 @@ def _reference_iter_records(source, what="price"):
             raise DataError(f"line {lineno}: expected 3 fields "
                             f"(ticker, date, {what}), got {len(parts)}")
         ticker, date_text, value_text = parts
+        if not ticker or "\t" in ticker:  # added: ticker check
+            raise DataError(f"line {lineno}: bad ticker {ticker!r}")
         try:
             value = float(value_text)
         except ValueError as exc:
@@ -141,7 +145,9 @@ def _reference_load_capitalizations(source):
         by_ticker.setdefault(ticker, []).append((date, value))
     if not by_ticker:
         raise DataError(f"{source}: no capitalization records")
-    return {t: [v for _, v in sorted(obs)] for t, obs in by_ticker.items()}
+    # by date only: a day's records keep their file order
+    return {t: [v for _, v in sorted(obs, key=lambda o: o[0])]
+            for t, obs in by_ticker.items()}
 
 
 def _reference_preprocess(series, k):
@@ -177,14 +183,15 @@ def _outcome(loader, source):
         out = loader(source)
     except DataError as exc:
         return "error", str(exc)
-    if isinstance(out, dict):
-        return "ok", [(t, _bits(v)) for t, v in out.items()]
+    if isinstance(out, dict):  # arrays and lists compare as lists
+        return "ok", [(t, _bits(list(v))) for t, v in out.items()]
     return "ok", [(s.ticker, list(s.dates), _bits(s.prices.tolist()),
                    s.prices.dtype) for s in out]
 
 
 _DAY0 = D(2020, 1, 1)
-_TICKERS = st.sampled_from(["AAA", "BB", "C", "D_1", "\u00c41"])
+_TICKERS = st.sampled_from(["AAA", "BB", "C", "D_1", "\u00c41"] * 5
+                           + ["", "T\tX"])
 _DATES = st.one_of(
     st.integers(0, 40).map(lambda k: (_DAY0 + dt.timedelta(k)).isoformat()),
     st.integers(0, 40).map(lambda k: (_DAY0 + dt.timedelta(k))
@@ -287,6 +294,18 @@ class TestColumnarReaderMatchesReference:
         # after the first half's in sorted order
         ["AAA,2020-01-02,1", "AAA,2020-01-03,2", "AAA,2020-01-04,4",
          "CCC,2020-01-05,3", "CCC,2020-01-02,5", "BBB,2020-01-01,1"],
+        # an empty ticker, or one holding a tab, is the line's fault, found
+        # before its value and date, in either half
+        [",2020-01-01,1"], ["T\tX,2020-01-01,1"], [" , 2020-01-01, 1"],
+        ["AAA,2020-01-01,1", "AAA,2020-01-02,2", ",bad,x",
+         "AAA,2020-01-04,4"],
+        ["AAA,2020-01-01,x", "AAA,2020-01-02,2", "A\tB,2020-01-03,3",
+         "AAA,2020-01-04,4"],
+        ["AAA,2020-01-01,1", "A\tB,bad,3", "AAA,2020-01-03,3",
+         "AAA,2020-01-04,4"],
+        # same-day capitalizations in either value order
+        ["AAA,2020-01-02,3", "AAA,2020-01-01,2", "AAA,2020-01-01,1",
+         "BBB,2020-01-01,1"],
     ])
     def test_hand_cases(self, lines):
         self._check(lines, "\n")
@@ -477,8 +496,7 @@ class TestSortOrder:
 
     @staticmethod
     def records(tmp_path, n):
-        # few tickers, days and values, so keys repeat and the minor key
-        # and the line decide ties
+        # few tickers and days, so keys repeat and the line decides ties
         rng = np.random.default_rng(n)
         lines = [f"T{t},{(_DAY0 + dt.timedelta(int(d))).isoformat()},{v}"
                  for t, d, v in zip(rng.integers(0, 9, n),
@@ -488,15 +506,31 @@ class TestSortOrder:
             write_lines(tmp_path, lines or ["# no records"]), "close")
 
     @pytest.mark.parametrize("n", [0, 1, 2 * panel_module.CHUNK_LINES + 5])
-    @pytest.mark.parametrize("minor", [False, True])  # prices, caps
-    def test_int32_order_is_lexsorts(self, tmp_path, n, minor):
+    def test_int32_order_is_lexsorts(self, tmp_path, n):
         rec = self.records(tmp_path, n)
-        keys = (rec.value,) * minor + (rec.key.copy(),)
-        want = np.lexsort(keys)
-        rec.sort(*keys[:-1])
+        key = rec.key.copy()
+        want = np.lexsort((key,))
+        rec.sort()
         assert rec.order.dtype == np.int32
         assert np.array_equal(rec.order, want)
-        assert np.array_equal(rec.key, keys[-1][want])
+        assert np.array_equal(rec.key, key[want])
+
+    def test_a_tracer_reading_locals_changes_nothing(self, tmp_path):
+        # a settrace hook that reads f_locals, as debuggers do, holds a
+        # reference to the order, so the buffer cannot be resized
+        path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
+        want = _outcome(load_prices, path)
+
+        def hook(frame, event, arg):
+            frame.f_locals
+            return hook
+
+        sys.settrace(hook)
+        try:
+            got = _outcome(load_prices, path)
+        finally:
+            sys.settrace(None)
+        assert got == want
 
     def test_order_takes_four_bytes_per_record(self, tmp_path):
         n = 50_001
@@ -772,28 +806,62 @@ class TestComputeReturns:
 
 class TestMedianCapitalization:
     def test_odd_length(self):
-        assert median_capitalization({"A": [1, 5, 100]}).values["A"] == 5
+        assert median_capitalization({"A": [1, 5, 100]}) == {"A": 5}
 
     def test_even_length_mean_of_middle_two(self):
-        assert median_capitalization({"A": [2, 4]}).values["A"] == 3
+        assert median_capitalization({"A": np.array([2.0, 4.0])}) == {"A": 3}
 
     def test_empty_is_absent(self):
-        table = median_capitalization({"A": []})
-        assert "A" not in table.values
-        assert np.isnan(table.log_values(["A"])).all()
+        medians = median_capitalization({"A": [], "B": np.empty(0)})
+        assert medians == {}
+        assert np.isnan(log_capitalizations(medians, ["A", "B"])).all()
 
     def test_negative_value_rejected(self):
-        with pytest.raises(DataError):
+        # the loader rejects a negative value at its line; a negative
+        # median has no logarithm either
+        with pytest.raises(DataError, match="A: median capitalization -0.5"):
             median_capitalization({"A": [1, -2]})
 
     def test_log_of_median(self):
-        table = median_capitalization({"A": [math.e]})
-        assert abs(table.log_values(["A"])[0] - 1.0) < 1e-12
+        medians = median_capitalization({"A": [math.e]})
+        assert abs(log_capitalizations(medians, ["A"])[0] - 1.0) < 1e-12
 
     def test_log_values_nan_where_absent(self):
-        table = median_capitalization({"A": [math.e], "B": []})
-        logs = table.log_values(["B", "A", "C"])
+        medians = median_capitalization({"A": [math.e], "B": []})
+        logs = log_capitalizations(medians, ["B", "A", "C"])
         assert logs.shape == (3,)
         assert np.isnan(logs[0]) and np.isnan(logs[2])
         assert logs[1] == math.log(math.e)
-        assert table.log_values([]).shape == (0,)
+        assert log_capitalizations(medians, []).shape == (0,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.floats(1e-3, 1e12), max_size=9),
+                    max_size=5))
+    def test_medians_are_np_medians_bits(self, drawn):
+        records = {f"T{i}": np.array(v) for i, v in enumerate(drawn)}
+        medians = median_capitalization(records)
+        assert list(medians) == [t for t, v in records.items() if v.size]
+        for t, median in medians.items():
+            assert type(median) is float
+            assert _bits([median]) == _bits([float(np.median(records[t]))])
+
+    def test_first_zero_median_in_first_record_order_is_named(
+            self, tmp_path):
+        # ZZZ's first record comes first, so it is named, not AAA
+        caps = load_capitalizations(write_lines(tmp_path, [
+            "ZZZ,2020-01-02,0", "AAA,2020-01-01,0", "ZZZ,2020-01-01,0",
+            "AAA,2020-01-02,3"]))
+        assert list(caps) == ["ZZZ", "AAA"]
+        with pytest.raises(DataError, match="^ZZZ: median capitalization 0"):
+            median_capitalization(caps)
+
+    def test_loaded_values_are_slices_of_one_array(self, tmp_path):
+        caps = load_capitalizations(write_lines(tmp_path, [
+            "BBB,2020-01-02,5", "AAA,2020-01-01,2", "BBB,2020-01-01,7",
+            "BBB,2020-01-01,6"]))
+        assert [(t, v.tolist()) for t, v in caps.items()] == [
+            ("BBB", [7.0, 6.0, 5.0]), ("AAA", [2.0])]
+        base = caps["BBB"].base
+        assert base is not None
+        assert all(v.dtype == np.float64 and v.base is base
+                   for v in caps.values())

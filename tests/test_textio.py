@@ -186,6 +186,31 @@ class TestReadKeyvalues:
             textio.read_keyvalues(path)
 
 
+class TestByteOrderMark:
+    """One leading byte order mark is not part of the text of any file read,
+    and a bad byte's offset still counts from the start of the file."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_key_value_file(self, tmp_path):
+        path = tmp_path / "k.tsv"
+        path.write_bytes(self.BOM + b"a\t1\nb\t2\n")
+        assert textio.read_keyvalues(str(path)) == {"a": "1", "b": "2"}
+
+    def test_matrix_whose_first_line_is_blank(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(self.BOM + b"\ndate\tA\n2020-01-01\t1\n")
+        labels, columns, values = textio.read_matrix(str(path))
+        assert (labels, columns, values.tolist()) == (
+            ["2020-01-01"], ["A"], [[1.0]])
+
+    def test_bad_byte_offset_is_the_files(self, tmp_path):
+        path = tmp_path / "k.txt"
+        path.write_bytes(self.BOM + b"k=\xff\n")
+        with pytest.raises(DataError, match="byte 0xff in position 5:"):
+            textio.read_text(str(path))
+
+
 # --- two-process reads and writes ------------------------------------------
 
 def _serial_and_split(monkeypatch, forks, fn, forked=True):
