@@ -15,7 +15,7 @@ from .config import PipelineConfig, build_config, parse_config_file
 from .crosscorr import (CorrelationSummary, correlation_matrix, pearson,
                         pearson_pvalue)
 from .errors import ConfigError, DataError, EstimationError, PipelineError
-from .panel import (PricePanel, RawPriceSeries, ReturnPanel,
+from .panel import (PricePanel, PriceRecords, RawPriceSeries, ReturnPanel,
                     compute_returns, load_capitalizations, load_prices,
                     log_capitalizations, median_capitalization, preprocess)
 from .pipeline import __version__, compare_reports, run

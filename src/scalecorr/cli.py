@@ -20,7 +20,7 @@ from .errors import ConfigError, PipelineError
 from .panel import (PricePanel, ReturnPanel, compute_returns,
                     load_capitalizations, load_prices, log_capitalizations,
                     median_capitalization, preprocess)
-from .pipeline import (MODES, compare_reports, read_columns, run,
+from .pipeline import (MODES, compare_reports, input_at, read_columns, run,
                        write_proxies_table)
 from .scaling import estimate_scaling_panel
 from .surrogates import marginal_gaussianize, synchronous_shuffle
@@ -206,6 +206,36 @@ def _cmd_compare(args):
             print(*row, sep="\t")
 
 
+# the input and output path arguments of the subcommands that read files
+# and write others (run checks its own bundle)
+_PATHS = {
+    "clean": (["prices"], ["out", "mask_out"]),
+    "returns": (["panel"], ["out"]),
+    "scaling": (["returns"], ["out"]),
+    "xcorr": (["returns"], ["rho_out", "pvalue_out", "rho_bar_out"]),
+    "associate": (["proxies", "rho_bar", "capitalization"],
+                  ["out", "text_out"]),
+    "surrogate": (["returns"], ["out", "spec_out"]),
+    "compare": (["report_a", "report_b"], ["out"]),
+}
+
+
+def _check_paths(args):
+    """ConfigError, before anything is written, where an output path is
+    one of the command's inputs or another of its outputs."""
+    inputs, outputs = ([getattr(args, name) for name in names]
+                       for names in _PATHS.get(args.command, ([], [])))
+    outputs = [path for path in outputs if path]
+    for k, path in enumerate(outputs):
+        source = input_at(path, inputs)
+        if source is not None:
+            raise ConfigError(f"{path} is the input {source}; "
+                              f"{args.command} would overwrite it")
+        other = input_at(path, outputs[:k])
+        if other is not None:
+            raise ConfigError(f"{path} is also the output {other}")
+
+
 _COMMANDS = {
     "clean": _cmd_clean,
     "returns": _cmd_returns,
@@ -235,6 +265,7 @@ def main(argv=None):
     _fix_mmap_threshold()
     args = make_parser().parse_args(argv)
     try:
+        _check_paths(args)
         _COMMANDS[args.command](args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,31 +11,37 @@ their logs, from a capitalization file's records, one array per ticker.
 Record files are read column-wise, one window of ``CHUNK_LINES`` lines at a
 time: the window's plain ``ticker,date,value`` lines are split in bulk and
 its values, ticker and date codes go to compact columns allocated once for
-the file's line count (int32 codes and line numbers, float64 values).
-Records are then grouped, sorted and checked with array operations. Only
-lines that are not plain records (comments, blank lines, whitespace
-delimiters, padded fields, a leading comma) get per-line work, which
-normalises them into the same columns and rejects a ticker that is empty
-or holds a tab. The file's text is never held whole: beyond the columns,
-ingest holds one window's lines, bytes and fields. The ticker-code column
-then becomes the (ticker, day) key in place, a slice at a time, and the
-date-code column is freed; the key stays int32 unless the number of
-(ticker, day) pairs outgrows it. The key is sorted in place next to its
-sort order, which is narrowed to int32 in its own buffer; the sorted key
-gives each ticker's bounds and each close's day, and the values are the
-one column gathered into sorted order. So ``load_prices`` peaks at 24
-bytes per record for 1.2M records, at the sort (33 for 200k, where a
-window outweighs the columns); the series keep 16-17: a ``datetime64[D]``
-day and a close each. The heap pages ingest freed go back to the system
-before the series are built.
+the file's line count (int32 codes, float64 values). A record's line is
+not stored: a sparse map keeps the records from which the number of
+skipped lines (blank and comment lines) before them changes, empty for a
+file of records only. Records are then grouped, sorted and checked with
+array operations. Only lines that are not plain records (comments, blank
+lines, whitespace delimiters, padded fields, a leading comma) get per-line
+work, which normalises them into the same columns and rejects a ticker
+that is empty or holds a tab. The file's text is never held whole: beyond
+the columns, ingest holds one window's lines, bytes and fields. The
+ticker-code column then becomes the (ticker, day) key in place, a slice at
+a time, and the date-code column is freed; the key stays int32 unless the
+number of (ticker, day) pairs outgrows it. The key is sorted in place next
+to lexsort's int64 order; the closes are gathered into that order's own
+buffer, a slice at a time, and the sorted key gives each ticker's bounds
+and, in place, each close's day index. So ``load_prices`` peaks at 20
+bytes per record for 1.2M records, at the sort and again at the gather
+(30 for 200k, where a window outweighs the columns), and its
+:class:`PriceRecords` keep 10: a close and a day index each (uint16 up to
+65,536 distinct days).
+:func:`preprocess` builds the panel from those columns, one survivor's
+block at a time, so its peak beyond them is the panel and its fill mask.
+The heap pages ingest freed go back to the system before cleaning.
 
 Record files are UTF-8, with or without a leading byte order mark. From
 ``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.halves`)
 reads the second half of the lines into its own columns while this process
 reads the first half; its columns come back through the pipe into the slots
-after this process's records, and its ticker and date codes are mapped onto
-this process's. The result is the one-process result: the same series and
-the same first faulty line.
+after this process's records, its ticker and date codes are mapped onto
+this process's, and its line map is renumbered after this process's
+records. The result is the one-process result: the same records and the
+same first faulty line.
 """
 
 import ctypes
@@ -43,6 +49,7 @@ import datetime as dt
 import itertools
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +90,39 @@ class RawPriceSeries:
             raise DataError(f"{self.ticker}: non-positive price")
         if not np.all(np.isfinite(prices)):
             raise DataError(f"{self.ticker}: non-finite price")
+
+
+@dataclass(frozen=True, eq=False)
+class PriceRecords(Sequence):
+    """Close records sorted by ticker, then day, as columns: ``tickers``,
+    the sorted names; ``days``, the sorted distinct ``datetime64[D]``
+    days; ``day``, each record's index into ``days``, of the narrowest
+    unsigned type that holds ``len(days)``; ``close``, float64; and
+    ``bounds``, the start of each ticker's block of records, then the end.
+
+    As a sequence it holds one :class:`RawPriceSeries` per ticker, built on
+    access.
+    """
+
+    tickers: list
+    days: np.ndarray
+    day: np.ndarray
+    close: np.ndarray
+    bounds: list
+
+    def __len__(self):
+        return len(self.tickers)
+
+    def __getitem__(self, j):
+        j = range(len(self.tickers))[j]  # IndexError ends an iteration
+        day, close = self.block(j)
+        return RawPriceSeries(ticker=self.tickers[j], dates=self.days[day],
+                              prices=close)
+
+    def block(self, j):
+        """Ticker j's day indices and closes, views of the columns."""
+        a, b = self.bounds[j], self.bounds[j + 1]
+        return self.day[a:b], self.close[a:b]
 
 
 @dataclass
@@ -154,50 +194,52 @@ def _read_dated(path):
 class _Records:
     """(ticker, date, value) records read column-wise from one file.
 
-    Records are in file order; ``line`` holds each one's 1-based line
-    number. ``days`` are the distinct ``datetime64[D]`` days of the date
-    texts, sorted (NaT for a text that does not parse), and ``key`` is each
-    record's (ticker, day) key ``code * len(days) + day``, where ``code``
-    indexes ``tickers`` (sorted names) and ``day`` indexes ``days``; it has
-    the code columns' dtype (int32) where ``len(tickers) * len(days)`` fits
-    in it, and int64 otherwise. A record whose value does not parse has a
-    NaN value. ``error`` is (line, message) of the first line the reader
-    itself rejects (field count, value or date), or None. :meth:`sort`
-    sorts ``key`` in place and sets ``order``, the sorting permutation,
-    int32 where the record count fits in it and lexsort's intp otherwise;
-    the other columns stay in file order.
+    Records are in file order. ``skips`` maps them to their 1-based lines
+    sparsely: it is (at, count), the records from which the number of lines
+    skipped before them (blank and comment lines) changes, and that number,
+    so that record i is on line i + 1 + the count at i (:meth:`line`); both
+    are empty for a file of records only. ``days`` are the distinct
+    ``datetime64[D]`` days of the date texts, sorted (NaT for a text that
+    does not parse), and ``key`` is each record's (ticker, day) key
+    ``code * len(days) + day``, where ``code`` indexes ``tickers`` (sorted
+    names) and ``day`` indexes ``days``; it has the code columns' dtype
+    (int32) where ``len(tickers) * len(days)`` fits in it, and int64
+    otherwise. A record whose value does not parse has a NaN value.
+    ``error`` is (line, message) of the first line the reader itself
+    rejects (field count, value or date), or None. :meth:`sort` sorts
+    ``key`` in place and sets ``order``, lexsort's sorting permutation; the
+    other columns stay in file order until :meth:`gathered`.
     """
 
     tickers: list
     days: np.ndarray
     key: np.ndarray
     value: np.ndarray
-    line: np.ndarray
+    skips: tuple
     error: tuple
     order: np.ndarray = None
 
     def sort(self):
         """Sort records by ticker, then day, then line: ``order`` is the
-        sorting permutation, int32 where the record count fits in it, and
-        ``key`` becomes ``key[order]``, without a copy."""
-        order = np.lexsort((self.key,))
-        n = order.size
-        if order.dtype == np.int64 and n <= np.iinfo(np.int32).max:
-            # narrowed into the first half of its own buffer, a slice at a
-            # time: int32 slot i never reaches past int64 slot i, so no
-            # slot is overwritten before it is read
-            narrow = order.view(np.int32)[:n]
-            for start in range(0, n, CHUNK_LINES):
-                narrow[start:start + CHUNK_LINES] = \
-                    order[start:start + CHUNK_LINES]
-            del narrow  # resize needs the buffer's only reference
-            try:
-                order.resize((n + 1) // 2)  # hands the second half back
-            except ValueError:  # another reference, as a tracer's f_locals
-                pass  # the same order, in the whole buffer
-            order = order.view(np.int32)[:n]
-        self.order = order
+        sorting permutation, and ``key`` becomes ``key[order]``, without a
+        copy."""
+        self.order = np.lexsort((self.key,))
         self.key.sort()
+
+    def gathered(self):
+        """The values in sorted order, written over the sort order in its
+        own buffer a slice at a time: each slice of the order is read before
+        its slots are written, so no more than one slice is allocated.
+        ``order`` and ``value`` are spent."""
+        order, value = self.order, self.value
+        self.order = self.value = None
+        if order.itemsize != value.itemsize:  # a 32-bit intp
+            return value[order]
+        out = order.view(value.dtype)
+        for start in range(0, order.size, CHUNK_LINES):
+            out[start:start + CHUNK_LINES] = \
+                value[order[start:start + CHUNK_LINES]]
+        return out
 
     def bounds(self):
         """The start of each ticker's block in sorted order, then the end."""
@@ -205,6 +247,9 @@ class _Records:
         return np.searchsorted(self.key, np.arange(
             len(self.tickers) + 1, dtype=self.key.dtype)
             * self.days.size).tolist()
+
+    def line(self, i):
+        return _line(self.skips, i)
 
     def _key_of(self, i):
         # record i's (ticker code, day rank), found through the sort order
@@ -227,10 +272,28 @@ class _Records:
         first = self.error
         for hits, message in rules:
             i = hits.min() if hits.size else None
-            if i is not None and (first is None or self.line[i] < first[0]):
-                first = (self.line[i], message(i))
+            if i is not None and (first is None or self.line(i) < first[0]):
+                first = (self.line(i), message(i))
         if first is not None:
             raise DataError(first[1])
+
+
+def _line(skips, i):
+    """The 1-based line of record i, given :attr:`_Records.skips`."""
+    at, count = skips
+    k = np.searchsorted(at, i, side="right")
+    return int(i) + 1 + (int(count[k - 1]) if k else 0)
+
+
+def _repeats(key):
+    """The positions in the sorted ``key`` whose key repeats the one before
+    it, compared a slice at a time."""
+    found = [np.empty(0, np.intp)]
+    for start in range(1, key.size, CHUNK_LINES):
+        stop = min(start + CHUNK_LINES, key.size)
+        found.append(np.flatnonzero(key[start:stop] == key[start - 1:stop - 1])
+                     + start)
+    return np.concatenate(found)
 
 
 class _Codes(dict):
@@ -312,10 +375,11 @@ def _scan_halves(fh, path, size, columns, what):
 
     The child skips the first half itself, numbers its lines from the
     file's start, and sends its columns, which go into the slots after
-    this process's records, and its ticker and date texts, which this
-    process maps onto its own codes. Where this process's half holds a
-    reader fault the child's result is not used, as a serial read would
-    stop there.
+    this process's records, its ticker and date texts, which this process
+    maps onto its own codes, and its line map, which this process renumbers
+    from its own record count. Where this process's half holds a reader
+    fault the child's result is not used, as a serial read would stop
+    there.
     """
     head = size // 2
 
@@ -324,20 +388,20 @@ def _scan_halves(fh, path, size, columns, what):
         with _open_records(path) as child_fh:
             for _ in itertools.islice(child_fh, head):
                 pass
-            n, tickers, date_texts, errors = _scan(
+            n, tickers, date_texts, errors, skips = _scan(
                 _file_windows(child_fh), head + 1, theirs, what)
-        return ((n, list(tickers), list(date_texts), errors),
+        return ((n, list(tickers), list(date_texts), errors, skips),
                 [column[:n] for column in theirs])
 
     def into(scanned, theirs):
-        n, _, _, errors = scanned
+        n, errors = scanned[0], scanned[3]
         return None if errors else [column[n:] for column in columns]
 
-    (n, tickers, date_texts, errors), theirs = textio.halves(
+    (n, tickers, date_texts, errors, skips), theirs = textio.halves(
         lambda: _scan(_file_windows(itertools.islice(fh, head)), 1, columns,
                       what), second, into)
     if theirs is not None:
-        k, *texts, errors = theirs
+        k, *texts, errors, (their_at, their_count) = theirs
         for c, codes, their in zip(columns, (tickers, date_texts), texts):
             mine = np.fromiter(map(codes.__getitem__, their), c.dtype,
                                len(their))
@@ -346,13 +410,20 @@ def _scan_halves(fh, path, size, columns, what):
             for start in range(n, n + k, CHUNK_LINES):
                 part = c[start:min(start + CHUNK_LINES, n + k)]
                 np.take(mine, part, out=part, mode="clip")
+        # the child's record j is record n + j here; an entry that does
+        # not change the count is dropped, so a file of records only keeps
+        # an empty map
+        at, count = (np.concatenate(pair) for pair in zip(
+            skips, (their_at + n, their_count - n)))
+        changes = np.diff(count, prepend=0) != 0
+        skips = at[changes], count[changes]
         n += k
-    return n, tickers, date_texts, errors
+    return n, tickers, date_texts, errors, skips
 
 
 def _columns(size, index):
-    """Ticker code, date code, line and value columns for ``size`` records."""
-    return [*(np.empty(size, index) for _ in range(3)), np.empty(size)]
+    """Ticker code, date code and value columns for ``size`` records."""
+    return [np.empty(size, index), np.empty(size, index), np.empty(size)]
 
 
 def _scan(windows, first, columns, what):
@@ -365,19 +436,24 @@ def _scan(windows, first, columns, what):
     window. Tickers and date texts are coded in the order they are first
     seen. Reading stops after the window that holds the first fault the
     reader finds: no later line can hold the first fault. Returns the
-    record count, the ticker and date-text codes, and the faults, each
-    (line, rank within the line, message).
+    record count, the ticker and date-text codes, the faults, each (line,
+    rank within the line, message), and the line map
+    (:attr:`_Records.skips`).
     """
-    code, date_code, line, value = columns
+    code, date_code, value = columns
     index = code.dtype
     tickers, date_texts = _Codes(), _Codes()
     errors = []
     n = 0  # records so far
+    skipped = 0  # lines skipped before the last record so far
+    skips = ([np.empty(0, index)], [np.empty(0, index)])  # window by window
 
-    def put(slots, ticker_texts, day_texts, value_texts):
+    def put(rows, ticker_texts, day_texts, value_texts):
+        # the records on the window's lines ``rows``
+        slots = slot[rows]
         values, bad = _parse_floats(value_texts)
         if bad is not None:
-            at = line[slots[bad]]
+            at = first + rows[bad]
             errors.append((at, 0, f"line {at}: bad {what} "
                            f"{value_texts[bad]!r}"))
         code[slots] = np.fromiter(map(tickers.__getitem__, ticker_texts),
@@ -422,7 +498,14 @@ def _scan(windows, first, columns, what):
         kept[loose[0]] = True
         slot = np.cumsum(kept) + (n - 1)  # each record's column slot
         records = np.flatnonzero(kept)
-        line[n:n + records.size] = records + first
+        # record n + r is on line first + records[r], after this many
+        # skipped lines; the map keeps where the number changes
+        count = records - np.arange(records.size) + (first - n - 1)
+        changes = np.flatnonzero(np.diff(count, prepend=skipped))
+        skips[0].append((changes + n).astype(index))
+        skips[1].append(count[changes].astype(index))
+        if records.size:
+            skipped = count[-1]
         n += records.size
         rows = np.flatnonzero(plain)
         if rows.size:
@@ -432,21 +515,22 @@ def _scan(windows, first, columns, what):
                         ends[rows[np.r_[cut - 1, rows.size - 1]]].tolist())
             fields = (b"\n".join(map(raw.__getitem__, spans)).decode("ascii")
                       .replace("\n", ",").split(","))
-            put(slot[rows], fields[0::3], fields[1::3], fields[2::3])
+            put(rows, fields[0::3], fields[1::3], fields[2::3])
         if loose[0]:
-            put(slot[loose[0]], *loose[1:])
+            put(*loose)
         if errors:
             break
         first += len(window)  # the next window's first line
 
-    return n, tickers, date_texts, errors
+    return (n, tickers, date_texts, errors,
+            tuple(np.concatenate(parts) for parts in skips))
 
 
-def _records(columns, n, tickers, date_texts, errors):
+def _records(columns, n, tickers, date_texts, errors, skips):
     """The _Records of the first ``n`` records in :func:`_scan`'s columns,
     which it takes out of the list ``columns``, so that the key it builds
     in the ticker-code column replaces both code columns."""
-    code, date_code, line, value = columns
+    code, date_code, value = columns
     columns.clear()
     names = sorted(tickers)
     days = np.empty(len(date_texts), "datetime64[D]")
@@ -459,7 +543,7 @@ def _records(columns, n, tickers, date_texts, errors):
     date_code = date_code[:n]
     if bad:
         i = np.argmax(np.isnat(days)[date_code])
-        errors.append((line[i], 1, bad[date_code[i]]))
+        errors.append((_line(skips, i), 1, bad[date_code[i]]))
     days, day = np.unique(days, return_inverse=True)
     # the key is built in the ticker-code column, unless the largest key
     # (and the bounds' last search value) does not fit in its dtype
@@ -480,34 +564,8 @@ def _records(columns, n, tickers, date_texts, errors):
     del date_code
     first = min(errors, default=None)
     return _Records(tickers=names, days=days, key=key, value=value[:n],
-                    line=line[:n],
+                    skips=skips,
                     error=None if first is None else (first[0], first[2]))
-
-
-def _sorted_prices(path):
-    """Checked close records: tickers, their sorted distinct days, closes
-    sorted by ticker and day with the index of each one's day, and each
-    ticker's block bounds."""
-    rec = _read_records(path, "close")
-    value = rec.value
-    rec.sort()
-    # a record that repeats the (ticker, day) of the one before it in sorted
-    # order repeats an earlier line's: equal keys keep their file order
-    key, order = rec.key, rec.order
-    rec.raise_first(
-        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line "
-         f"{rec.line[i]}: non-finite close {float(value[i])} for "
-         f"{rec.ticker(i)}"),
-        (np.flatnonzero(value <= 0), lambda i: f"line {rec.line[i]}: "
-         f"non-positive close {float(value[i])} for {rec.ticker(i)}"),
-        (order[1:][key[1:] == key[:-1]], lambda i: f"line {rec.line[i]}: "
-         f"duplicate record for ({rec.ticker(i)}, {rec.day(i)})"))
-    tickers, days, bounds = rec.tickers, rec.days, rec.bounds()
-    del rec  # the line numbers
-    day = np.remainder(key, days.size, out=key).astype(
-        np.min_scalar_type(days.size))
-    del key
-    return tickers, days, value[order], day, bounds
 
 
 def _release_free_heap():
@@ -523,60 +581,116 @@ def _release_free_heap():
 
 def load_prices(path):
     """Parse the (ticker, ISO date, close) records of the file at ``path``
-    into per-ticker series.
+    into :class:`PriceRecords`, one ticker's closes per block.
 
     Lines are comma- or whitespace-delimited, ``#`` comments and blank lines
     skipped. Raises DataError for the first faulty line in file order: a
     wrong field count, an unparseable close or date, a non-finite or
-    non-positive close, or a repeated (ticker, date).
+    non-positive close, or a repeated (ticker, date); and, naming the file,
+    for a file without records.
+
+    The closes' own rules are applied before the sort and the repeats after
+    it a slice at a time, and the closes are gathered into the sort order's
+    buffer, so no moment from the sort on holds more than the sort: the
+    (ticker, day) key, the file-order closes and the order.
     """
-    tickers, days, prices, day, bounds = _sorted_prices(path)
+    rec = _read_records(path, "close")
+    value = rec.value
+    rules = [
+        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line "
+         f"{rec.line(i)}: non-finite close {float(rec.value[i])} for "
+         f"{rec.ticker(i)}"),
+        (np.flatnonzero(value <= 0), lambda i: f"line {rec.line(i)}: "
+         f"non-positive close {float(rec.value[i])} for {rec.ticker(i)}")]
+    del value
+    rec.sort()
+    # a record that repeats the (ticker, day) of the one before it in sorted
+    # order repeats an earlier line's: equal keys keep their file order
+    rec.raise_first(*rules, (rec.order[_repeats(rec.key)], lambda i: f"line "
+                             f"{rec.line(i)}: duplicate record for "
+                             f"({rec.ticker(i)}, {rec.day(i)})"))
+    if not rec.key.size:
+        raise DataError(f"{path}: no price records")
+    bounds = rec.bounds()
+    close = rec.gathered()
+    key, rec.key = rec.key, None
+    day = np.remainder(key, rec.days.size, out=key).astype(
+        np.min_scalar_type(rec.days.size))
+    del key
     _release_free_heap()
-    days = days[day]  # once the records' columns are freed
-    return [RawPriceSeries(ticker=t, dates=days[a:b], prices=prices[a:b])
-            for t, a, b in zip(tickers, bounds, bounds[1:])]
+    return PriceRecords(tickers=rec.tickers, days=rec.days, day=day,
+                        close=close, bounds=bounds)
+
+
+def _series_columns(series):
+    """Series as :func:`preprocess` reads them: tickers in order, a day
+    axis from the first date to the last, each series' length, and a
+    function giving series j's day indices on that axis and its closes,
+    built on each call, so that nothing the size of every record is held.
+    DataError for a ticker with more than one series."""
+    series = sorted(series, key=lambda s: s.ticker)
+    tickers = [s.ticker for s in series]
+    repeated = next((a for a, b in zip(tickers, tickers[1:]) if a == b), None)
+    if repeated is not None:
+        raise DataError(f"{repeated}: more than one series")
+    dated = [s.dates for s in series if len(s.dates)]
+    days = (np.arange(min(d[0] for d in dated), max(d[-1] for d in dated) + 1)
+            if dated else np.empty(0, "datetime64[D]"))
+
+    def block(j):
+        return ((series[j].dates - days[0]).astype(np.intp),
+                np.asarray(series[j].prices))
+
+    return tickers, days, np.array([len(s.dates) for s in series]), block
 
 
 def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
-    """Clean raw series into a complete forward-filled PricePanel.
+    """Clean price series into a complete forward-filled PricePanel.
 
-    Steps: drop series shorter than ``k`` times the longest; start the panel
-    at the latest first date among survivors; take the union of survivors'
-    dates from that start as the reference axis; fill gaps by dragging the
-    last available price (recorded in ``fill_mask``).
+    ``series`` is :func:`load_prices`'s PriceRecords, read as its columns,
+    or a list of RawPriceSeries, read through :func:`_series_columns`; a
+    ticker with more than one series is a DataError. Steps: drop series
+    shorter than ``k`` times the longest; start the panel at the latest
+    first date among survivors; take the union of survivors' dates from
+    that start as the reference axis, marked on a calendar of day indices;
+    fill gaps by dragging the last available price (recorded in
+    ``fill_mask``), one search per survivor. Beyond the panel and its mask,
+    it holds O(dates) per survivor at a time.
     """
     if not series:
         raise DataError("no input series")
     if not 0 < k <= 1:
         raise DataError(f"length fraction k={k} outside (0, 1]")
-    max_len = max(len(s.dates) for s in series)
+    tickers, days, lengths, block = (
+        (series.tickers, series.days, np.diff(series.bounds), series.block)
+        if isinstance(series, PriceRecords) else _series_columns(series))
+    max_len = lengths.max()
     if max_len == 0:
         raise DataError("every input series is empty")
-    survivors = sorted((s for s in series if len(s.dates) >= k * max_len),
-                       key=lambda s: s.ticker)
+    survivors = np.flatnonzero(lengths >= k * max_len).tolist()
 
-    start = max(s.dates[0] for s in survivors)
-    # the survivors' days from start on, marked on a calendar to the last
-    calendar = np.zeros((max(s.dates[-1] for s in survivors) - start)
-                        .astype(np.intp) + 1, dtype=bool)
-    for s in survivors:
-        calendar[(s.dates[np.searchsorted(s.dates, start):] - start)
-                 .astype(np.intp)] = True
-    ref = start + np.flatnonzero(calendar)
+    start = max(block(j)[0][0] for j in survivors)
+    # the survivors' days from start on, marked on a calendar of day indices
+    calendar = np.zeros(days.size, dtype=bool)
+    for j in survivors:
+        calendar[block(j)[0]] = True
+    calendar[:start] = False
+    ref = np.flatnonzero(calendar)
     del calendar
 
     T, N = len(ref), len(survivors)
     prices = np.empty((T, N))
     mask = np.empty((T, N), dtype=bool)
-    for i, s in enumerate(survivors):
-        # last own observation at or before each reference date; one exists
-        # because start is the maximum of the survivors' first dates
-        last = np.searchsorted(s.dates, ref, side="right") - 1
-        prices[:, i] = np.asarray(s.prices)[last]
-        mask[:, i] = s.dates[last] != ref
+    for i, j in enumerate(survivors):
+        own, close = block(j)
+        # last own observation at or before each reference day; one exists
+        # because start is the largest of the survivors' first days
+        last = np.searchsorted(own, ref, side="right") - 1
+        prices[:, i] = close[last]
+        mask[:, i] = own[last] != ref
 
-    return PricePanel(dates=ref.tolist(),
-                      tickers=[s.ticker for s in survivors],
+    return PricePanel(dates=days[ref].tolist(),
+                      tickers=[tickers[j] for j in survivors],
                       prices=prices, fill_mask=mask)
 
 
@@ -613,13 +727,14 @@ def load_capitalizations(path):
     :func:`load_prices`, for a non-finite or negative capitalization, and
     for a file with no records."""
     rec = _read_records(path, "capitalization")
-    value, line = rec.value, rec.line
+    value = rec.value
     rec.sort()
     rec.raise_first(
-        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line {line[i]}: "
-         f"non-finite capitalization {float(value[i])} for {rec.ticker(i)}"),
-        (np.flatnonzero(value < 0), lambda i: f"line {line[i]}: negative "
-         f"capitalization {float(value[i])} for {rec.ticker(i)}"))
+        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line "
+         f"{rec.line(i)}: non-finite capitalization {float(value[i])} for "
+         f"{rec.ticker(i)}"),
+        (np.flatnonzero(value < 0), lambda i: f"line {rec.line(i)}: "
+         f"negative capitalization {float(value[i])} for {rec.ticker(i)}"))
     if not value.size:
         raise DataError(f"{path}: no capitalization records")
     bounds = rec.bounds()

@@ -143,10 +143,15 @@ def _previous_outputs(outdir):
     return outputs
 
 
-def _input_at(path, inputs):
-    """The input file that ``path`` is, or None if it is none of them."""
-    return next((p for p in inputs if p and os.path.exists(path)
-                 and os.path.samefile(path, p)), None)
+def input_at(path, inputs):
+    """The input file that ``path`` is, or None if it is none of them: the
+    same file where both exist, the same resolved path otherwise."""
+    def same(p):
+        if os.path.exists(path) and os.path.exists(p):
+            return os.path.samefile(path, p)
+        return os.path.realpath(path) == os.path.realpath(p)
+
+    return next((p for p in inputs if p and same(p)), None)
 
 
 def _write_bundle(config, mode, out):
@@ -232,7 +237,7 @@ def run(config: PipelineConfig, mode="raw"):
 
     def out(name):
         target = os.path.join(outdir, name)
-        source = _input_at(target, inputs)
+        source = input_at(target, inputs)
         if source is not None:
             raise ConfigError(f"{target} is the input {source}; the run "
                               "would overwrite it")
@@ -259,7 +264,7 @@ def run(config: PipelineConfig, mode="raw"):
 
     for name in set(previous) - set(names):
         path = os.path.join(outdir, name)
-        if os.path.isfile(path) and _input_at(path, inputs) is None:
+        if os.path.isfile(path) and input_at(path, inputs) is None:
             os.remove(path)
     return {name: os.path.join(outdir, name) for name in names}
 

@@ -387,6 +387,24 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {message or text}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "\ufeff", "# no records\n\n"])
+    @pytest.mark.parametrize("command", ["run", "clean"])
+    def test_prices_without_records_is_1(self, tmp_path, capsys, command,
+                                         text):
+        """An empty price file is reported at load, naming the file."""
+        prices = tmp_path / "prices.csv"
+        prices.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        if command == "run":
+            argv = ["run", "--prices", str(prices), "--output-dir", str(out)]
+        else:
+            argv = ["clean", "--prices", str(prices), "--out", str(out)]
+        assert main(argv) == 1
+        stage = "[load] " if command == "run" else ""
+        assert capsys.readouterr().err == (
+            f"error: {stage}{prices}: no price records\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["", "# no records\n\n"])
     @pytest.mark.parametrize("command", ["run", "associate"])
     def test_capitalization_without_records_is_1(
@@ -959,12 +977,14 @@ class TestRun:
 
     def test_price_series_are_released_after_cleaning(
             self, long_prices_file, tmp_path, monkeypatch):
-        """No price series outlives the clean stage: each is dead by the
-        time the scaling stage starts."""
+        """No price series outlives the clean stage: the loaded records,
+        and each series built from them, are dead by the time the scaling
+        stage starts."""
         refs = []
 
         def load_prices(path):
             series = load(path)
+            refs.append(weakref.ref(series))
             refs.extend(map(weakref.ref, series))
             return series
 
@@ -1259,6 +1279,123 @@ class TestCompare:
         a.write_text("x\t1\n")
         b.write_text("y\t2\n")
         assert main(["compare", str(a), str(b)]) == 2
+
+
+class TestOutputsAreNotInputs:
+    """A subcommand given an output path that is one of its inputs, or
+    another of its outputs, is a config error that writes nothing: the
+    check comes before any file is read or written."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Input files of every subcommand, and a symlink to the first."""
+        paths = {}
+        for name in ["prices", "panel", "returns", "proxies", "rho_bar",
+                     "caps", "report_a", "report_b"]:
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text(f"{name}\n")
+        (tmp_path / "link.txt").symlink_to(paths["prices"])
+        paths["link"] = tmp_path / "link.txt"
+        paths["new"] = tmp_path / "new.txt"
+        return {name: str(path) for name, path in paths.items()}
+
+    @staticmethod
+    def _refused(tmp_path, capsys, argv, message):
+        def contents():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        before = contents()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert contents() == before
+
+    def _overwrites(self, tmp_path, capsys, command, argv, path, source):
+        self._refused(tmp_path, capsys, [command] + argv,
+                      f"{path} is the input {source}; {command} would "
+                      "overwrite it")
+
+    @pytest.mark.parametrize("case", ["out", "mask", "symlink", "both"])
+    def test_clean(self, files, tmp_path, capsys, case):
+        f = files
+        out, mask = {"out": (f["prices"], f["new"]),
+                     "mask": (f["new"], f["prices"]),
+                     "symlink": (f["new"], f["link"]),
+                     "both": (f["new"], f["new"])}[case]
+        argv = ["--prices", f["prices"], "--out", out, "--mask-out", mask]
+        if case == "both":
+            self._refused(tmp_path, capsys, ["clean"] + argv,
+                          f"{f['new']} is also the output {f['new']}")
+        else:
+            self._overwrites(tmp_path, capsys, "clean", argv,
+                             out if case == "out" else mask, f["prices"])
+
+    @pytest.mark.parametrize("relative", [False, True])
+    def test_returns(self, files, tmp_path, capsys, monkeypatch, relative):
+        out = files["panel"]
+        if relative:
+            monkeypatch.chdir(tmp_path)
+            out = os.path.join(os.curdir, "panel.txt")
+        self._overwrites(tmp_path, capsys, "returns",
+                         ["--panel", files["panel"], "--out", out], out,
+                         files["panel"])
+
+    def test_scaling(self, files, tmp_path, capsys):
+        self._overwrites(tmp_path, capsys, "scaling",
+                         ["--returns", files["returns"], "--out",
+                          files["returns"]], files["returns"],
+                         files["returns"])
+
+    @pytest.mark.parametrize("flag", ["--rho-out", "--pvalue-out",
+                                      "--rho-bar-out", "outputs"])
+    def test_xcorr(self, files, tmp_path, capsys, flag):
+        f = files
+        argv = ["--returns", f["returns"], "--rho-out", f["new"]]
+        if flag == "outputs":
+            self._refused(tmp_path, capsys,
+                          ["xcorr"] + argv + ["--rho-bar-out", f["new"]],
+                          f"{f['new']} is also the output {f['new']}")
+            return
+        if flag == "--rho-out":
+            argv = argv[:2]
+        self._overwrites(tmp_path, capsys, "xcorr",
+                         argv + [flag, f["returns"]], f["returns"],
+                         f["returns"])
+
+    @pytest.mark.parametrize("case", ["proxies", "rho_bar", "caps",
+                                      "outputs"])
+    def test_associate(self, files, tmp_path, capsys, case):
+        f = files
+        argv = ["--proxies", f["proxies"], "--rho-bar", f["rho_bar"],
+                "--capitalization", f["caps"], "--out", f["new"]]
+        if case == "outputs":
+            self._refused(tmp_path, capsys,
+                          ["associate"] + argv + ["--text-out", f["new"]],
+                          f"{f['new']} is also the output {f['new']}")
+        else:
+            self._overwrites(tmp_path, capsys, "associate",
+                             argv + ["--text-out", f[case]], f[case], f[case])
+
+    @pytest.mark.parametrize("case", ["out", "spec", "outputs"])
+    def test_surrogate(self, files, tmp_path, capsys, case):
+        f = files
+        out, spec = {"out": (f["returns"], f["new"]),
+                     "spec": (f["new"], f["returns"]),
+                     "outputs": (f["new"], f["new"])}[case]
+        argv = ["--returns", f["returns"], "--kind", "synchronous_shuffle",
+                "--out", out, "--spec-out", spec]
+        if case == "outputs":
+            self._refused(tmp_path, capsys, ["surrogate"] + argv,
+                          f"{f['new']} is also the output {f['new']}")
+        else:
+            self._overwrites(tmp_path, capsys, "surrogate", argv,
+                             f["returns"], f["returns"])
+
+    @pytest.mark.parametrize("report", ["report_a", "report_b"])
+    def test_compare(self, files, tmp_path, capsys, report):
+        f = files
+        self._overwrites(tmp_path, capsys, "compare",
+                         [f["report_a"], f["report_b"], "--out", f[report]],
+                         f[report], f[report])
 
 
 def test_files_are_utf8_whatever_the_locale(long_prices_file, tmp_path):

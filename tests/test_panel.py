@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalecorr
 import scalecorr.panel as panel_module
 from scalecorr import textio
 from scalecorr.errors import DataError, EstimationError
@@ -45,8 +46,7 @@ class TestLoadPrices:
     def test_series_dates_are_day_arrays(self, tmp_path):
         # as loaded, and as built from a tuple of dates
         path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
-        for s in load_prices(path) + [
-                series("AAA", [(1, 1.0), (3, 2.0)])]:
+        for s in [*load_prices(path), series("AAA", [(1, 1.0), (3, 2.0)])]:
             assert s.dates.dtype == np.dtype("datetime64[D]")
         assert s.dates.tolist() == [D(2020, 1, 1), D(2020, 1, 3)]
 
@@ -73,8 +73,8 @@ class TestLoadPrices:
 
 
 # Reference record parser: the per-line reader the columnar one replaced,
-# kept verbatim except for the ticker and non-finite checks (marked), which
-# the columnar reader adds at the same point of a line's checks.
+# kept verbatim except for the ticker, non-finite and empty-file checks
+# (marked), which the columnar reader adds at the same point of its checks.
 def _reference_parse_date(text):
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -121,6 +121,8 @@ def _reference_load_prices(source):
                             f"({ticker}, {date})")
         seen.add((ticker, date))
         by_ticker.setdefault(ticker, []).append((date, close))
+    if not by_ticker:  # added: empty check
+        raise DataError(f"{source}: no price records")
     series = []
     for ticker in sorted(by_ticker):
         obs = sorted(by_ticker[ticker])
@@ -332,6 +334,131 @@ class TestColumnarReaderMatchesReference:
             self._check(*drawn)
 
 
+_SKIPPED = st.sampled_from(["", "#", "# note", "   ", "\t"])
+
+
+@st.composite
+def files_with_skipped_lines(draw):
+    """Record lines between runs of blank and comment lines, with at most
+    one record made faulty; returns the lines and each record's line."""
+    lines, record_lines = [], []
+    for i in range(draw(st.integers(0, 24))):
+        lines += draw(st.lists(_SKIPPED, max_size=3))
+        lines.append(f"T{i % 3},{(_DAY0 + dt.timedelta(i)).isoformat()},"
+                     f"{i + 1}")
+        record_lines.append(len(lines))
+    lines += draw(st.lists(_SKIPPED, max_size=3))
+    if record_lines:
+        at = draw(st.sampled_from(record_lines)) - 1
+        fault = draw(st.sampled_from([None, "x", "0", "nan", "repeat"]))
+        if fault == "repeat":
+            lines[at] = lines[record_lines[0] - 1]
+        elif fault is not None:
+            lines[at] = lines[at].rsplit(",", 1)[0] + "," + fault
+    return lines, record_lines
+
+
+class TestLineMap:
+    """Records keep their lines as a sparse map of where the number of
+    skipped lines before them changes: the same lines and first faulty
+    line whatever the windows and the forked half's boundary cut."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=files_with_skipped_lines())
+    def test_skipped_lines_across_windows_and_halves(self, chunk, drawn):
+        lines, record_lines = drawn
+        with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
+            TestColumnarReaderMatchesReference._check(lines, "\n")
+            with tempfile.TemporaryDirectory() as tmp:
+                path = write_lines(tmp, lines)
+                for split in (1 << 62, 0):
+                    with mock.patch.object(textio, "SPLIT_READ_BYTES",
+                                           split):
+                        rec = panel_module._read_records(path, "close")
+                    if rec.error is not None:  # "x": the reader stops
+                        continue
+                    assert [rec.line(i) for i in range(rec.value.size)] \
+                        == record_lines
+                    # one entry where the count of skipped lines changes,
+                    # none for records on lines 1, 2, ...
+                    counts = [0] + [line - i - 1 for i, line in
+                                    enumerate(record_lines)]
+                    changes = [i for i in range(len(record_lines))
+                               if counts[i + 1] != counts[i]]
+                    assert rec.skips[0].tolist() == changes
+                    assert rec.skips[1].tolist() == [counts[i + 1]
+                                                     for i in changes]
+
+    def test_plain_file_keeps_no_map(self, tmp_path, monkeypatch):
+        path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
+        for split in (1 << 62, 0):
+            monkeypatch.setattr(textio, "SPLIT_READ_BYTES", split)
+            rec = panel_module._read_records(path, "close")
+            assert rec.skips[0].size == rec.skips[1].size == 0
+
+
+@st.composite
+def price_files(draw):
+    """Price lines of a few tickers with gaps and late starts, in any
+    order."""
+    lines = []
+    for t in range(draw(st.integers(1, 6))):
+        for d in sorted(draw(st.sets(st.integers(0, 60), min_size=1,
+                                     max_size=40))):
+            lines.append(f"S{t},{(_DAY0 + dt.timedelta(d)).isoformat()},"
+                         f"{draw(st.floats(0.5, 500)):.4f}")
+    return draw(st.permutations(lines))
+
+
+class TestPriceRecords:
+    """load_prices returns the sorted columns as a sequence of series;
+    preprocess reads the columns, and a plain list of series through one
+    converter to the same fill."""
+
+    def test_is_a_sequence_of_series_built_on_access(self, tmp_path):
+        records = load_prices(write_lines(tmp_path,
+                                          PRICE_FIXTURE.splitlines()))
+        assert isinstance(records, scalecorr.PriceRecords)
+        assert len(records) == len(records.tickers) == 2
+        assert records[-1].ticker == records[1].ticker == "BBB"
+        assert records[0] is not records[0]
+        with pytest.raises(IndexError):
+            records[2]
+        assert [s.ticker for s in records] == records.tickers
+        assert sum(len(s.dates) for s in records) == records.close.size
+        assert records.close.dtype == np.float64
+        assert records.day.dtype == np.uint8
+        assert records.days.dtype == np.dtype("datetime64[D]")
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=price_files(),
+           k=st.sampled_from([0.3, 0.5, 0.9, 1.0]))
+    def test_columns_and_list_give_the_same_panel(self, lines, k):
+        with tempfile.TemporaryDirectory() as tmp:
+            records = load_prices(write_lines(tmp, lines))
+        panels = [preprocess(records, k), preprocess(list(records), k)]
+        for panel in panels:
+            assert panel.dates == panels[0].dates
+            assert panel.tickers == panels[0].tickers
+            assert panel.prices.tobytes() == panels[0].prices.tobytes()
+            assert panel.fill_mask.tobytes() == panels[0].fill_mask.tobytes()
+
+    def test_repeated_ticker_in_a_list_is_a_data_error(self):
+        # a panel cannot hold two columns of one name
+        with pytest.raises(DataError, match="^AAA: more than one series$"):
+            preprocess([series("AAA", [(1, 1.0), (2, 2.0)]),
+                        series("BBB", [(1, 3.0), (2, 4.0)]),
+                        series("AAA", [(3, 5.0)])], k=0.1)
+
+    @pytest.mark.parametrize("text", ["", "\ufeff", "# no records\n\n  \n"])
+    def test_file_without_records_is_named(self, tmp_path, text):
+        path = tmp_path / "prices.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path}: no price records$"):
+            load_prices(path)
+
+
 class TestTwoProcessIngest:
     """From textio.SPLIT_READ_BYTES on, a forked child reads the second
     half of a record file's lines; elsewhere ingest stays in one process."""
@@ -447,13 +574,18 @@ class TestIngestMemory:
     # which outweigh the columns of this 200k-record file; ~238 when the
     # whole file's text, line index and per-byte arrays were held at once
     BYTES_PER_RECORD = 64
-    # with 1024-line windows the columns and the sort set the peak: ~24.2,
-    # lexsort's momentary int64 order beside the value, line and int32 key
-    # columns (the read itself peaks at ~23.8, and the int32 order it is
-    # narrowed to leaves ~22.6 at the closes' gather); ~26.2 when the order
-    # stayed int64, ~30 with an int64 key, and ~41 when the sort also held
-    # the file-order code columns, a repeat mask and a date-code gather
-    SORT_BYTES_PER_RECORD = 26
+    # with 1024-line windows the columns and the sort set the peak: ~20.3,
+    # lexsort's int64 order beside the value and int32 key columns, which
+    # the closes' gather into the order's own buffer matches; ~24.2 with a
+    # line-number column beside them, ~26.2 when the order was gathered
+    # from into a fresh array, ~30 with an int64 key, and ~41 when the sort
+    # also held the file-order code columns, a repeat mask and a date-code
+    # gather
+    SORT_BYTES_PER_RECORD = 21
+    # preprocess of the loaded records holds the panel and its fill mask, 9
+    # bytes per record of this gapless file, and O(dates) per column: ~9.3;
+    # a T x N index array, or a datetime64 day per record, would add 8
+    PREPROCESS_BYTES_PER_RECORD = 10
     N_TICKERS, N_DAYS = 250, 800  # 200k records
 
     @pytest.fixture
@@ -489,10 +621,25 @@ class TestIngestMemory:
         monkeypatch.setattr(panel_module, "CHUNK_LINES", 1024)
         assert self._peak_per_record(path) < self.SORT_BYTES_PER_RECORD
 
+    def test_preprocess_peak_per_record(self, path):
+        records = load_prices(path)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            panel = preprocess(records)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        n = self.N_TICKERS * self.N_DAYS
+        assert panel.prices.size == n
+        assert peak / n < self.PREPROCESS_BYTES_PER_RECORD
+
 
 class TestSortOrder:
-    """:meth:`_Records.sort` narrows lexsort's order to int32 in its own
-    buffer, with the same permutation."""
+    """:meth:`_Records.sort` keeps lexsort's order, and
+    :meth:`_Records.gathered` writes the values in sorted order over it, in
+    the order's own buffer."""
 
     @staticmethod
     def records(tmp_path, n):
@@ -506,18 +653,23 @@ class TestSortOrder:
             write_lines(tmp_path, lines or ["# no records"]), "close")
 
     @pytest.mark.parametrize("n", [0, 1, 2 * panel_module.CHUNK_LINES + 5])
-    def test_int32_order_is_lexsorts(self, tmp_path, n):
+    def test_order_is_lexsorts(self, tmp_path, n):
         rec = self.records(tmp_path, n)
-        key = rec.key.copy()
+        key, value = rec.key.copy(), rec.value.copy()
         want = np.lexsort((key,))
         rec.sort()
-        assert rec.order.dtype == np.int32
+        assert rec.order.dtype == np.intp
         assert np.array_equal(rec.order, want)
         assert np.array_equal(rec.key, key[want])
+        order = rec.order
+        gathered = rec.gathered()
+        assert gathered.tobytes() == value[want].tobytes()
+        assert gathered.base is order
+        assert rec.order is None and rec.value is None
 
     def test_a_tracer_reading_locals_changes_nothing(self, tmp_path):
-        # a settrace hook that reads f_locals, as debuggers do, holds a
-        # reference to the order, so the buffer cannot be resized
+        # a settrace hook that reads f_locals, as debuggers do, holds
+        # references to ingest's locals, the spent columns among them
         path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
         want = _outcome(load_prices, path)
 
@@ -532,7 +684,7 @@ class TestSortOrder:
             sys.settrace(None)
         assert got == want
 
-    def test_order_takes_four_bytes_per_record(self, tmp_path):
+    def test_gather_allocates_one_slice(self, tmp_path):
         n = 50_001
         rec = self.records(tmp_path, n)
         tracemalloc.start()
@@ -540,9 +692,14 @@ class TestSortOrder:
             before = tracemalloc.get_traced_memory()[0]
             rec.sort()
             held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            gathered = rec.gathered()
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert held <= 4 * n + 1024
+        assert gathered.size == n
+        assert held <= 8 * n + 1024
+        assert peak - held <= 8 * panel_module.CHUNK_LINES + 1024
 
 
 class TestInt64Key:
