@@ -22,14 +22,17 @@ that is empty or holds a tab. The file's text is never held whole: beyond
 the columns, ingest holds one window's lines, bytes and fields. The
 ticker-code column then becomes the (ticker, day) key in place, a slice at
 a time, and the date-code column is freed; the key stays int32 unless the
-number of (ticker, day) pairs outgrows it. The key is sorted in place next
-to lexsort's int64 order; the closes are gathered into that order's own
-buffer, a slice at a time, and the sorted key gives each ticker's bounds
-and, in place, each close's day index. So ``load_prices`` peaks at 20
-bytes per record for 1.2M records, at the sort and again at the gather
-(30 for 200k, where a window outweighs the columns), and its
-:class:`PriceRecords` keep 10: a close and a day index each (uint16 up to
-65,536 distinct days).
+number of (ticker, day) pairs outgrows it. A key already in (ticker, day)
+order, as in a file written ticker by ticker, day by day, is checked a
+slice at a time and is neither sorted nor gathered: its order is the
+identity. Any other key is sorted in place next to lexsort's int64 order,
+and the closes are gathered into that order's own buffer, a slice at a
+time. The sorted key gives each ticker's bounds and, in place, each
+close's day index. So for 1.2M records ``load_prices`` peaks at 18.4
+bytes per record for a file in order, at the scan, and at 20.1 for any
+other, at the sort and again at the gather (~30 for 200k, where a window
+outweighs the columns); its :class:`PriceRecords` keep 10: a close and a
+day index each (uint16 up to 65,536 distinct days).
 :func:`preprocess` builds the panel from those columns, one survivor's
 block at a time, so its peak beyond them is the panel and its fill mask.
 The heap pages ingest freed go back to the system before cleaning.
@@ -207,7 +210,9 @@ class _Records:
     otherwise. A record whose value does not parse has a NaN value.
     ``error`` is (line, message) of the first line the reader itself
     rejects (field count, value or date), or None. :meth:`sort` sorts
-    ``key`` in place and sets ``order``, lexsort's sorting permutation; the
+    ``key`` in place and sets ``order``, lexsort's sorting permutation, or
+    leaves ``order`` None where the key is already in order: the identity,
+    which is never built. Only this class's methods read ``order``. The
     other columns stay in file order until :meth:`gathered`.
     """
 
@@ -222,17 +227,23 @@ class _Records:
     def sort(self):
         """Sort records by ticker, then day, then line: ``order`` is the
         sorting permutation, and ``key`` becomes ``key[order]``, without a
-        copy."""
-        self.order = np.lexsort((self.key,))
-        self.key.sort()
+        copy. A key already in order, equal neighbours included, is checked
+        a slice at a time and left as it is, with ``order`` None: lexsort is
+        stable, so its order would be the identity."""
+        if not _in_order(self.key):
+            self.order = np.lexsort((self.key,))
+            self.key.sort()
 
     def gathered(self):
-        """The values in sorted order, written over the sort order in its
-        own buffer a slice at a time: each slice of the order is read before
-        its slots are written, so no more than one slice is allocated.
-        ``order`` and ``value`` are spent."""
+        """The values in sorted order: the value column itself where the
+        key was already in order; otherwise written over the sort order in
+        its own buffer a slice at a time, where each slice of the order is
+        read before its slots are written, so no more than one slice is
+        allocated. ``order`` and ``value`` are spent."""
         order, value = self.order, self.value
         self.order = self.value = None
+        if order is None:
+            return value
         if order.itemsize != value.itemsize:  # a 32-bit intp
             return value[order]
         out = order.view(value.dtype)
@@ -248,13 +259,24 @@ class _Records:
             len(self.tickers) + 1, dtype=self.key.dtype)
             * self.days.size).tolist()
 
+    def file_order(self, positions):
+        """The file-order indices of the records at sorted ``positions``."""
+        return positions if self.order is None else self.order[positions]
+
+    def first_in_file(self, bounds):
+        """The file-order index of each ticker's first record, given
+        :meth:`bounds`."""
+        starts = np.asarray(bounds[:-1], np.intp)
+        return (starts if self.order is None
+                else np.minimum.reduceat(self.order, starts))
+
     def line(self, i):
         return _line(self.skips, i)
 
     def _key_of(self, i):
         # record i's (ticker code, day rank), found through the sort order
-        return divmod(int(self.key[np.argmax(self.order == i)]),
-                      self.days.size)
+        at = i if self.order is None else np.argmax(self.order == i)
+        return divmod(int(self.key[at]), self.days.size)
 
     def ticker(self, i):
         return self.tickers[self._key_of(i)[0]]
@@ -285,15 +307,27 @@ def _line(skips, i):
     return int(i) + 1 + (int(count[k - 1]) if k else 0)
 
 
-def _repeats(key):
-    """The positions in the sorted ``key`` whose key repeats the one before
-    it, compared a slice at a time."""
-    found = [np.empty(0, np.intp)]
+def _neighbours(key):
+    """``key`` from position 1 on, a ``CHUNK_LINES`` slice at a time, each
+    slice with its start and the equally long slice one position before
+    it, so that a comparison of the two allocates one slice."""
     for start in range(1, key.size, CHUNK_LINES):
         stop = min(start + CHUNK_LINES, key.size)
-        found.append(np.flatnonzero(key[start:stop] == key[start - 1:stop - 1])
-                     + start)
-    return np.concatenate(found)
+        yield start, key[start:stop], key[start - 1:stop - 1]
+
+
+def _in_order(key):
+    """Whether ``key`` never descends; it stops at the first slice that
+    does."""
+    return all((here >= before).all() for _, here, before in _neighbours(key))
+
+
+def _repeats(key):
+    """The positions in the sorted ``key`` whose key repeats the one before
+    it."""
+    return np.concatenate([np.empty(0, np.intp)] + [
+        np.flatnonzero(here == before) + start
+        for start, here, before in _neighbours(key)])
 
 
 class _Codes(dict):
@@ -590,9 +624,11 @@ def load_prices(path):
     for a file without records.
 
     The closes' own rules are applied before the sort and the repeats after
-    it a slice at a time, and the closes are gathered into the sort order's
-    buffer, so no moment from the sort on holds more than the sort: the
-    (ticker, day) key, the file-order closes and the order.
+    it a slice at a time. A key already in order is not sorted, and its
+    closes are kept as they are, so from the scan on nothing holds more
+    than the key and the closes. Otherwise the closes are gathered into the
+    sort order's buffer, so no moment from the sort on holds more than the
+    sort: the (ticker, day) key, the file-order closes and the order.
     """
     rec = _read_records(path, "close")
     value = rec.value
@@ -606,9 +642,9 @@ def load_prices(path):
     rec.sort()
     # a record that repeats the (ticker, day) of the one before it in sorted
     # order repeats an earlier line's: equal keys keep their file order
-    rec.raise_first(*rules, (rec.order[_repeats(rec.key)], lambda i: f"line "
-                             f"{rec.line(i)}: duplicate record for "
-                             f"({rec.ticker(i)}, {rec.day(i)})"))
+    rec.raise_first(*rules, (rec.file_order(_repeats(rec.key)),
+                             lambda i: f"line {rec.line(i)}: duplicate "
+                             f"record for ({rec.ticker(i)}, {rec.day(i)})"))
     if not rec.key.size:
         raise DataError(f"{path}: no price records")
     bounds = rec.bounds()
@@ -738,8 +774,8 @@ def load_capitalizations(path):
     if not value.size:
         raise DataError(f"{path}: no capitalization records")
     bounds = rec.bounds()
-    first_record = np.minimum.reduceat(rec.order, bounds[:-1])
-    values = value[rec.order]
+    first_record = rec.first_in_file(bounds)
+    values = rec.gathered()
     return {rec.tickers[k]: values[bounds[k]:bounds[k + 1]]
             for k in np.argsort(first_record).tolist()}
 

@@ -226,6 +226,40 @@ def record_files(draw):
     return lines, draw(st.sampled_from(["\n", "\r\n"]))
 
 
+_IN_ORDER_TICKERS = st.sampled_from(["AAA", "BB", "C", "D_1", "\u00c41"])
+_GOOD_VALUES = st.one_of(st.floats(0.01, 1e4).map(repr),
+                         st.integers(1, 999).map(str))
+_REGULAR_LAYOUTS = st.sampled_from(
+    ["{t},{d},{v}"] * 8 + ["{t} {d} {v}", "{t}\t{d}\t{v}", " {t} , {d},{v} ",
+                           "{t},{d},{v}\r"])
+
+
+@st.composite
+def sorted_record_files(draw):
+    """Record lines in (ticker, date) order, so that the key needs no sort
+    where every date parses; some records repeat next to the first, with
+    the date spelled either way and the same or another value, and blank
+    and comment lines sit between them. Half the files also draw bad
+    tickers, dates and values and irregular lines."""
+    faulty = draw(st.booleans())
+    tickers = _TICKERS if faulty else _IN_ORDER_TICKERS
+    values = _VALUES if faulty else _GOOD_VALUES
+    layouts = _LAYOUTS if faulty else _REGULAR_LAYOUTS
+    keys = sorted(set(draw(st.lists(st.tuples(tickers, st.integers(0, 40)),
+                                    max_size=20))))
+    lines = []
+    for t, k in keys:
+        day = _DAY0 + dt.timedelta(k)
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+            d = draw(st.sampled_from([day.isoformat(),
+                                      day.strftime("%Y%m%d")]))
+            if faulty:
+                d = draw(st.one_of(st.just(d), _DATES))
+            lines += draw(st.lists(_SKIPPED, max_size=1))
+            lines.append(draw(layouts).format(t=t, d=d, v=draw(values)))
+    return lines, draw(st.sampled_from(["\n", "\r\n"]))
+
+
 class TestColumnarReaderMatchesReference:
     """The columnar reader gives the per-line reader's series or error, in
     one process and with the second half of the lines read by a forked
@@ -246,6 +280,12 @@ class TestColumnarReaderMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(record_files())
     def test_generated_files(self, drawn):
+        self._check(*drawn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_record_files())
+    def test_generated_sorted_files(self, drawn):
+        # record_files() almost never draws a key already in order
         self._check(*drawn)
 
     @pytest.mark.parametrize("lines", [
@@ -308,6 +348,18 @@ class TestColumnarReaderMatchesReference:
         # same-day capitalizations in either value order
         ["AAA,2020-01-02,3", "AAA,2020-01-01,2", "AAA,2020-01-01,1",
          "BBB,2020-01-01,1"],
+        # a file in (ticker, day) order, which takes no sort: the later
+        # line of a duplicate is named; a bad close on an early line beats
+        # a later duplicate
+        ["AAA,2020-01-01,1", "AAA,2020-01-02,2", "AAA,2020-01-02,3",
+         "BBB,2020-01-01,4"],
+        ["AAA,2020-01-01,1", "AAA,2020-01-02,-1", "AAA,2020-01-03,2",
+         "AAA,2020-01-03,3"],
+        # a file sorted by date, then ticker, takes the lexsort
+        ["AAA,2020-01-01,1", "BBB,2020-01-01,2", "AAA,2020-01-02,3",
+         "BBB,2020-01-02,4"],
+        ["AAA,2020-01-01,1", "BBB,2020-01-01,2", "AAA,2020-01-02,3",
+         "BBB,2020-01-01,4"],
     ])
     def test_hand_cases(self, lines):
         self._check(lines, "\n")
@@ -568,19 +620,24 @@ class TestIngestMemory:
     """Ingest holds a bounded amount of memory per record: per-line and
     per-byte work is done one window of lines at a time into compact
     columns, so the traced peak (numpy buffers included) grows with the
-    record count only through those columns and the sort."""
+    record count only through those columns and the sort. The file is read
+    in (ticker, day) order, which needs no sort, and shuffled, which takes
+    lexsort's."""
 
     # measured: ~33 with 4096-line windows and ~46 with 8192-line ones,
     # which outweigh the columns of this 200k-record file; ~238 when the
     # whole file's text, line index and per-byte arrays were held at once
     BYTES_PER_RECORD = 64
-    # with 1024-line windows the columns and the sort set the peak: ~20.3,
+    # with 1024-line windows, shuffled: the sort sets the peak, ~20.3,
     # lexsort's int64 order beside the value and int32 key columns, which
     # the closes' gather into the order's own buffer matches; ~24.2 with a
     # line-number column beside them, ~26.2 when the order was gathered
     # from into a fresh array, ~30 with an int64 key, and ~41 when the sort
     # also held the file-order code columns, a repeat mask and a date-code
-    # gather
+    # gather. In order, the scan sets the peak, ~19.9: the two int32 code
+    # columns and the value column beside one window's lines, bytes and
+    # fields; the sort's check holds one slice, and nothing is gathered
+    # (~20.3 when lexsort's order was built for this file too)
     SORT_BYTES_PER_RECORD = 21
     # preprocess of the loaded records holds the panel and its fill mask, 9
     # bytes per record of this gapless file, and O(dates) per column: ~9.3;
@@ -588,17 +645,19 @@ class TestIngestMemory:
     PREPROCESS_BYTES_PER_RECORD = 10
     N_TICKERS, N_DAYS = 250, 800  # 200k records
 
-    @pytest.fixture
-    def path(self, tmp_path):
+    @pytest.fixture(params=["in_order", "shuffled"])
+    def path(self, tmp_path, request):
         days = [(_DAY0 + dt.timedelta(d)).isoformat()
                 for d in range(self.N_DAYS)]
-        closes = np.random.default_rng(7).uniform(1, 500, (self.N_TICKERS,
-                                                           self.N_DAYS))
+        rng = np.random.default_rng(7)
+        closes = rng.uniform(1, 500, (self.N_TICKERS, self.N_DAYS))
+        lines = [f"T{i:03d},{d},{c:.4f}\n" for i, row in enumerate(closes)
+                 for d, c in zip(days, row)]
+        if request.param == "shuffled":
+            lines = [lines[i] for i in rng.permutation(len(lines))]
         path = tmp_path / "prices.csv"
         with open(path, "w") as fh:
-            for i, row in enumerate(closes):
-                fh.writelines(f"T{i:03d},{d},{c:.4f}\n"
-                              for d, c in zip(days, row))
+            fh.writelines(lines)
         return path
 
     def _peak_per_record(self, path):
@@ -636,25 +695,38 @@ class TestIngestMemory:
         assert peak / n < self.PREPROCESS_BYTES_PER_RECORD
 
 
+def _lines_in_order(n):
+    """n price lines in (ticker, day) order, each key its own."""
+    return [f"T{i // 40:04d},{(_DAY0 + dt.timedelta(i % 40)).isoformat()},"
+            f"{1 + i % 7}" for i in range(n)]
+
+
 class TestSortOrder:
-    """:meth:`_Records.sort` keeps lexsort's order, and
-    :meth:`_Records.gathered` writes the values in sorted order over it, in
-    the order's own buffer."""
+    """:meth:`_Records.sort` keeps lexsort's order for a key out of order,
+    and :meth:`_Records.gathered` writes the values in sorted order over
+    it, in the order's own buffer. A key already in order keeps no order:
+    it is the identity, and the value column is handed back as it is."""
 
     @staticmethod
-    def records(tmp_path, n):
-        # few tickers and days, so keys repeat and the line decides ties
-        rng = np.random.default_rng(n)
-        lines = [f"T{t},{(_DAY0 + dt.timedelta(int(d))).isoformat()},{v}"
-                 for t, d, v in zip(rng.integers(0, 9, n),
-                                    rng.integers(0, 30, n),
-                                    rng.integers(1, 4, n))]
+    def read(tmp_path, lines):
         return panel_module._read_records(
             write_lines(tmp_path, lines or ["# no records"]), "close")
 
+    @classmethod
+    def records(cls, tmp_path, n, first=()):
+        # ``first``, then n records drawn with few tickers and days, so
+        # that keys repeat and the line decides ties
+        rng = np.random.default_rng(n)
+        return cls.read(tmp_path, list(first) + [
+            f"T{t},{(_DAY0 + dt.timedelta(int(d))).isoformat()},{v}"
+            for t, d, v in zip(rng.integers(0, 9, n), rng.integers(0, 30, n),
+                               rng.integers(1, 4, n))])
+
     @pytest.mark.parametrize("n", [0, 1, 2 * panel_module.CHUNK_LINES + 5])
     def test_order_is_lexsorts(self, tmp_path, n):
-        rec = self.records(tmp_path, n)
+        # two records that descend, so that the key is out of order at any n
+        rec = self.records(tmp_path, n,
+                           ["T8,2020-01-30,1", "T0,2020-01-01,2"])
         key, value = rec.key.copy(), rec.value.copy()
         want = np.lexsort((key,))
         rec.sort()
@@ -701,6 +773,52 @@ class TestSortOrder:
         assert held <= 8 * n + 1024
         assert peak - held <= 8 * panel_module.CHUNK_LINES + 1024
 
+    @pytest.mark.parametrize("lines", [
+        [], _lines_in_order(1),
+        [line for line in _lines_in_order(50) for _ in range(2)],
+        _lines_in_order(panel_module.CHUNK_LINES + 1),
+        _lines_in_order(panel_module.CHUNK_LINES + 2),
+    ], ids=["0", "1", "equal_neighbours", "chunk+1", "chunk+2"])
+    def test_key_in_order_is_neither_sorted_nor_gathered(self, tmp_path,
+                                                          lines):
+        rec = self.read(tmp_path, lines)
+        key, value = rec.key.copy(), rec.value
+        assert np.array_equal(np.lexsort((key,)), np.arange(key.size))
+        rec.sort()
+        assert rec.order is None
+        assert np.array_equal(rec.key, key)
+        positions = np.arange(key.size)
+        assert rec.file_order(positions) is positions
+        assert rec.gathered() is value
+
+    def test_check_allocates_one_slice(self, tmp_path):
+        rec = self.read(tmp_path, _lines_in_order(50_001))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            rec.sort()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rec.order is None
+        # one bool slice, beside the slices' views and the generator
+        assert peak <= panel_module.CHUNK_LINES + 2048
+
+    @pytest.mark.parametrize("at", [panel_module.CHUNK_LINES,
+                                    panel_module.CHUNK_LINES + 1])
+    def test_descent_at_a_slice_edge_is_sorted(self, tmp_path, at):
+        # the first slice ends at position CHUNK_LINES, the next starts
+        # after it
+        lines = _lines_in_order(2 * panel_module.CHUNK_LINES)
+        lines[at - 1], lines[at] = lines[at], lines[at - 1]
+        rec = self.read(tmp_path, lines)
+        key = rec.key.copy()
+        assert np.flatnonzero(key[1:] < key[:-1]).tolist() == [at - 1]
+        rec.sort()
+        assert np.array_equal(rec.order, np.lexsort((key,)))
+        assert np.array_equal(rec.key, np.sort(key))
+
 
 class TestInt64Key:
     """Where ``len(tickers) * len(days)`` outgrows the int32 code columns,
@@ -729,6 +847,17 @@ class TestInt64Key:
         counts = Counter(line.split(",", 1)[0] for line in lines)
         assert rec.bounds() == np.cumsum(
             [0] + [counts[t] for t in sorted(counts)]).tolist()
+        for loader, reference in [
+                (load_prices, _reference_load_prices),
+                (load_capitalizations, _reference_load_capitalizations)]:
+            assert _outcome(loader, path) == _outcome(reference, path)
+
+    def test_key_in_order_takes_no_sort(self, tmp_path, lines):
+        lines.sort()  # by ticker, then ISO date: (ticker, day) order
+        path = write_lines(tmp_path, lines)
+        rec = panel_module._read_records(path, "close")
+        rec.sort()
+        assert rec.key.dtype == np.int64 and rec.order is None
         for loader, reference in [
                 (load_prices, _reference_load_prices),
                 (load_capitalizations, _reference_load_capitalizations)]:
