@@ -25,16 +25,18 @@ a time, and the date-code column is freed; the key stays int32 unless the
 number of (ticker, day) pairs outgrows it. A key already in (ticker, day)
 order, as in a file written ticker by ticker, day by day, is checked a
 slice at a time and is neither sorted nor gathered: its order is the
-identity. Any other key is sorted in place next to lexsort's int64 order,
-and the closes are gathered into that order's own buffer, a slice at a
-time. The sorted key gives each ticker's bounds and, in place, each
+identity, and its closes are the value column itself, shrunk in place to
+the record count. Any other key is sorted in place next to lexsort's int64
+order, and the closes are gathered into that order's own buffer, a slice
+at a time. The sorted key gives each ticker's bounds and, in place, each
 close's day index. So for 1.2M records ``load_prices`` peaks at 18.4
 bytes per record for a file in order, at the scan, and at 20.1 for any
 other, at the sort and again at the gather (~30 for 200k, where a window
 outweighs the columns); its :class:`PriceRecords` keep 10: a close and a
 day index each (uint16 up to 65,536 distinct days).
-:func:`preprocess` builds the panel from those columns, one survivor's
-block at a time, so its peak beyond them is the panel and its fill mask.
+:func:`preprocess` takes those PriceRecords only, and builds the panel from
+their columns, one survivor's block at a time, so its peak beyond them is
+the panel and its fill mask.
 The heap pages ingest freed go back to the system before cleaning.
 
 Record files are UTF-8, with or without a leading byte order mark. From
@@ -74,25 +76,13 @@ RETURN_BLOCK_BYTES = 1 << 16
 
 @dataclass(frozen=True)
 class RawPriceSeries:
-    """One ticker's close prices, sorted by strictly increasing date; the
-    dates are kept as a ``datetime64[D]`` array, whatever they are given as."""
+    """One ticker's records as :class:`PriceRecords` gives them: its
+    ``datetime64[D]`` dates, strictly increasing, and its closes, each
+    finite and positive, as :func:`load_prices` checked them."""
 
     ticker: str
     dates: np.ndarray
     prices: np.ndarray
-
-    def __post_init__(self):
-        dates = np.asarray(self.dates, "datetime64[D]")
-        object.__setattr__(self, "dates", dates)
-        if len(dates) != len(self.prices):
-            raise DataError(f"{self.ticker}: dates/prices length mismatch")
-        if np.any(dates[1:] <= dates[:-1]):
-            raise DataError(f"{self.ticker}: dates not strictly increasing")
-        prices = np.asarray(self.prices)
-        if np.any(prices <= 0):
-            raise DataError(f"{self.ticker}: non-positive price")
-        if not np.all(np.isfinite(prices)):
-            raise DataError(f"{self.ticker}: non-finite price")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +92,10 @@ class PriceRecords(Sequence):
     days; ``day``, each record's index into ``days``, of the narrowest
     unsigned type that holds ``len(days)``; ``close``, float64; and
     ``bounds``, the start of each ticker's block of records, then the end.
+    :func:`preprocess` reads these columns.
 
-    As a sequence it holds one :class:`RawPriceSeries` per ticker, built on
-    access.
+    As a sequence it holds one :class:`RawPriceSeries` per ticker, a plain
+    record built on access from the columns.
     """
 
     tickers: list
@@ -563,7 +554,8 @@ def _scan(windows, first, columns, what):
 def _records(columns, n, tickers, date_texts, errors, skips):
     """The _Records of the first ``n`` records in :func:`_scan`'s columns,
     which it takes out of the list ``columns``, so that the key it builds
-    in the ticker-code column replaces both code columns."""
+    in the ticker-code column replaces both code columns, and the value
+    column, shrunk in place, holds the records' values only."""
     code, date_code, value = columns
     columns.clear()
     names = sorted(tickers)
@@ -596,8 +588,11 @@ def _records(columns, n, tickers, date_texts, errors, skips):
         part *= days.size
         part += day[date_code[start:start + CHUNK_LINES]]
     del date_code
+    # a key in order hands the value column back as it is; no view of it
+    # is alive here, while a tracer's frame locals may still reference it
+    value.resize(n, refcheck=False)
     first = min(errors, default=None)
-    return _Records(tickers=names, days=days, key=key, value=value[:n],
+    return _Records(tickers=names, days=days, key=key, value=value,
                     skips=skips,
                     error=None if first is None else (first[0], first[2]))
 
@@ -658,58 +653,32 @@ def load_prices(path):
                         close=close, bounds=bounds)
 
 
-def _series_columns(series):
-    """Series as :func:`preprocess` reads them: tickers in order, a day
-    axis from the first date to the last, each series' length, and a
-    function giving series j's day indices on that axis and its closes,
-    built on each call, so that nothing the size of every record is held.
-    DataError for a ticker with more than one series."""
-    series = sorted(series, key=lambda s: s.ticker)
-    tickers = [s.ticker for s in series]
-    repeated = next((a for a, b in zip(tickers, tickers[1:]) if a == b), None)
-    if repeated is not None:
-        raise DataError(f"{repeated}: more than one series")
-    dated = [s.dates for s in series if len(s.dates)]
-    days = (np.arange(min(d[0] for d in dated), max(d[-1] for d in dated) + 1)
-            if dated else np.empty(0, "datetime64[D]"))
+def preprocess(records, k=DEFAULT_LENGTH_FRACTION):
+    """Clean :func:`load_prices`'s PriceRecords into a complete
+    forward-filled PricePanel, read from the records' columns.
 
-    def block(j):
-        return ((series[j].dates - days[0]).astype(np.intp),
-                np.asarray(series[j].prices))
-
-    return tickers, days, np.array([len(s.dates) for s in series]), block
-
-
-def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
-    """Clean price series into a complete forward-filled PricePanel.
-
-    ``series`` is :func:`load_prices`'s PriceRecords, read as its columns,
-    or a list of RawPriceSeries, read through :func:`_series_columns`; a
-    ticker with more than one series is a DataError. Steps: drop series
-    shorter than ``k`` times the longest; start the panel at the latest
-    first date among survivors; take the union of survivors' dates from
-    that start as the reference axis, marked on a calendar of day indices;
-    fill gaps by dragging the last available price (recorded in
-    ``fill_mask``), one search per survivor. Beyond the panel and its mask,
-    it holds O(dates) per survivor at a time.
+    Steps: drop tickers with fewer than ``k`` times the most records; start
+    the panel at the latest first day among survivors; take the union of
+    survivors' days from that start as the reference axis, marked on a
+    calendar of day indices; fill gaps by dragging the last available
+    price (recorded in ``fill_mask``), one search per survivor. Beyond the
+    panel and its mask, it holds O(dates) per survivor at a time.
     """
-    if not series:
+    if not records:
         raise DataError("no input series")
     if not 0 < k <= 1:
         raise DataError(f"length fraction k={k} outside (0, 1]")
-    tickers, days, lengths, block = (
-        (series.tickers, series.days, np.diff(series.bounds), series.block)
-        if isinstance(series, PriceRecords) else _series_columns(series))
+    lengths = np.diff(records.bounds)
     max_len = lengths.max()
     if max_len == 0:
         raise DataError("every input series is empty")
     survivors = np.flatnonzero(lengths >= k * max_len).tolist()
 
-    start = max(block(j)[0][0] for j in survivors)
+    start = max(records.block(j)[0][0] for j in survivors)
     # the survivors' days from start on, marked on a calendar of day indices
-    calendar = np.zeros(days.size, dtype=bool)
+    calendar = np.zeros(records.days.size, dtype=bool)
     for j in survivors:
-        calendar[block(j)[0]] = True
+        calendar[records.block(j)[0]] = True
     calendar[:start] = False
     ref = np.flatnonzero(calendar)
     del calendar
@@ -718,15 +687,15 @@ def preprocess(series, k=DEFAULT_LENGTH_FRACTION):
     prices = np.empty((T, N))
     mask = np.empty((T, N), dtype=bool)
     for i, j in enumerate(survivors):
-        own, close = block(j)
+        own, close = records.block(j)
         # last own observation at or before each reference day; one exists
         # because start is the largest of the survivors' first days
         last = np.searchsorted(own, ref, side="right") - 1
         prices[:, i] = close[last]
         mask[:, i] = own[last] != ref
 
-    return PricePanel(dates=days[ref].tolist(),
-                      tickers=[tickers[j] for j in survivors],
+    return PricePanel(dates=records.days[ref].tolist(),
+                      tickers=[records.tickers[j] for j in survivors],
                       prices=prices, fill_mask=mask)
 
 

@@ -1,4 +1,5 @@
 import os
+import tempfile
 import threading
 from contextlib import contextmanager
 
@@ -8,7 +9,7 @@ import pytest
 from scalecorr.association import build_report
 from scalecorr.config import PipelineConfig
 from scalecorr.crosscorr import correlation_matrix
-from scalecorr.panel import ReturnPanel
+from scalecorr.panel import ReturnPanel, load_prices
 from scalecorr.scaling import estimate_scaling_panel
 from scalecorr.synth import generate_coupled_market
 
@@ -67,6 +68,13 @@ def write_lines(directory, lines, newline="\n"):
     with open(path, "w", newline="") as fh:
         fh.write(newline.join(lines) + newline)
     return path
+
+
+def price_records(lines):
+    """:func:`load_prices` of ``lines`` written to a file: the PriceRecords
+    that ``preprocess`` cleans (they keep nothing of the file)."""
+    with tempfile.TemporaryDirectory() as directory:
+        return load_prices(write_lines(directory, lines))
 
 
 def stylized_fact_experiment(n_stocks=100, n_days=4096, seed=0, coupled=True,

@@ -16,13 +16,14 @@ from scalecorr.association import kendall_tau, partial_correlation
 from scalecorr.cli import main
 from scalecorr.crosscorr import correlation_matrix, pearson
 from scalecorr.errors import EstimationError
-from scalecorr.panel import RawPriceSeries, preprocess
+from scalecorr.panel import preprocess
 from scalecorr.scaling import (DEFAULT_Q_GRID, _loglog_fit, _proxy_fit,
                                estimate_scaling_panel)
 from scalecorr.surrogates import marginal_gaussianize, synchronous_shuffle
 from scalecorr.synth import MarketRecipe, generate
 
-from conftest import make_return_panel, stylized_fact_experiment
+from conftest import (make_return_panel, price_records,
+                      stylized_fact_experiment)
 from test_association import brute_force_tau
 
 N_SEEDS = 50
@@ -199,18 +200,13 @@ date\tAAA\tBBB
 
 
 def test_criterion_8_preprocessing_fixture(tmp_path):
-    import datetime as dt
-
     def mk(ticker, days, base):
-        return RawPriceSeries(
-            ticker=ticker,
-            dates=tuple(dt.date(2020, 1, d) for d in days),
-            prices=np.array([base + d for d in days], dtype=float))
+        return [f"{ticker},2020-01-{d:02d},{base + d}" for d in days]
 
     aaa = mk("AAA", range(1, 11), 100.0)             # 10 dates, full
     bbb = mk("BBB", [2, 3, 4, 5, 6, 8, 9, 10, 11], 200.0)  # gap at 7
     ccc = mk("CCC", range(1, 9), 300.0)              # 8 < 0.9 * 10, removed
-    panel = preprocess([aaa, bbb, ccc], k=0.90)
+    panel = preprocess(price_records(aaa + bbb + ccc), k=0.90)
     prices_path = tmp_path / "panel.tsv"
     mask_path = tmp_path / "mask.tsv"
     panel.write(prices_path, mask_path)

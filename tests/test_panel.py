@@ -5,6 +5,7 @@ import sys
 import tempfile
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -21,19 +22,33 @@ from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
                              log_capitalizations, median_capitalization,
                              preprocess)
 
-from conftest import PRICE_FIXTURE, running_threads, write_lines
+from conftest import PRICE_FIXTURE, price_records, running_threads, write_lines
 
 D = dt.date
 
 
-def series(ticker, day_price_pairs):
-    """Day d is 2020-01-d for d <= 31 and keeps counting into February."""
-    return RawPriceSeries(
-        ticker=ticker,
-        dates=tuple(D(2019, 12, 31) + dt.timedelta(d)
-                    for d, _ in day_price_pairs),
-        prices=np.array([p for _, p in day_price_pairs], dtype=float),
-    )
+@contextmanager
+def tracer_reading_locals():
+    """Inside the block, a settrace hook reads f_locals, as debuggers do,
+    so that it holds references to ingest's locals, the spent columns
+    among them."""
+    def hook(frame, event, arg):
+        frame.f_locals
+        return hook
+
+    sys.settrace(hook)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+
+
+def price_lines(ticker, day_price_pairs):
+    """Price lines of one ticker; day d is 2020-01-d for d <= 31 and keeps
+    counting into February. Each close is written so that it reads back
+    with the same bits."""
+    return [f"{ticker},{D(2019, 12, 31) + dt.timedelta(d)},{float(p)!r}"
+            for d, p in day_price_pairs]
 
 
 class TestLoadPrices:
@@ -44,11 +59,11 @@ class TestLoadPrices:
         assert list(aaa.prices) == [100, 101, 102]
 
     def test_series_dates_are_day_arrays(self, tmp_path):
-        # as loaded, and as built from a tuple of dates
         path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
-        for s in [*load_prices(path), series("AAA", [(1, 1.0), (3, 2.0)])]:
+        for s in load_prices(path):
             assert s.dates.dtype == np.dtype("datetime64[D]")
-        assert s.dates.tolist() == [D(2020, 1, 1), D(2020, 1, 3)]
+        assert s.dates.tolist() == [D(2020, 1, 1), D(2020, 1, 2),
+                                    D(2020, 1, 3)]
 
     def test_zero_close_rejected(self, tmp_path):
         with pytest.raises(DataError, match="non-positive"):
@@ -74,7 +89,9 @@ class TestLoadPrices:
 
 # Reference record parser: the per-line reader the columnar one replaced,
 # kept verbatim except for the ticker, non-finite and empty-file checks
-# (marked), which the columnar reader adds at the same point of its checks.
+# (marked), which the columnar reader adds at the same point of its checks,
+# and for its series' dates, made ``datetime64[D]`` arrays as loaded series'
+# are (marked).
 def _reference_parse_date(text):
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -128,7 +145,7 @@ def _reference_load_prices(source):
         obs = sorted(by_ticker[ticker])
         series.append(RawPriceSeries(
             ticker=ticker,
-            dates=tuple(d for d, _ in obs),
+            dates=np.array([d for d, _ in obs], "datetime64[D]"),  # added
             prices=np.array([p for _, p in obs]),
         ))
     return series
@@ -450,23 +467,9 @@ class TestLineMap:
             assert rec.skips[0].size == rec.skips[1].size == 0
 
 
-@st.composite
-def price_files(draw):
-    """Price lines of a few tickers with gaps and late starts, in any
-    order."""
-    lines = []
-    for t in range(draw(st.integers(1, 6))):
-        for d in sorted(draw(st.sets(st.integers(0, 60), min_size=1,
-                                     max_size=40))):
-            lines.append(f"S{t},{(_DAY0 + dt.timedelta(d)).isoformat()},"
-                         f"{draw(st.floats(0.5, 500)):.4f}")
-    return draw(st.permutations(lines))
-
-
 class TestPriceRecords:
-    """load_prices returns the sorted columns as a sequence of series;
-    preprocess reads the columns, and a plain list of series through one
-    converter to the same fill."""
+    """load_prices returns the sorted columns as a sequence of series, each
+    a plain record built on access."""
 
     def test_is_a_sequence_of_series_built_on_access(self, tmp_path):
         records = load_prices(write_lines(tmp_path,
@@ -483,25 +486,22 @@ class TestPriceRecords:
         assert records.day.dtype == np.uint8
         assert records.days.dtype == np.dtype("datetime64[D]")
 
-    @settings(max_examples=100, deadline=None)
-    @given(lines=price_files(),
-           k=st.sampled_from([0.3, 0.5, 0.9, 1.0]))
-    def test_columns_and_list_give_the_same_panel(self, lines, k):
-        with tempfile.TemporaryDirectory() as tmp:
-            records = load_prices(write_lines(tmp, lines))
-        panels = [preprocess(records, k), preprocess(list(records), k)]
-        for panel in panels:
-            assert panel.dates == panels[0].dates
-            assert panel.tickers == panels[0].tickers
-            assert panel.prices.tobytes() == panels[0].prices.tobytes()
-            assert panel.fill_mask.tobytes() == panels[0].fill_mask.tobytes()
-
-    def test_repeated_ticker_in_a_list_is_a_data_error(self):
-        # a panel cannot hold two columns of one name
-        with pytest.raises(DataError, match="^AAA: more than one series$"):
-            preprocess([series("AAA", [(1, 1.0), (2, 2.0)]),
-                        series("BBB", [(1, 3.0), (2, 4.0)]),
-                        series("AAA", [(3, 5.0)])], k=0.1)
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("split", [1 << 62, 0], ids=["serial", "forked"])
+    def test_values_keep_no_slot_of_a_skipped_line(self, tmp_path,
+                                                   monkeypatch, split,
+                                                   traced):
+        # the value column is sized for the file's 1011 lines; records in
+        # (ticker, day) order hand it back without a gather
+        path = write_lines(tmp_path, ["# note"] * 1000 + _lines_in_order(10))
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", split)
+        with tracer_reading_locals() if traced else nullcontext():
+            close = load_prices(path).close
+            caps = load_capitalizations(path)
+        assert close.flags.owndata and close.size == 10
+        assert caps["T0000"].base.flags.owndata
+        assert caps["T0000"].base.size == 10
 
     @pytest.mark.parametrize("text", ["", "\ufeff", "# no records\n\n  \n"])
     def test_file_without_records_is_named(self, tmp_path, text):
@@ -740,20 +740,10 @@ class TestSortOrder:
         assert rec.order is None and rec.value is None
 
     def test_a_tracer_reading_locals_changes_nothing(self, tmp_path):
-        # a settrace hook that reads f_locals, as debuggers do, holds
-        # references to ingest's locals, the spent columns among them
         path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
         want = _outcome(load_prices, path)
-
-        def hook(frame, event, arg):
-            frame.f_locals
-            return hook
-
-        sys.settrace(hook)
-        try:
+        with tracer_reading_locals():
             got = _outcome(load_prices, path)
-        finally:
-            sys.settrace(None)
         assert got == want
 
     def test_gather_allocates_one_slice(self, tmp_path):
@@ -878,56 +868,69 @@ class TestNonFiniteAndZero:
             load_capitalizations(write_lines(
                 tmp_path, [f"AAA,2020-01-01,{token}"]))
 
-    def test_non_finite_series_rejected(self):
-        with pytest.raises(DataError, match="non-finite price"):
-            series("AAA", [(1, 1.0), (2, float("nan"))])
-
     def test_zero_median_cap_names_ticker(self):
         with pytest.raises(DataError, match="ZZZ: median capitalization 0"):
             median_capitalization({"A": [1.0], "ZZZ": [0.0, 0.0, 5.0]})
 
 
-class TestPreprocessMatchesReference:
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.sets(st.integers(0, 60), min_size=1, max_size=40),
-                    min_size=1, max_size=6),
-           st.sampled_from([0.3, 0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
-    def test_vectorised_fill_equals_dict_fill(self, day_sets, k, seed):
-        rng = np.random.default_rng(seed)
-        raw = [RawPriceSeries(f"S{i}", tuple(_DAY0 + dt.timedelta(d)
-                                             for d in sorted(days)),
-                              rng.uniform(1, 100, len(days)))
-               for i, days in enumerate(day_sets)]
-        panel = preprocess(raw, k)
-        dates, tickers, prices, mask = _reference_preprocess(raw, k)
-        assert panel.dates == dates
-        assert panel.tickers == tickers
-        assert np.array_equal(panel.prices, prices)
-        assert np.array_equal(panel.fill_mask, mask)
+_K = st.sampled_from([0.3, 0.5, 0.9, 1.0])
 
-    def test_unsorted_dates_rejected(self):
-        with pytest.raises(DataError, match="strictly increasing"):
-            series("AAA", [(2, 1.0), (2, 2.0)])
-        with pytest.raises(DataError, match="strictly increasing"):
-            series("AAA", [(3, 1.0), (1, 2.0)])
+
+@st.composite
+def price_files(draw):
+    """Price lines of two to six tickers with gaps and late starts. One of
+    them has one or two records, fewer than 0.3 times the ten or more of
+    the longest, so every k of ``_K`` drops it. The lines are in (ticker,
+    day) order, which the load takes without a sort, or shuffled."""
+    longest = draw(st.sets(st.integers(0, 60), min_size=10, max_size=40))
+    day_sets = [longest, draw(st.sets(st.sampled_from(sorted(longest)),
+                                      min_size=1, max_size=2))]
+    day_sets += draw(st.lists(st.sets(st.integers(0, 60), min_size=1,
+                                      max_size=40), max_size=4))
+    lines = [f"S{t},{(_DAY0 + dt.timedelta(d)).isoformat()},"
+             f"{draw(st.floats(0.5, 500)):.4f}"
+             for t, days in enumerate(draw(st.permutations(day_sets)))
+             for d in sorted(days)]
+    return draw(st.permutations(lines)) if draw(st.booleans()) else lines
+
+
+class TestPreprocessMatchesReference:
+    """preprocess of loaded records, read in one process or two, gives the
+    dict-lookup fill's panel bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(price_files(), _K)
+    def test_vectorised_fill_equals_dict_fill(self, lines, k):
+        for split in (1 << 62, 0):
+            with mock.patch.object(textio, "SPLIT_READ_BYTES", split):
+                records = price_records(lines)
+            panel = preprocess(records, k)
+            dates, tickers, prices, mask = _reference_preprocess(
+                list(records), k)
+            assert len(panel.tickers) < len(records)
+            assert panel.dates == [d.item() for d in dates]
+            assert panel.tickers == tickers
+            assert panel.prices.tobytes() == prices.tobytes()
+            assert panel.fill_mask.tobytes() == mask.tobytes()
 
 
 class TestPreprocess:
     def test_peak_above_input(self):
         # the reference axis comes from a calendar of the survivors' days,
         # not from a sort of all their dates: the traced peak is the panel
-        # and its fill mask plus per-column work (~1.03x; 2.4x when every
-        # date was concatenated and sorted)
+        # and its fill mask plus per-column work (~1.04x from loaded
+        # records; 2.4x when every date was concatenated and sorted)
         rng = np.random.default_rng(5)
         days = np.datetime64("2020-01-01") + np.arange(1500)
-        raw = [RawPriceSeries(f"T{i:03d}", kept, rng.uniform(1, 9, kept.size))
-               for i in range(200)
-               for kept in [days[i % 30:][rng.random(1500 - i % 30) > 0.02]]]
+        records = price_records([
+            f"T{i:03d},{day},{close:.4f}" for i in range(200)
+            for kept in [days[i % 30:][rng.random(1500 - i % 30) > 0.02]]
+            for day, close in zip(kept, rng.uniform(1, 9, kept.size))])
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            panel = preprocess(raw)
+            panel = preprocess(records)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -936,50 +939,62 @@ class TestPreprocess:
 
     def test_single_stock_gap_fill(self):
         # hand trace: [100, missing, 110] on reference dates d1..d3
-        a = series("AAA", [(1, 100), (3, 110)])
-        b = series("BBB", [(1, 1), (2, 2), (3, 3)])
-        panel = preprocess([a, b], k=0.5)
+        a = price_lines("AAA", [(1, 100), (3, 110)])
+        b = price_lines("BBB", [(1, 1), (2, 2), (3, 3)])
+        panel = preprocess(price_records(a + b), k=0.5)
         assert [d.day for d in panel.dates] == [1, 2, 3]
         assert list(panel.prices[:, 0]) == [100, 100, 110]
         assert list(panel.fill_mask[:, 0]) == [False, True, False]
 
     def test_length_filter(self):
-        long = series("LONG", [(d, 1.0 + d) for d in range(1, 21)])  # 20 obs
-        short = series("SHORT", [(d, 2.0 + d) for d in range(1, 18)])  # 17 obs
-        panel = preprocess([long, short], k=0.90)
+        # 20 and 17 records: 17 < 0.9 * 20
+        long = price_lines("LONG", [(d, 1.0 + d) for d in range(1, 21)])
+        short = price_lines("SHORT", [(d, 2.0 + d) for d in range(1, 18)])
+        panel = preprocess(price_records(long + short), k=0.90)
         assert panel.tickers == ["LONG"]
 
     def test_no_gaps_is_noop(self):
-        a = series("AAA", [(d, 10.0 + d) for d in range(1, 6)])
-        b = series("BBB", [(d, 20.0 + d) for d in range(1, 6)])
-        panel = preprocess([a, b])
+        a = [(d, 10.0 + d) for d in range(1, 6)]
+        b = [(d, 20.0 + d) for d in range(1, 6)]
+        panel = preprocess(price_records(price_lines("AAA", a)
+                                         + price_lines("BBB", b)))
         assert not panel.fill_mask.any()
-        assert np.array_equal(panel.prices[:, 0], a.prices)
+        assert panel.prices[:, 0].tolist() == [p for _, p in a]
 
     def test_common_start_is_latest_first_date(self):
-        a = series("AAA", [(d, 1.0) for d in range(1, 10)])
-        b = series("BBB", [(d, 2.0) for d in range(3, 12)])
-        panel = preprocess([a, b], k=0.5)
+        a = price_lines("AAA", [(d, 1.0) for d in range(1, 10)])
+        b = price_lines("BBB", [(d, 2.0) for d in range(3, 12)])
+        panel = preprocess(price_records(a + b), k=0.5)
         assert panel.dates[0] == D(2020, 1, 3)
         # AAA forward-filled past its last date
         assert panel.fill_mask[-1, 0]
         assert panel.prices[-1, 0] == 1.0
 
+    @staticmethod
+    def without_records(tickers):
+        # built by hand, as a library caller can: load_prices never
+        # returns them
+        return scalecorr.PriceRecords(
+            tickers=tickers, days=np.empty(0, "datetime64[D]"),
+            day=np.empty(0, np.uint8), close=np.empty(0),
+            bounds=[0] * (len(tickers) + 1))
+
     def test_all_removed_impossible_but_empty_input_errors(self):
-        with pytest.raises(DataError):
-            preprocess([])
+        with pytest.raises(DataError, match="^no input series$"):
+            preprocess(self.without_records([]))
 
     def test_every_series_empty_is_data_error(self):
         with pytest.raises(DataError, match="every input series is empty"):
-            preprocess([RawPriceSeries("A", (), np.array([]))])
+            preprocess(self.without_records(["A"]))
 
     def test_idempotent(self):
-        a = series("AAA", [(1, 100), (3, 110), (4, 111), (6, 115)])
-        b = series("BBB", [(2, 50), (3, 51), (4, 52), (5, 53), (6, 54)])
-        once = preprocess([a, b], k=0.5)
-        twice = preprocess([RawPriceSeries(t, tuple(once.dates),
-                                           once.prices[:, i])
-                            for i, t in enumerate(once.tickers)], k=0.5)
+        a = price_lines("AAA", [(1, 100), (3, 110), (4, 111), (6, 115)])
+        b = price_lines("BBB", [(2, 50), (3, 51), (4, 52), (5, 53), (6, 54)])
+        once = preprocess(price_records(a + b), k=0.5)
+        twice = preprocess(price_records([
+            f"{t},{day},{close!r}" for i, t in enumerate(once.tickers)
+            for day, close in zip(once.dates, once.prices[:, i].tolist())]),
+            k=0.5)
         assert twice.dates == once.dates
         assert np.array_equal(twice.prices, once.prices)
         assert not twice.fill_mask.any()
@@ -987,20 +1002,20 @@ class TestPreprocess:
     def test_column_independence(self):
         # with identical date axes, removing one ticker leaves the other
         # column bit-identical
-        a = series("AAA", [(1, 100), (2, 101), (4, 103), (6, 105)])
-        b = series("BBB", [(1, 50), (3, 51), (5, 52), (6, 53)])
-        c = series("CCC", [(d, 7.0) for d in range(1, 7)])
-        with_b = preprocess([a, b, c], k=0.5)
-        without_b = preprocess([a, c], k=0.5)
+        a = price_lines("AAA", [(1, 100), (2, 101), (4, 103), (6, 105)])
+        b = price_lines("BBB", [(1, 50), (3, 51), (5, 52), (6, 53)])
+        c = price_lines("CCC", [(d, 7.0) for d in range(1, 7)])
+        with_b = preprocess(price_records(a + b + c), k=0.5)
+        without_b = preprocess(price_records(a + c), k=0.5)
         assert with_b.dates == without_b.dates  # c spans all dates here
         ia = with_b.tickers.index("AAA")
         ja = without_b.tickers.index("AAA")
         assert np.array_equal(with_b.prices[:, ia], without_b.prices[:, ja])
 
     def test_filled_cell_equals_nearest_preceding_unfilled(self):
-        a = series("AAA", [(1, 100), (2, 101), (5, 104), (8, 107)])
-        b = series("BBB", [(d, 1.0 * d) for d in range(1, 9)])
-        panel = preprocess([a, b], k=0.4)
+        a = price_lines("AAA", [(1, 100), (2, 101), (5, 104), (8, 107)])
+        b = price_lines("BBB", [(d, 1.0 * d) for d in range(1, 9)])
+        panel = preprocess(price_records(a + b), k=0.4)
         col = panel.prices[:, panel.tickers.index("AAA")]
         mask = panel.fill_mask[:, panel.tickers.index("AAA")]
         for t in range(len(col)):
@@ -1009,9 +1024,9 @@ class TestPreprocess:
                 assert col[t] == col[prev]
 
     def test_roundtrip_serialization(self, tmp_path):
-        a = series("AAA", [(1, 100.5), (2, 101.25), (4, 103.125)])
-        b = series("BBB", [(1, 50), (2, 51), (3, 52), (4, 53)])
-        panel = preprocess([a, b], k=0.5)
+        a = price_lines("AAA", [(1, 100.5), (2, 101.25), (4, 103.125)])
+        b = price_lines("BBB", [(1, 50), (2, 51), (3, 52), (4, 53)])
+        panel = preprocess(price_records(a + b), k=0.5)
         p, m = tmp_path / "p.tsv", tmp_path / "m.tsv"
         panel.write(p, m)
         back = PricePanel.read(p)
@@ -1025,28 +1040,29 @@ class TestPreprocess:
 
 class TestComputeReturns:
     def test_constant_prices_give_zero_returns(self):
-        panel = preprocess([series("AAA", [(d, 7.0) for d in range(1, 6)]),
-                            series("BBB", [(d, 2.0 * d) for d in range(1, 6)])])
+        panel = preprocess(price_records(
+            price_lines("AAA", [(d, 7.0) for d in range(1, 6)])
+            + price_lines("BBB", [(d, 2.0 * d) for d in range(1, 6)])))
         rp = compute_returns(panel)
         assert np.all(rp.returns[:, 0] == 0.0)
 
     def test_hand_arithmetic(self):
-        panel = preprocess([series("AAA", [(1, 100), (2, 100), (3, 110)])])
+        panel = preprocess(price_records(
+            price_lines("AAA", [(1, 100), (2, 100), (3, 110)])))
         rp = compute_returns(panel)
         half = math.log(1.1) / 2
         np.testing.assert_allclose(rp.returns[:, 0], [-half, half], atol=1e-15)
 
     def test_centering_idempotent(self, rng):
-        panel = preprocess([series("AAA",
-                                   [(d, float(p)) for d, p in
-                                    zip(range(1, 12),
-                                        rng.uniform(50, 150, 11))])])
+        panel = preprocess(price_records(price_lines(
+            "AAA", zip(range(1, 12), rng.uniform(50, 150, 11)))))
         rp = compute_returns(panel)
         again = rp.returns - rp.returns.mean(axis=0)
         np.testing.assert_allclose(again, rp.returns, atol=1e-18)
 
     def test_needs_three_dates(self):
-        panel = preprocess([series("AAA", [(1, 100), (2, 101)])])
+        panel = preprocess(price_records(
+            price_lines("AAA", [(1, 100), (2, 101)])))
         with pytest.raises(EstimationError):
             compute_returns(panel)
 
@@ -1085,7 +1101,8 @@ class TestComputeReturns:
     @given(st.lists(st.floats(min_value=1.0, max_value=1000.0), min_size=3,
                     max_size=40))
     def test_columns_sum_to_zero(self, prices):
-        panel = preprocess([series("AAA", list(enumerate(prices, start=1)))])
+        panel = preprocess(price_records(
+            price_lines("AAA", enumerate(prices, start=1))))
         rp = compute_returns(panel)
         assert abs(rp.returns[:, 0].sum()) <= 1e-9 * rp.returns.shape[0]
 

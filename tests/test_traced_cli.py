@@ -69,3 +69,6 @@ def test_traced_prices_run_finds_the_ingest_layers(tmp_path):
             "synchronous_shuffle", "estimate_scaling_panel",
             "correlation_matrix", "build_report"} <= set(spans)
     assert spans["load_prices"]["counts"]["records"] == len(prices)
+    # len(args[0]) - len(result.tickers): PriceRecords is a sequence of its
+    # tickers, and every one of these keeps over 0.9 of the longest's days
+    assert spans["preprocess"]["counts"]["dropped"] == 0
