@@ -11,42 +11,46 @@ their logs, from a capitalization file's records, one array per ticker.
 Record files are read column-wise, one window of ``CHUNK_LINES`` lines at a
 time: the window's plain ``ticker,date,value`` lines are split in bulk and
 its values, ticker and date codes go to compact columns allocated once for
-the file's line count (int32 codes, float64 values). A record's line is
-not stored: a sparse map keeps the records from which the number of
-skipped lines (blank and comment lines) before them changes, empty for a
-file of records only. Records are then grouped, sorted and checked with
-array operations. Only lines that are not plain records (comments, blank
-lines, whitespace delimiters, padded fields, a leading comma) get per-line
-work, which normalises them into the same columns and rejects a ticker
-that is empty or holds a tab. The file's text is never held whole: beyond
-the columns, ingest holds one window's lines, bytes and fields. The
-ticker-code column then becomes the (ticker, day) key in place, a slice at
-a time, and the date-code column is freed; the key stays int32 unless the
-number of (ticker, day) pairs outgrows it. A key already in (ticker, day)
-order, as in a file written ticker by ticker, day by day, is checked a
-slice at a time and is neither sorted nor gathered: its order is the
-identity, and its closes are the value column itself, shrunk in place to
-the record count. Any other key is sorted in place next to lexsort's int64
-order, and the closes are gathered into that order's own buffer, a slice
-at a time. The sorted key gives each ticker's bounds and, in place, each
-close's day index. So for 1.2M records ``load_prices`` peaks at 18.4
-bytes per record for a file in order, at the scan, and at 20.1 for any
-other, at the sort and again at the gather (~30 for 200k, where a window
-outweighs the columns); its :class:`PriceRecords` keep 10: a close and a
-day index each (uint16 up to 65,536 distinct days).
-:func:`preprocess` takes those PriceRecords only, and builds the panel from
-their columns, one survivor's block at a time, so its peak beyond them is
-the panel and its fill mask.
+the file's line count (int32 codes, float64 values). Records are then
+grouped, sorted and checked with array operations. Only lines that are not
+plain records (comments, blank lines, whitespace delimiters, padded fields,
+a leading comma) get per-line work, which normalises them into the same
+columns. The file's text is never held whole: beyond the columns, ingest
+holds one window's lines, bytes and fields. The ticker-code column then
+becomes the (ticker, day) key in place, a slice at a time, and the
+date-code column is freed; the key stays int32 unless the number of
+(ticker, day) pairs outgrows it. A key already in (ticker, day) order, as
+in a file written ticker by ticker, day by day, is checked a slice at a
+time and is neither sorted nor gathered: its order is the identity, and its
+closes are the value column itself, shrunk in place to the record count.
+Any other key is sorted in place next to lexsort's int64 order, and the
+closes are gathered into that order's own buffer, a slice at a time. The
+sorted key gives each ticker's bounds and, in place, each close's day
+index. So for 1.2M records ``load_prices`` peaks at 18.4 bytes per record
+for a file in order, at the scan, and at 20.1 for any other, at the sort
+and again at the gather (~30 for 200k, where a window outweighs the
+columns); its :class:`PriceRecords` keep 10: a close and a day index each
+(uint16 up to 65,536 distinct days). :func:`preprocess` takes those
+PriceRecords only, and builds the panel from their columns, one survivor's
+block at a time, so its peak beyond them is the panel and its fill mask.
 The heap pages ingest freed go back to the system before cleaning.
+
+The columnar pass only flags a faulty file; it keeps no line numbers. It
+stops after the window of a line it cannot read (a wrong field count, an
+empty ticker or one holding a tab, a value that does not parse), marks a
+date that does not parse, and the value and duplicate rules give the
+file-order indices of the records they reject. Where anything is flagged,
+:func:`_raise_first_fault` walks the file again from line 1, one line at a
+time, and raises DataError for the first faulty line in file order. A
+clean file never enters the walk.
 
 Record files are UTF-8, with or without a leading byte order mark. From
 ``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.halves`)
 reads the second half of the lines into its own columns while this process
 reads the first half; its columns come back through the pipe into the slots
-after this process's records, its ticker and date codes are mapped onto
-this process's, and its line map is renumbered after this process's
-records. The result is the one-process result: the same records and the
-same first faulty line.
+after this process's records, and its ticker and date codes are mapped onto
+this process's. The result is the one-process result: the same records and
+the same faults.
 """
 
 import ctypes
@@ -74,7 +78,7 @@ CHUNK_LINES = 1 << 12
 RETURN_BLOCK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawPriceSeries:
     """One ticker's records as :class:`PriceRecords` gives them: its
     ``datetime64[D]`` dates, strictly increasing, and its closes, each
@@ -188,31 +192,26 @@ def _read_dated(path):
 class _Records:
     """(ticker, date, value) records read column-wise from one file.
 
-    Records are in file order. ``skips`` maps them to their 1-based lines
-    sparsely: it is (at, count), the records from which the number of lines
-    skipped before them (blank and comment lines) changes, and that number,
-    so that record i is on line i + 1 + the count at i (:meth:`line`); both
-    are empty for a file of records only. ``days`` are the distinct
-    ``datetime64[D]`` days of the date texts, sorted (NaT for a text that
-    does not parse), and ``key`` is each record's (ticker, day) key
-    ``code * len(days) + day``, where ``code`` indexes ``tickers`` (sorted
-    names) and ``day`` indexes ``days``; it has the code columns' dtype
-    (int32) where ``len(tickers) * len(days)`` fits in it, and int64
-    otherwise. A record whose value does not parse has a NaN value.
-    ``error`` is (line, message) of the first line the reader itself
-    rejects (field count, value or date), or None. :meth:`sort` sorts
-    ``key`` in place and sets ``order``, lexsort's sorting permutation, or
-    leaves ``order`` None where the key is already in order: the identity,
-    which is never built. Only this class's methods read ``order``. The
-    other columns stay in file order until :meth:`gathered`.
+    Records are in file order. ``days`` are the distinct ``datetime64[D]``
+    days of the date texts, sorted (NaT for a text that does not parse),
+    and ``key`` is each record's (ticker, day) key ``code * len(days) +
+    day``, where ``code`` indexes ``tickers`` (sorted names) and ``day``
+    indexes ``days``; it has the code columns' dtype (int32) where
+    ``len(tickers) * len(days)`` fits in it, and int64 otherwise. A record
+    whose value does not parse has a NaN value. ``fault`` is whether the
+    reader rejected a line (field count, ticker, value or date).
+    :meth:`sort` sorts ``key`` in place and sets ``order``, lexsort's
+    sorting permutation, or leaves ``order`` None where the key is already
+    in order: the identity, which is never built. Only this class's methods
+    read ``order``. The other columns stay in file order until
+    :meth:`gathered`.
     """
 
     tickers: list
     days: np.ndarray
     key: np.ndarray
     value: np.ndarray
-    skips: tuple
-    error: tuple
+    fault: bool
     order: np.ndarray = None
 
     def sort(self):
@@ -260,42 +259,6 @@ class _Records:
         starts = np.asarray(bounds[:-1], np.intp)
         return (starts if self.order is None
                 else np.minimum.reduceat(self.order, starts))
-
-    def line(self, i):
-        return _line(self.skips, i)
-
-    def _key_of(self, i):
-        # record i's (ticker code, day rank), found through the sort order
-        at = i if self.order is None else np.argmax(self.order == i)
-        return divmod(int(self.key[at]), self.days.size)
-
-    def ticker(self, i):
-        return self.tickers[self._key_of(i)[0]]
-
-    def day(self, i):
-        return self.days[self._key_of(i)[1]]
-
-    def raise_first(self, *rules):
-        """Raise DataError for the first faulty line in file order.
-
-        Each rule is (the records it rejects, message of record i); rules
-        are given in the order a line is checked in, after the reader's
-        checks. Messages look records up in sorted order.
-        """
-        first = self.error
-        for hits, message in rules:
-            i = hits.min() if hits.size else None
-            if i is not None and (first is None or self.line(i) < first[0]):
-                first = (self.line(i), message(i))
-        if first is not None:
-            raise DataError(first[1])
-
-
-def _line(skips, i):
-    """The 1-based line of record i, given :attr:`_Records.skips`."""
-    at, count = skips
-    k = np.searchsorted(at, i, side="right")
-    return int(i) + 1 + (int(count[k - 1]) if k else 0)
 
 
 def _neighbours(key):
@@ -366,13 +329,23 @@ def _open_records(path):
     return open(path, encoding="utf-8-sig")
 
 
-def _read_records(path, what):
+def _split(line):
+    """The stripped fields of a record line, split on commas or, in a line
+    without one, on whitespace; None for a blank or comment line."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    return [p.strip() for p in (stripped.split(",") if "," in stripped
+                                else stripped.split())]
+
+
+def _read_records(path):
     """Read (ticker, date, value) records from the file at ``path``.
 
     Lines are comma- or whitespace-delimited; blank lines and lines starting
-    with ``#`` are skipped. The reader's own faults (field count, value,
-    date) are collected, not raised, so that callers can report the first
-    faulty line across their own checks too (:meth:`_Records.raise_first`).
+    with ``#`` are skipped. The reader's own faults (field count, ticker,
+    value, date) are only flagged, so that callers can name the first
+    faulty line across their own checks too (:func:`_raise_first_fault`).
     From ``textio.SPLIT_READ_BYTES`` bytes on, where :func:`textio.can_fork`
     allows it, the lines are read by :func:`_scan_halves`.
     """
@@ -388,23 +361,21 @@ def _read_records(path, what):
         columns = _columns(size, index)
         if (os.fstat(fh.fileno()).st_size < textio.SPLIT_READ_BYTES
                 or not textio.can_fork()):
-            scanned = _scan(_file_windows(fh), 1, columns, what)
+            scanned = _scan(_file_windows(fh), columns)
         else:
-            scanned = _scan_halves(fh, path, size, columns, what)
+            scanned = _scan_halves(fh, path, size, columns)
     return _records(columns, *scanned)
 
 
-def _scan_halves(fh, path, size, columns, what):
+def _scan_halves(fh, path, size, columns):
     """:func:`_scan` of the lines of ``fh``, which has ``size - 1`` line
     breaks, with the second half of the lines read by a forked child.
 
-    The child skips the first half itself, numbers its lines from the
-    file's start, and sends its columns, which go into the slots after
-    this process's records, its ticker and date texts, which this process
-    maps onto its own codes, and its line map, which this process renumbers
-    from its own record count. Where this process's half holds a reader
-    fault the child's result is not used, as a serial read would stop
-    there.
+    The child skips the first half itself and sends its columns, which go
+    into the slots after this process's records, and its ticker and date
+    texts, which this process maps onto its own codes. Where this process's
+    half holds a reader fault the child's result is not used, as a serial
+    read would stop there.
     """
     head = size // 2
 
@@ -413,20 +384,20 @@ def _scan_halves(fh, path, size, columns, what):
         with _open_records(path) as child_fh:
             for _ in itertools.islice(child_fh, head):
                 pass
-            n, tickers, date_texts, errors, skips = _scan(
-                _file_windows(child_fh), head + 1, theirs, what)
-        return ((n, list(tickers), list(date_texts), errors, skips),
+            n, tickers, date_texts, fault = _scan(_file_windows(child_fh),
+                                                  theirs)
+        return ((n, list(tickers), list(date_texts), fault),
                 [column[:n] for column in theirs])
 
     def into(scanned, theirs):
-        n, errors = scanned[0], scanned[3]
-        return None if errors else [column[n:] for column in columns]
+        n, fault = scanned[0], scanned[3]
+        return None if fault else [column[n:] for column in columns]
 
-    (n, tickers, date_texts, errors, skips), theirs = textio.halves(
-        lambda: _scan(_file_windows(itertools.islice(fh, head)), 1, columns,
-                      what), second, into)
+    (n, tickers, date_texts, fault), theirs = textio.halves(
+        lambda: _scan(_file_windows(itertools.islice(fh, head)), columns),
+        second, into)
     if theirs is not None:
-        k, *texts, errors, (their_at, their_count) = theirs
+        k, *texts, fault = theirs
         for c, codes, their in zip(columns, (tickers, date_texts), texts):
             mine = np.fromiter(map(codes.__getitem__, their), c.dtype,
                                len(their))
@@ -435,15 +406,8 @@ def _scan_halves(fh, path, size, columns, what):
             for start in range(n, n + k, CHUNK_LINES):
                 part = c[start:min(start + CHUNK_LINES, n + k)]
                 np.take(mine, part, out=part, mode="clip")
-        # the child's record j is record n + j here; an entry that does
-        # not change the count is dropped, so a file of records only keeps
-        # an empty map
-        at, count = (np.concatenate(pair) for pair in zip(
-            skips, (their_at + n, their_count - n)))
-        changes = np.diff(count, prepend=0) != 0
-        skips = at[changes], count[changes]
         n += k
-    return n, tickers, date_texts, errors, skips
+    return n, tickers, date_texts, fault
 
 
 def _columns(size, index):
@@ -451,41 +415,36 @@ def _columns(size, index):
     return [np.empty(size, index), np.empty(size, index), np.empty(size)]
 
 
-def _scan(windows, first, columns, what):
-    """Read the records of the lines given as line windows, the first of
-    them line ``first``, into the first slots of ``columns``.
+def _scan(windows, columns):
+    """Read the records of the lines given as line windows into the first
+    slots of ``columns``.
 
     Plain printable-ASCII ``a,b,c`` lines are split in bulk; any other line
-    is stripped and split on its own. Each window's records go to their
+    goes through :func:`_split`. Each window's records go to their
     file-order slots, so no per-byte array or per-field string outlives its
     window. Tickers and date texts are coded in the order they are first
-    seen. Reading stops after the window that holds the first fault the
-    reader finds: no later line can hold the first fault. Returns the
-    record count, the ticker and date-text codes, the faults, each (line,
-    rank within the line, message), and the line map
-    (:attr:`_Records.skips`).
+    seen. Reading stops after the window that holds the first line the
+    reader rejects (field count, ticker or value): no later line can be the
+    first faulty one. Returns the record count, the ticker and date-text
+    codes, and whether a line was rejected.
     """
     code, date_code, value = columns
     index = code.dtype
     tickers, date_texts = _Codes(), _Codes()
-    errors = []
+    fault = False
     n = 0  # records so far
-    skipped = 0  # lines skipped before the last record so far
-    skips = ([np.empty(0, index)], [np.empty(0, index)])  # window by window
 
     def put(rows, ticker_texts, day_texts, value_texts):
-        # the records on the window's lines ``rows``
+        # the records on the window's lines ``rows``; whether every value
+        # parses
         slots = slot[rows]
         values, bad = _parse_floats(value_texts)
-        if bad is not None:
-            at = first + rows[bad]
-            errors.append((at, 0, f"line {at}: bad {what} "
-                           f"{value_texts[bad]!r}"))
         code[slots] = np.fromiter(map(tickers.__getitem__, ticker_texts),
                                   index, len(slots))
         date_code[slots] = np.fromiter(
             map(date_texts.__getitem__, day_texts), index, len(slots))
         value[slots] = values
+        return bad is None
 
     for window, text in windows:
         raw = text.encode("utf-8", "surrogatepass")
@@ -502,19 +461,12 @@ def _scan(windows, first, columns, what):
 
         loose = ([], [], [], [])  # window row, ticker, date, value
         for i in np.flatnonzero(~plain).tolist():
-            stripped = window[i].strip()
-            if not stripped or stripped.startswith("#"):
+            parts = _split(window[i])
+            if parts is None:
                 continue
-            parts = [p.strip() for p in (stripped.split(",") if "," in
-                                         stripped else stripped.split())]
-            if len(parts) != 3:
-                errors.append((first + i, 0, f"line {first + i}: expected 3 "
-                               f"fields (ticker, date, {what}), "
-                               f"got {len(parts)}"))
-                break
-            if not parts[0] or textio.DELIM in parts[0]:  # no TSV holds it
-                errors.append((first + i, 0, f"line {first + i}: bad "
-                               f"ticker {parts[0]!r}"))
+            # no TSV holds an empty ticker or one with a tab
+            if len(parts) != 3 or not parts[0] or textio.DELIM in parts[0]:
+                fault = True
                 break
             for column, part in zip(loose, [i] + parts):
                 column.append(part)
@@ -522,16 +474,7 @@ def _scan(windows, first, columns, what):
         kept = plain.copy()
         kept[loose[0]] = True
         slot = np.cumsum(kept) + (n - 1)  # each record's column slot
-        records = np.flatnonzero(kept)
-        # record n + r is on line first + records[r], after this many
-        # skipped lines; the map keeps where the number changes
-        count = records - np.arange(records.size) + (first - n - 1)
-        changes = np.flatnonzero(np.diff(count, prepend=skipped))
-        skips[0].append((changes + n).astype(index))
-        skips[1].append(count[changes].astype(index))
-        if records.size:
-            skipped = count[-1]
-        n += records.size
+        n += np.count_nonzero(kept)
         rows = np.flatnonzero(plain)
         if rows.size:
             # one byte slice per run of consecutive plain lines
@@ -540,37 +483,32 @@ def _scan(windows, first, columns, what):
                         ends[rows[np.r_[cut - 1, rows.size - 1]]].tolist())
             fields = (b"\n".join(map(raw.__getitem__, spans)).decode("ascii")
                       .replace("\n", ",").split(","))
-            put(rows, fields[0::3], fields[1::3], fields[2::3])
+            fault |= not put(rows, fields[0::3], fields[1::3], fields[2::3])
         if loose[0]:
-            put(*loose)
-        if errors:
+            fault |= not put(*loose)
+        if fault:
             break
-        first += len(window)  # the next window's first line
 
-    return (n, tickers, date_texts, errors,
-            tuple(np.concatenate(parts) for parts in skips))
+    return n, tickers, date_texts, fault
 
 
-def _records(columns, n, tickers, date_texts, errors, skips):
+def _records(columns, n, tickers, date_texts, fault):
     """The _Records of the first ``n`` records in :func:`_scan`'s columns,
     which it takes out of the list ``columns``, so that the key it builds
     in the ticker-code column replaces both code columns, and the value
-    column, shrunk in place, holds the records' values only."""
+    column, shrunk in place, holds the records' values only. A date text
+    that does not parse sets ``fault``."""
     code, date_code, value = columns
     columns.clear()
     names = sorted(tickers)
     days = np.empty(len(date_texts), "datetime64[D]")
-    bad = {}  # date code -> message, for texts that do not parse
     for k, text in enumerate(date_texts):
         try:
             days[k] = _parse_date(text)
-        except DataError as exc:
-            days[k], bad[k] = None, str(exc)  # None is NaT
-    date_code = date_code[:n]
-    if bad:
-        i = np.argmax(np.isnat(days)[date_code])
-        errors.append((_line(skips, i), 1, bad[date_code[i]]))
+        except DataError:
+            days[k], fault = None, True  # None is NaT
     days, day = np.unique(days, return_inverse=True)
+    date_code = date_code[:n]
     # the key is built in the ticker-code column, unless the largest key
     # (and the bounds' last search value) does not fit in its dtype
     key = code[:n]
@@ -591,10 +529,52 @@ def _records(columns, n, tickers, date_texts, errors, skips):
     # a key in order hands the value column back as it is; no view of it
     # is alive here, while a tracer's frame locals may still reference it
     value.resize(n, refcheck=False)
-    first = min(errors, default=None)
     return _Records(tickers=names, days=days, key=key, value=value,
-                    skips=skips,
-                    error=None if first is None else (first[0], first[2]))
+                    fault=fault)
+
+
+def _raise_first_fault(path, what, fault, *rules):
+    """Raise DataError for the first faulty line in file order of the
+    record file at ``path``, where the reader flagged a ``fault`` or a rule
+    rejects a record; return where neither holds.
+
+    Each rule is (the file-order indices of the records it rejects, its
+    message, a format of the record's ``ticker``, ``value`` and ``day``);
+    rules are given in the order a line is checked in, after the reader's
+    checks: field count, ticker, value, then date. The file is read again
+    from line 1, one line at a time, holding no more than one line.
+    """
+    hit = min(((int(hits.min()), message) for hits, message in rules
+               if hits.size), key=lambda h: h[0], default=None)
+    if not fault and hit is None:
+        return
+    at, message = hit or (-1, None)
+    record = 0  # records so far: lines that pass the reader's checks
+    with _open_records(path) as fh:
+        for n, line in enumerate(fh, 1):
+            parts = _split(line)
+            if parts is None:
+                continue
+            if len(parts) != 3:
+                raise DataError(f"line {n}: expected 3 fields (ticker, date, "
+                                f"{what}), got {len(parts)}")
+            ticker, date_text, value_text = parts
+            if not ticker or textio.DELIM in ticker:
+                raise DataError(f"line {n}: bad ticker {ticker!r}")
+            try:
+                value = float(value_text)
+            except ValueError as exc:
+                raise DataError(f"line {n}: bad {what} {value_text!r}"
+                                ) from exc
+            try:
+                day = _parse_date(date_text)
+            except DataError as exc:
+                raise DataError(f"line {n}: {exc}") from exc
+            if record == at:
+                raise DataError(f"line {n}: " + message.format(
+                    ticker=ticker, value=value, day=day))
+            record += 1
+    raise DataError(f"{path}: changed while it was read")
 
 
 def _release_free_heap():
@@ -614,9 +594,9 @@ def load_prices(path):
 
     Lines are comma- or whitespace-delimited, ``#`` comments and blank lines
     skipped. Raises DataError for the first faulty line in file order: a
-    wrong field count, an unparseable close or date, a non-finite or
-    non-positive close, or a repeated (ticker, date); and, naming the file,
-    for a file without records.
+    wrong field count, an empty ticker or one holding a tab, an unparseable
+    close or date, a non-finite or non-positive close, or a repeated
+    (ticker, date); and, naming the file, for a file without records.
 
     The closes' own rules are applied before the sort and the repeats after
     it a slice at a time. A key already in order is not sorted, and its
@@ -625,21 +605,17 @@ def load_prices(path):
     sort order's buffer, so no moment from the sort on holds more than the
     sort: the (ticker, day) key, the file-order closes and the order.
     """
-    rec = _read_records(path, "close")
-    value = rec.value
-    rules = [
-        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line "
-         f"{rec.line(i)}: non-finite close {float(rec.value[i])} for "
-         f"{rec.ticker(i)}"),
-        (np.flatnonzero(value <= 0), lambda i: f"line {rec.line(i)}: "
-         f"non-positive close {float(rec.value[i])} for {rec.ticker(i)}")]
-    del value
+    rec = _read_records(path)
+    rules = [(np.flatnonzero(~np.isfinite(rec.value)),
+              "non-finite close {value} for {ticker}"),
+             (np.flatnonzero(rec.value <= 0),
+              "non-positive close {value} for {ticker}")]
     rec.sort()
     # a record that repeats the (ticker, day) of the one before it in sorted
     # order repeats an earlier line's: equal keys keep their file order
-    rec.raise_first(*rules, (rec.file_order(_repeats(rec.key)),
-                             lambda i: f"line {rec.line(i)}: duplicate "
-                             f"record for ({rec.ticker(i)}, {rec.day(i)})"))
+    _raise_first_fault(path, "close", rec.fault, *rules,
+                       (rec.file_order(_repeats(rec.key)),
+                        "duplicate record for ({ticker}, {day})"))
     if not rec.key.size:
         raise DataError(f"{path}: no price records")
     bounds = rec.bounds()
@@ -731,17 +707,15 @@ def load_capitalizations(path):
     array. DataError for the first faulty line in file order, as for
     :func:`load_prices`, for a non-finite or negative capitalization, and
     for a file with no records."""
-    rec = _read_records(path, "capitalization")
-    value = rec.value
-    rec.sort()
-    rec.raise_first(
-        (np.flatnonzero(~np.isfinite(value)), lambda i: f"line "
-         f"{rec.line(i)}: non-finite capitalization {float(value[i])} for "
-         f"{rec.ticker(i)}"),
-        (np.flatnonzero(value < 0), lambda i: f"line {rec.line(i)}: "
-         f"negative capitalization {float(value[i])} for {rec.ticker(i)}"))
-    if not value.size:
+    rec = _read_records(path)
+    _raise_first_fault(path, "capitalization", rec.fault,
+                       (np.flatnonzero(~np.isfinite(rec.value)),
+                        "non-finite capitalization {value} for {ticker}"),
+                       (np.flatnonzero(rec.value < 0),
+                        "negative capitalization {value} for {ticker}"))
+    if not rec.value.size:
         raise DataError(f"{path}: no capitalization records")
+    rec.sort()
     bounds = rec.bounds()
     first_record = rec.first_in_file(bounds)
     values = rec.gathered()

@@ -1,6 +1,7 @@
 import datetime as dt
 import math
 import os
+import re
 import sys
 import tempfile
 import tracemalloc
@@ -90,8 +91,8 @@ class TestLoadPrices:
 # Reference record parser: the per-line reader the columnar one replaced,
 # kept verbatim except for the ticker, non-finite and empty-file checks
 # (marked), which the columnar reader adds at the same point of its checks,
-# and for its series' dates, made ``datetime64[D]`` arrays as loaded series'
-# are (marked).
+# for the line it names for a bad date (marked), and for its series' dates,
+# made ``datetime64[D]`` arrays as loaded series' are (marked).
 def _reference_parse_date(text):
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -120,7 +121,11 @@ def _reference_iter_records(source, what="price"):
             value = float(value_text)
         except ValueError as exc:
             raise DataError(f"line {lineno}: bad {what} {value_text!r}") from exc
-        yield lineno, ticker, _reference_parse_date(date_text), value
+        try:  # added: the bad date's line
+            date = _reference_parse_date(date_text)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from exc
+        yield lineno, ticker, date, value
 
 
 def _reference_load_prices(source):
@@ -409,7 +414,7 @@ _SKIPPED = st.sampled_from(["", "#", "# note", "   ", "\t"])
 @st.composite
 def files_with_skipped_lines(draw):
     """Record lines between runs of blank and comment lines, with at most
-    one record made faulty; returns the lines and each record's line."""
+    one record made faulty."""
     lines, record_lines = [], []
     for i in range(draw(st.integers(0, 24))):
         lines += draw(st.lists(_SKIPPED, max_size=3))
@@ -424,47 +429,20 @@ def files_with_skipped_lines(draw):
             lines[at] = lines[record_lines[0] - 1]
         elif fault is not None:
             lines[at] = lines[at].rsplit(",", 1)[0] + "," + fault
-    return lines, record_lines
+    return lines
 
 
 class TestLineMap:
-    """Records keep their lines as a sparse map of where the number of
-    skipped lines before them changes: the same lines and first faulty
-    line whatever the windows and the forked half's boundary cut."""
+    """Blank and comment lines between records leave the first faulty line
+    the one the reference names, whatever the windows and the forked
+    half's boundary cut."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
-    @given(drawn=files_with_skipped_lines())
-    def test_skipped_lines_across_windows_and_halves(self, chunk, drawn):
-        lines, record_lines = drawn
+    @given(lines=files_with_skipped_lines())
+    def test_skipped_lines_across_windows_and_halves(self, chunk, lines):
         with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
             TestColumnarReaderMatchesReference._check(lines, "\n")
-            with tempfile.TemporaryDirectory() as tmp:
-                path = write_lines(tmp, lines)
-                for split in (1 << 62, 0):
-                    with mock.patch.object(textio, "SPLIT_READ_BYTES",
-                                           split):
-                        rec = panel_module._read_records(path, "close")
-                    if rec.error is not None:  # "x": the reader stops
-                        continue
-                    assert [rec.line(i) for i in range(rec.value.size)] \
-                        == record_lines
-                    # one entry where the count of skipped lines changes,
-                    # none for records on lines 1, 2, ...
-                    counts = [0] + [line - i - 1 for i, line in
-                                    enumerate(record_lines)]
-                    changes = [i for i in range(len(record_lines))
-                               if counts[i + 1] != counts[i]]
-                    assert rec.skips[0].tolist() == changes
-                    assert rec.skips[1].tolist() == [counts[i + 1]
-                                                     for i in changes]
-
-    def test_plain_file_keeps_no_map(self, tmp_path, monkeypatch):
-        path = write_lines(tmp_path, PRICE_FIXTURE.splitlines())
-        for split in (1 << 62, 0):
-            monkeypatch.setattr(textio, "SPLIT_READ_BYTES", split)
-            rec = panel_module._read_records(path, "close")
-            assert rec.skips[0].size == rec.skips[1].size == 0
 
 
 class TestPriceRecords:
@@ -485,6 +463,14 @@ class TestPriceRecords:
         assert records.close.dtype == np.float64
         assert records.day.dtype == np.uint8
         assert records.days.dtype == np.dtype("datetime64[D]")
+
+    def test_series_compare_by_identity(self, tmp_path):
+        # array fields would make a field-wise == ambiguous
+        records = load_prices(write_lines(tmp_path,
+                                          PRICE_FIXTURE.splitlines()))
+        series = records[0]
+        assert series == series and not series != series
+        assert records[0] != records[0]
 
     @pytest.mark.parametrize("traced", [False, True],
                              ids=["untraced", "traced"])
@@ -616,6 +602,60 @@ class TestTwoProcessIngest:
         assert forks and sizes and max(sizes) <= 16
 
 
+class TestFaultsAcrossTheSplit:
+    """A fault on the last line of a file above ``textio.SPLIT_READ_BYTES``,
+    in the half a forked child reads, is named at that line with the
+    message a serial read gives."""
+
+    N = textio.SPLIT_READ_BYTES // 19 + 1000  # records of 18 characters
+
+    @pytest.mark.parametrize("loader, last, message", [
+        (load_prices, "T9999,2020-01-01",
+         "expected 3 fields (ticker, date, close), got 2"),
+        (load_prices, ",2020-01-01,1", "bad ticker ''"),
+        (load_prices, "T9999,2020-01-01,x", "bad close 'x'"),
+        (load_prices, "T9999,2020-13-01,1", "unparseable date '2020-13-01'"),
+        (load_prices, "T9999,2020-01-01,nan",
+         "non-finite close nan for T9999"),
+        (load_prices, "T9999,2020-01-01,-0",
+         "non-positive close -0.0 for T9999"),
+        (load_prices, "T0000,2020-01-01,2",
+         "duplicate record for (T0000, 2020-01-01)"),
+        (load_capitalizations, "T9999,2020-01-01,-1",
+         "negative capitalization -1.0 for T9999"),
+    ], ids=["fields", "ticker", "value", "date", "non_finite", "non_positive",
+            "duplicate", "negative_capitalization"])
+    def test_last_line_is_named_serial_and_forked(
+            self, tmp_path, monkeypatch, forks, loader, last, message):
+        lines = _lines_in_order(self.N) + [last]
+        path = write_lines(tmp_path, lines)
+        assert os.path.getsize(path) >= textio.SPLIT_READ_BYTES
+        want = f"^line {len(lines)}: {re.escape(message)}$"
+        with pytest.raises(DataError, match=want):
+            loader(path)
+        assert len(forks) == 1
+        monkeypatch.setattr(textio, "SPLIT_READ_BYTES", 1 << 62)
+        with pytest.raises(DataError, match=want):
+            loader(path)
+        assert len(forks) == 1
+
+    def test_file_mended_before_the_walk_is_named(self, tmp_path,
+                                                  monkeypatch):
+        # the read flags line 7; the walk reads the file without it
+        lines = PRICE_FIXTURE.splitlines()
+        path = write_lines(tmp_path, lines + ["AAA,2020-01-04,x"])
+        read = panel_module._read_records
+
+        def read_then_mend(path):
+            rec = read(path)
+            write_lines(tmp_path, lines)
+            return rec
+
+        monkeypatch.setattr(panel_module, "_read_records", read_then_mend)
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: "):
+            load_prices(path)
+
+
 class TestIngestMemory:
     """Ingest holds a bounded amount of memory per record: per-line and
     per-byte work is done one window of lines at a time into compact
@@ -676,6 +716,25 @@ class TestIngestMemory:
     def test_load_prices_peak_per_record(self, path):
         assert self._peak_per_record(path) < self.BYTES_PER_RECORD
 
+    def test_duplicate_on_the_last_line_peak_per_record(self, path):
+        # the faulty line is named by a walk of the file that holds one line
+        n = self.N_TICKERS * self.N_DAYS
+        with open(path) as fh:
+            first = fh.readline()
+        with open(path, "a") as fh:
+            fh.write(first)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(DataError,
+                               match=f"^line {n + 1}: duplicate record"):
+                load_prices(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / n < self.BYTES_PER_RECORD
+
     def test_sort_peak_per_record(self, path, monkeypatch):
         monkeypatch.setattr(panel_module, "CHUNK_LINES", 1024)
         assert self._peak_per_record(path) < self.SORT_BYTES_PER_RECORD
@@ -710,7 +769,7 @@ class TestSortOrder:
     @staticmethod
     def read(tmp_path, lines):
         return panel_module._read_records(
-            write_lines(tmp_path, lines or ["# no records"]), "close")
+            write_lines(tmp_path, lines or ["# no records"]))
 
     @classmethod
     def records(cls, tmp_path, n, first=()):
@@ -831,7 +890,7 @@ class TestInt64Key:
         elif fault == "negative":
             lines[40_000] = lines[40_000].rsplit(",", 1)[0] + ",-1"
         path = write_lines(tmp_path, lines)
-        rec = panel_module._read_records(path, "close")
+        rec = panel_module._read_records(path)
         rec.sort()
         assert rec.key.dtype == np.int64
         counts = Counter(line.split(",", 1)[0] for line in lines)
@@ -845,7 +904,7 @@ class TestInt64Key:
     def test_key_in_order_takes_no_sort(self, tmp_path, lines):
         lines.sort()  # by ticker, then ISO date: (ticker, day) order
         path = write_lines(tmp_path, lines)
-        rec = panel_module._read_records(path, "close")
+        rec = panel_module._read_records(path)
         rec.sort()
         assert rec.key.dtype == np.int64 and rec.order is None
         for loader, reference in [
