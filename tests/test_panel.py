@@ -215,16 +215,36 @@ def _outcome(loader, source):
 
 _DAY0 = D(2020, 1, 1)
 _TICKERS = st.sampled_from(["AAA", "BB", "C", "D_1", "\u00c41"] * 5
-                           + ["", "T\tX"])
+                           + ["", "T\tX", "L" * 40])
 _DATES = st.one_of(
     st.integers(0, 40).map(lambda k: (_DAY0 + dt.timedelta(k)).isoformat()),
     st.integers(0, 40).map(lambda k: (_DAY0 + dt.timedelta(k))
                            .strftime("%Y%m%d")),
-    st.sampled_from(["2020-02-30", "2020-1-1", "soon", ""]))
+    st.sampled_from(["2020-02-30", "2020-1-1", "soon", "",
+                     # the calendar's edges, in the dddd-dd-dd shape
+                     "0000-01-01", "0001-01-01", "9999-12-31", "2020-02-29",
+                     "2021-02-29", "2020-13-01", "2020-00-10"]))
+
+
+def _decimal(digits, point):
+    """The integer ``digits`` written with ``point`` digits after a '.'."""
+    text = str(digits).rjust(point + 1, "0")
+    return f"{text[:len(text) - point]}.{text[len(text) - point:]}"
+
+
 _VALUES = st.one_of(
     st.floats(0.01, 1e4).map(repr), st.integers(1, 999).map(str),
     st.sampled_from(["0", "-0", "-2.5", "nan", "-inf", "inf", "1e400",
-                     "1_000", "x1", "", "\u0661\u0662"]))
+                     "1_000", "x1", "", "\u0661\u0662",
+                     ".5", "5.", "+1", "007.50", "-.5", ".", "-", "1.2.3",
+                     "--1", "1-", "0.00000000000000000000001",
+                     "1.00000000000000000000001"]),
+    # 15 to 17 significant digits, the point anywhere in them or before
+    st.builds(_decimal, st.integers(10 ** 14, 10 ** 17 - 1),
+              st.integers(0, 23)),
+    # integers on either side of 2**53, the last that every double holds
+    st.builds(_decimal, st.integers(2 ** 53 - 2, 2 ** 53 + 3),
+              st.integers(0, 2)).map(lambda v: v.rstrip(".")))
 _LAYOUTS = st.sampled_from(
     ["{t},{d},{v}"] * 8 + [
         "{t} {d} {v}", "{t}\t{d}\t{v}", " {t} , {d},{v} ", "{t},{d},{v}\r",
