@@ -170,7 +170,6 @@ def _write_bundle(config, mode, out):
         surrogate = (synchronous_shuffle if mode == "shuffled"
                      else marginal_gaussianize)
         returns, spec = _stage("surrogate", surrogate, returns, config.seed)
-        textio.write_keyvalues(out("surrogate_spec.tsv"), spec.to_pairs())
         returns.write(out("surrogate_returns.tsv"))
 
     scaling = _stage("scaling", estimate_scaling_panel, returns.returns,
@@ -204,6 +203,10 @@ def _write_bundle(config, mode, out):
     report = _stage("associate", build_report, scaling.A_hat, scaling.B_hat,
                     rho_bar, ln_cap)
     report.write(out("association.tsv"), out("association.txt"))
+    if mode != "raw":
+        # the permutation digest imports hashlib: OpenSSL maps in here,
+        # once the returns are freed
+        textio.write_keyvalues(out("surrogate_spec.tsv"), spec.to_pairs())
 
 
 def run(config: PipelineConfig, mode="raw"):

@@ -6,8 +6,22 @@ preserving the equal-time cross-correlation matrix) and a marginal
 Gaussianization (per column, values replaced by standard-normal quantiles of
 their mid-ranks, removing distribution-shape effects while preserving the
 temporal rank structure).
+
+``import numpy.random`` imports ``secrets`` for its seed entropy, and
+``secrets`` imports ``hmac`` and OpenSSL's hashes (``_hashlib``), ~6 MB of
+RSS that only the bundle's digests need, after a run's peak. So the shuffle
+imports numpy.random with a stand-in ``secrets`` in ``sys.modules`` whose
+``randbits`` is ``random.SystemRandom().getrandbits``: the very function
+``secrets.randbits`` is, and the one numpy falls back to without
+``secrets``. The stand-in is used only where neither numpy.random nor
+``secrets`` is loaded yet, and is removed afterwards, so a later ``import
+secrets`` gets the real module.
 """
 
+import importlib
+import random
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +49,19 @@ class SurrogateSpec:
         return pairs + [("permutation_digest", self.digest())]
 
 
+def _numpy_random():
+    if "numpy.random" in sys.modules or "secrets" in sys.modules:
+        return importlib.import_module("numpy.random")
+    stub = types.ModuleType("secrets")
+    stub.randbits = random.SystemRandom().getrandbits
+    sys.modules["secrets"] = stub
+    try:
+        return importlib.import_module("numpy.random")
+    finally:
+        if sys.modules.get("secrets") is stub:
+            del sys.modules["secrets"]
+
+
 def synchronous_shuffle(panel, seed):
     """Apply one seeded random permutation of the time axis to all columns.
 
@@ -47,7 +74,7 @@ def synchronous_shuffle(panel, seed):
     T, N = X.shape
     if T < 2:
         raise EstimationError("shuffle needs at least 2 time points")
-    permutation = np.random.default_rng(seed).permutation(T)
+    permutation = _numpy_random().default_rng(seed).permutation(T)
     for cols in _column_blocks(T, N):
         X[:, cols] = X[permutation, cols]
     out = ReturnPanel(dates=list(panel.dates), tickers=list(panel.tickers),

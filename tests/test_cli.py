@@ -1457,12 +1457,11 @@ def test_cli_import_leaves_out_scipy_stats_and_linalg():
     assert _fresh_python("-c", code) == "[]\n"
 
 
-@pytest.mark.parametrize("mode", ["raw", "gaussianized"])
+@pytest.mark.parametrize("mode", ["raw", "shuffled", "gaussianized"])
 def test_openssl_loads_after_the_correlation_stage(returns_file, tmp_path,
                                                    mode):
     """A run first loads OpenSSL's hashes to take its digests, after
-    correlation_matrix has returned; a fresh interpreter shows it. (The
-    shuffled mode loads them earlier: numpy.random imports ``secrets``.)"""
+    correlation_matrix has returned; a fresh interpreter shows it."""
     code = ("import sys\n"
             "from scalecorr import cli, pipeline\n"
             "correlate = pipeline.correlation_matrix\n"
@@ -1475,6 +1474,30 @@ def test_openssl_loads_after_the_correlation_stage(returns_file, tmp_path,
     assert _fresh_python("-c", code, "run", "--returns", returns_file,
                          "--mode", mode, "--output-dir",
                          str(tmp_path / "o")) == "False\n0 True\n"
+
+
+def test_numpy_random_and_secrets_after_a_shuffled_run(returns_file,
+                                                       tmp_path):
+    """The shuffle imports numpy.random without OpenSSL, through a
+    stand-in ``secrets`` that it removes: afterwards an unseeded generator
+    still draws, ``import secrets`` gives the real module, and the seeded
+    permutation's digest is the one numpy's own import of ``secrets``
+    gave (400 days, seed 3)."""
+    code = ("import sys\n"
+            "from scalecorr import cli\n"
+            "print(cli.main(sys.argv[1:]))\n"
+            "import numpy as np\n"
+            "print(np.random.default_rng().integers(1 << 62) >= 0)\n"
+            "import secrets\n"
+            "print(secrets.token_hex(4) != secrets.token_hex(4), "
+            "hasattr(secrets, 'compare_digest'))\n")
+    out = tmp_path / "o"
+    assert _fresh_python("-c", code, "run", "--returns", returns_file,
+                         "--mode", "shuffled", "--seed", "3", "--output-dir",
+                         str(out)) == "0\nTrue\nTrue True\n"
+    assert textio.read_keyvalues(out / "surrogate_spec.tsv") == {
+        "kind": "synchronous_shuffle", "seed": "3", "permutation_digest":
+        "d5d1fe6aa97dd6933fc274541dbe49c357b4f4016258ee90e39016463158ccdd"}
 
 
 def test_package_import_maps_neither_scipy_ufuncs_nor_openssl():
