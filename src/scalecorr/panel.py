@@ -53,11 +53,13 @@ this process's. The result is the one-process result: the same records and
 the same faults.
 """
 
+import codecs
 import ctypes
 import datetime as dt
-import itertools
+import io
 import math
 import os
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -68,11 +70,14 @@ from .errors import DataError, EstimationError
 from . import textio
 
 DEFAULT_LENGTH_FRACTION = PipelineConfig.k
-# lines per ingest window; bounds the per-line strings, per-byte arrays and
-# per-field strings alive at once, whatever the file's size. At ~25 bytes a
-# line, a window's text and per-byte arrays stay below the CLI's 128 KiB
-# mmap threshold, so each window reuses heap blocks instead of faulting in
-# fresh pages (8192 lines: 2.3x the minor faults and +0.1 s for 1.2M records)
+# bytes of a record file read at a time; bounds the text, the per-byte
+# arrays and the per-line arrays alive at once, whatever the file's size.
+# A block's text and per-byte arrays stay below the CLI's 128 KiB mmap
+# threshold, so each block reuses heap blocks instead of faulting in fresh
+# pages
+WINDOW_BYTES = 1 << 16
+# records per slice of the key, order and value columns; a slice's intp
+# copy stays below that threshold too
 CHUNK_LINES = 1 << 12
 # bytes of log-prices compute_returns holds beside the returns
 RETURN_BLOCK_BYTES = 1 << 16
@@ -166,6 +171,38 @@ class ReturnPanel:
         return cls(dates=dates, tickers=list(tickers), returns=returns)
 
 
+_EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
+def _calendar():
+    """The calendar of years 0 to 9999 (0 is not a year of
+    ``date.fromisoformat``): whether each is a leap year, and its first
+    day's number (days since 1970-01-01); each month's length and first day
+    in a common and in a leap year, zero for months 0 and 13 to 99."""
+    year = np.arange(10000)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    length = 365 + leap
+    year_start = np.cumsum(length) - length - (length[0] + _EPOCH - 1)
+    month_length = np.zeros((2, 100), np.int32)
+    month_length[:, 1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+    month_length[1, 2] = 29
+    month_start = np.cumsum(month_length, 1, dtype=np.int32) - month_length
+    return leap, year_start.astype(np.int32), month_length, month_start
+
+
+_LEAP, _YEAR_START, _MONTH_LENGTH, _MONTH_START = _calendar()
+# year, month and day of a dddd-dd-dd field's ten digit values, each row
+# of them no more than 9999, exact in float32
+_YMD_WEIGHTS = np.array([[1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
+                         [0, 0, 0, 0, 0, 0, 0, 0, 10, 1]], np.float32)
+_YMD_LIMIT = np.array([[9999], [99], [99]], np.int32)
+# value fields beyond this many bytes are left to float(), so that one
+# long field does not widen every row of its block
+_DECIMAL_BYTES = 24
+_POWERS_OF_TEN = 10.0 ** np.arange(23)  # each exact
+
+
 def _parse_date(text):
     try:
         return dt.date.fromisoformat(str(text).strip())
@@ -192,14 +229,15 @@ def _read_dated(path):
 class _Records:
     """(ticker, date, value) records read column-wise from one file.
 
-    Records are in file order. ``days`` are the distinct ``datetime64[D]``
-    days of the date texts, sorted (NaT for a text that does not parse),
-    and ``key`` is each record's (ticker, day) key ``code * len(days) +
-    day``, where ``code`` indexes ``tickers`` (sorted names) and ``day``
-    indexes ``days``; it has the code columns' dtype (int32) where
-    ``len(tickers) * len(days)`` fits in it, and int64 otherwise. A record
-    whose value does not parse has a NaN value. ``fault`` is whether the
-    reader rejected a line (field count, ticker, value or date).
+    Records are in file order. ``days`` are the records' distinct
+    ``datetime64[D]`` days, sorted, and ``key`` is each record's (ticker,
+    day) key ``code * len(days) + day``, where ``code`` indexes ``tickers``
+    (sorted names) and ``day`` indexes ``days``; it has the ticker-code
+    column's dtype (int32) where ``len(tickers) * len(days)`` fits in it,
+    and int64 otherwise. A record whose value does not parse has a NaN
+    value, and one whose date does not parse the day 1970-01-01. ``fault``
+    is whether the reader rejected a line (field count, ticker, value or
+    date): no record from that line on reaches a caller.
     :meth:`sort` sorts ``key`` in place and sets ``order``, lexsort's
     sorting permutation, or leaves ``order`` None where the key is already
     in order: the identity, which is never built. Only this class's methods
@@ -292,9 +330,18 @@ class _Codes(dict):
         return code
 
 
-def _count_between(positions, starts, ends):
-    """How many of the sorted ``positions`` fall in each [start, end)."""
-    return np.searchsorted(positions, ends) - np.searchsorted(positions, starts)
+class _Days(dict):
+    """Maps each date text to its day number (days since 1970-01-01), or
+    to None where :func:`_parse_date` rejects it, parsed on its first
+    lookup."""
+
+    def __missing__(self, text):
+        try:
+            day = _parse_date(text).toordinal() - _EPOCH
+        except DataError:
+            day = None
+        self[text] = day
+        return day
 
 
 def _parse_floats(texts):
@@ -314,14 +361,90 @@ def _parse_floats(texts):
         raise
 
 
-def _file_windows(lines):
-    """The lines of a text file, given as an iterator over them,
-    CHUNK_LINES at a time, each window with its text: the lines, each ended
-    by one line break."""
-    for window in iter(lambda: list(itertools.islice(lines, CHUNK_LINES)),
-                       []):
-        text = "".join(window)
-        yield window, text if text.endswith("\n") else text + "\n"
+def _byte_rows(buf, starts, width):
+    """The ``width`` bytes of ``buf`` from each of ``starts`` on, as
+    ``width`` rows: row j holds the byte j places after each start."""
+    return np.array([buf[starts + j] for j in range(width)],
+                    np.uint8).reshape(width, starts.size)
+
+
+def _ticker_codes(buf, starts, widths, codes, dtype):
+    """The codes in ``codes`` of the ASCII tickers at ``starts``: the
+    tickers of each width are compared byte by byte with the one before
+    them, and each run of equal ones is looked up once."""
+    out = np.empty(starts.size, dtype)
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        at = np.flatnonzero(widths == width)
+        names = _byte_rows(buf, starts[at], width)
+        new = np.concatenate(([True],
+                              (names[:, 1:] != names[:, :-1]).any(0)))
+        firsts = [buf[a:a + width].tobytes().decode("ascii")
+                  for a in starts[at[new]].tolist()]
+        looked_up = np.fromiter(map(codes.__getitem__, firsts), dtype,
+                                len(firsts))
+        out[at] = looked_up[np.cumsum(new) - 1]
+    return out
+
+
+def _iso_days(buf, starts, widths):
+    """The day numbers (days since 1970-01-01) of the ``dddd-dd-dd`` dates
+    at ``starts``, and whether each field is one: ASCII digits around two
+    dashes, and a day of the proleptic Gregorian calendar from year 1 on.
+    Those are the texts of that shape that ``date.fromisoformat``
+    accepts."""
+    days = np.zeros(starts.size, np.int32)
+    ok = widths == 10
+    field = _byte_rows(buf, starts[ok], 10)
+    digits = field - np.uint8(ord("0"))
+    y, m, d = np.minimum(
+        (_YMD_WEIGHTS @ digits.astype(np.float32)).astype(np.int32),
+        _YMD_LIMIT)
+    leap = _LEAP[y].view(np.uint8)
+    good = ((digits[[0, 1, 2, 3, 5, 6, 8, 9]] <= 9).all(0)
+            & (field[[4, 7]] == ord("-")).all(0)
+            & (y >= 1) & (d >= 1) & (d <= _MONTH_LENGTH[leap, m]))
+    days[ok] = _YEAR_START[y] + _MONTH_START[leap, m] + (d - 1)
+    ok[ok] = good
+    return days, ok
+
+
+def _decimals(buf, ends, widths):
+    """The values of the decimals that end at ``ends``, and whether each
+    field is one: up to ``_DECIMAL_BYTES`` bytes of ASCII digits, with at
+    most one '.' and an optional leading '-', whose digits, read as the
+    integer M with k of them after the '.', give M < 2**53 and k <= 22.
+    Then M and 10**k are exact doubles and M / 10**k, one correctly
+    rounded division, is the double that ``float`` gives the text."""
+    values = np.zeros(ends.size)
+    ok = (widths >= 1) & (widths <= _DECIMAL_BYTES)
+    width = int(widths[ok].max(initial=0))
+    ok &= ends >= width
+    at = np.flatnonzero(ok)
+    w = widths[at]
+    # the fields right-aligned in rows of ``width`` bytes, the bytes before
+    # each field masked out
+    window = _byte_rows(buf, ends[at] - width, width)
+    inside = np.arange(width)[:, None] >= width - w
+    digits = (window - np.uint8(ord("0"))) * inside
+    digit = digits <= 9
+    point = (window == ord(".")) & inside
+    lead = window[width - w, np.arange(at.size)] == ord("-")
+    n_points = point.sum(0, dtype=np.uint8)
+    good = ((digit & inside).sum(0, dtype=np.uint8) + n_points + lead == w)
+    digits *= digit
+    mantissa = np.zeros(at.size)
+    for row, past in zip(digits, ~point):  # Horner's rule, the '.' skipped
+        np.multiply(mantissa, 10, out=mantissa, where=past)
+        mantissa += row
+    # digits after the '.': its distance from the field's end
+    k = (np.arange(width - 1, -1, -1, dtype=np.float32)
+         @ point.astype(np.float32)).astype(np.intp)
+    good &= ((digit & inside).any(0) & (n_points <= 1)
+             & (mantissa < 2.0 ** 53) & (k <= 22))
+    value = mantissa / _POWERS_OF_TEN[np.minimum(k, 22)]
+    values[at] = np.where(lead, -value, value)
+    ok[at] = good
+    return values, ok
 
 
 def _open_records(path):
@@ -339,6 +462,55 @@ def _split(line):
                                 else stripped.split())]
 
 
+def _texts(raw, rows, starts, ends):
+    """{row: its field} of the ASCII fields from ``starts`` to ``ends`` of
+    the bytes ``raw``."""
+    return {i: raw[a:b].decode("ascii") for i, a, b in zip(
+        rows.tolist(), starts.tolist(), ends.tolist())}
+
+
+def _blocks(path, start, stop):
+    """The text of bytes ``start`` to ``stop`` of the UTF-8 record file at
+    ``path``, ``start`` being 0 or a line start, as text mode reads it (a
+    leading byte order mark dropped, '\\r\\n' and a lone '\\r' read as
+    '\\n'), ``WINDOW_BYTES`` bytes at a time: each block is cut after its
+    last line break, and a last line without one gets one."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder(
+        "utf-8-sig" if start == 0 else "utf-8")(), translate=True)
+    tail = ""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        left = stop - start
+        while left > 0:
+            data = fh.read(min(WINDOW_BYTES, left))
+            left = left - len(data) if data else 0
+            text = tail + decoder.decode(data, final=not left)
+            cut = text.rfind("\n") + 1
+            if cut:
+                yield text[:cut]
+            tail = text[cut:]
+    if tail:
+        yield tail + "\n"
+
+
+def _line_start_after(path, at):
+    """The offset of the first line start after byte ``at`` of the file at
+    ``path`` (a line ends at '\\n', '\\r\\n' or a lone '\\r'), or its size
+    where no line starts there."""
+    with open(path, "rb") as fh:
+        fh.seek(at)
+        while data := fh.read(1 << 16):
+            found = re.search(b"[\r\n]", data)
+            if found:
+                after = at + found.end()
+                if found.group() == b"\r":  # maybe the first of '\r\n'
+                    fh.seek(after)
+                    after += fh.read(1) == b"\n"
+                return after
+            at += len(data)
+    return at
+
+
 def _read_records(path):
     """Read (ticker, date, value) records from the file at ``path``.
 
@@ -347,168 +519,177 @@ def _read_records(path):
     value, date) are only flagged, so that callers can name the first
     faulty line across their own checks too (:func:`_raise_first_fault`).
     From ``textio.SPLIT_READ_BYTES`` bytes on, where :func:`textio.can_fork`
-    allows it, the lines are read by :func:`_scan_halves`.
+    allows it, a forked child reads the lines from the first line start
+    after the middle byte (:func:`_scan_halves`).
     """
-    with _open_records(path) as fh:
-        try:  # counts the lines; a byte that does not decode comes first
-            size = 1 + sum(block.count("\n") for block in
-                           iter(lambda: fh.read(1 << 16), ""))
-        except UnicodeDecodeError:
-            textio.read_text(path)  # raises, naming the file offset
-            raise
-        fh.seek(0)
-        index = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-        columns = _columns(size, index)
-        if (os.fstat(fh.fileno()).st_size < textio.SPLIT_READ_BYTES
-                or not textio.can_fork()):
-            scanned = _scan(_file_windows(fh), columns)
-        else:
-            scanned = _scan_halves(fh, path, size, columns)
+    size = os.stat(path).st_size
+    split = size >= textio.SPLIT_READ_BYTES and textio.can_fork()
+    middle = _line_start_after(path, size // 2) if split else size
+    try:  # counts each part's lines; a byte that does not decode comes first
+        lines = [sum(block.count("\n") for block in _blocks(path, a, b))
+                 for a, b in ((0, middle), (middle, size))]
+    except UnicodeDecodeError:
+        textio.read_text(path)  # raises, naming the file offset
+        raise
+    index = np.int32 if sum(lines) <= np.iinfo(np.int32).max else np.int64
+    columns = _columns(sum(lines), index)
+    if split:
+        scanned = _scan_halves(path, middle, size, lines[1], columns)
+    else:
+        scanned = _scan(_blocks(path, 0, size), columns)
     return _records(columns, *scanned)
 
 
-def _scan_halves(fh, path, size, columns):
-    """:func:`_scan` of the lines of ``fh``, which has ``size - 1`` line
-    breaks, with the second half of the lines read by a forked child.
+def _scan_halves(path, middle, size, lines, columns):
+    """:func:`_scan` of the file at ``path``, ``size`` bytes long, whose
+    ``lines`` lines from byte ``middle`` on, a line start, are read by a
+    forked child.
 
-    The child skips the first half itself and sends its columns, which go
-    into the slots after this process's records, and its ticker and date
-    texts, which this process maps onto its own codes. Where this process's
-    half holds a reader fault the child's result is not used, as a serial
-    read would stop there.
+    The child's columns go into the slots after this process's records,
+    and its tickers, which this process maps onto its own codes; its day
+    numbers need no mapping. Where this process's half holds a reader
+    fault the child's result is not used, as a serial read would stop
+    there.
     """
-    head = size // 2
-
     def second():
-        theirs = _columns(size - head, columns[0].dtype)
-        with _open_records(path) as child_fh:
-            for _ in itertools.islice(child_fh, head):
-                pass
-            n, tickers, date_texts, fault = _scan(_file_windows(child_fh),
-                                                  theirs)
-        return ((n, list(tickers), list(date_texts), fault),
-                [column[:n] for column in theirs])
+        theirs = _columns(lines, columns[0].dtype)
+        n, tickers, fault = _scan(_blocks(path, middle, size), theirs)
+        return (n, list(tickers), fault), [column[:n] for column in theirs]
 
     def into(scanned, theirs):
-        n, fault = scanned[0], scanned[3]
+        n, _, fault = scanned
         return None if fault else [column[n:] for column in columns]
 
-    (n, tickers, date_texts, fault), theirs = textio.halves(
-        lambda: _scan(_file_windows(itertools.islice(fh, head)), columns),
-        second, into)
+    (n, tickers, fault), theirs = textio.halves(
+        lambda: _scan(_blocks(path, 0, middle), columns), second, into)
     if theirs is not None:
-        k, *texts, fault = theirs
-        for c, codes, their in zip(columns, (tickers, date_texts), texts):
-            mine = np.fromiter(map(codes.__getitem__, their), c.dtype,
-                               len(their))
-            # in place (the default mode="raise" would buffer ``out``), a
-            # slice at a time, as in _records
-            for start in range(n, n + k, CHUNK_LINES):
-                part = c[start:min(start + CHUNK_LINES, n + k)]
-                np.take(mine, part, out=part, mode="clip")
+        k, their_tickers, fault = theirs
+        code = columns[0]
+        mine = np.fromiter(map(tickers.__getitem__, their_tickers),
+                           code.dtype, len(their_tickers))
+        # in place (the default mode="raise" would buffer ``out``), a slice
+        # at a time, as in _records
+        for start in range(n, n + k, CHUNK_LINES):
+            part = code[start:min(start + CHUNK_LINES, n + k)]
+            np.take(mine, part, out=part, mode="clip")
         n += k
-    return n, tickers, date_texts, fault
+    return n, tickers, fault
 
 
 def _columns(size, index):
-    """Ticker code, date code and value columns for ``size`` records."""
-    return [np.empty(size, index), np.empty(size, index), np.empty(size)]
+    """Ticker code, day number and value columns for ``size`` records."""
+    return [np.empty(size, index), np.empty(size, np.int32), np.empty(size)]
 
 
-def _scan(windows, columns):
-    """Read the records of the lines given as line windows into the first
-    slots of ``columns``.
+def _scan(blocks, columns):
+    """Read the records of the text blocks ``blocks``, each a run of whole
+    lines, into the first slots of ``columns``.
 
-    Plain printable-ASCII ``a,b,c`` lines are split in bulk; any other line
-    goes through :func:`_split`. Each window's records go to their
-    file-order slots, so no per-byte array or per-field string outlives its
-    window. Tickers and date texts are coded in the order they are first
-    seen. Reading stops after the window that holds the first line the
-    reader rejects (field count, ticker or value): no later line can be the
-    first faulty one. Returns the record count, the ticker and date-text
-    codes, and whether a line was rejected.
+    The fields of plain printable-ASCII ``a,b,c`` lines are parsed from the
+    block's bytes: tickers by :func:`_ticker_codes`, dates by
+    :func:`_iso_days` and values by :func:`_decimals`. Any other line goes
+    through :func:`_split`, and any other date or value field through
+    :func:`_parse_date` and :func:`_parse_floats`. Each block's records go
+    to their file-order slots, so no per-byte array outlives its block.
+    Tickers are coded in the order they are first seen. Reading stops after
+    the block that holds the first line the reader rejects (field count,
+    ticker, value or date): no later line can be the first faulty one.
+    Returns the record count, the ticker codes, and whether a line was
+    rejected.
     """
-    code, date_code, value = columns
-    index = code.dtype
-    tickers, date_texts = _Codes(), _Codes()
+    code, day, value = columns
+    tickers, dates = _Codes(), _Days()
     fault = False
     n = 0  # records so far
 
-    def put(rows, ticker_texts, day_texts, value_texts):
-        # the records on the window's lines ``rows``; whether every value
-        # parses
-        slots = slot[rows]
-        values, bad = _parse_floats(value_texts)
-        code[slots] = np.fromiter(map(tickers.__getitem__, ticker_texts),
-                                  index, len(slots))
-        date_code[slots] = np.fromiter(
-            map(date_texts.__getitem__, day_texts), index, len(slots))
-        value[slots] = values
-        return bad is None
-
-    for window, text in windows:
+    for text in blocks:
         raw = text.encode("utf-8", "surrogatepass")
         buf = np.frombuffer(raw, np.uint8)
-        ends = np.flatnonzero(buf == ord("\n"))
-        starts = np.r_[0, ends[:-1] + 1]
-        # bytes outside '!'..'~': blanks, controls, line breaks, non-ASCII
-        odd = np.flatnonzero((buf - ord("!")) > ord("~") - ord("!"))
-        commas = np.flatnonzero(buf == ord(","))
-        plain = ((ends > starts) & (_count_between(odd, starts, ends) == 0)
-                 & (_count_between(commas, starts, ends) == 2))
-        # a comment, or a record with an empty ticker, is not plain
-        plain[plain] = np.isin(buf[starts[plain]], list(b"#,"), invert=True)
+        # the bytes that end a field: odd bytes (outside '!'..'~': blanks,
+        # controls, line breaks, non-ASCII) and commas
+        stops = np.flatnonzero(((buf - ord("!")) > ord("~") - ord("!"))
+                               | (buf == ord(",")))
+        kind = buf[stops]
+        at_end = np.flatnonzero(kind == ord("\n"))  # each line's, in stops
+        ends = stops[at_end]
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        # a plain line's end is its third stop, after two commas; it
+        # starts with neither '#' nor ',' (an empty ticker)
+        plain = np.diff(at_end, prepend=-1) == 3
+        last = at_end[plain]
+        plain[plain] = ((kind[last - 2] == ord(","))
+                        & (kind[last - 1] == ord(","))
+                        & (stops[last - 2] > starts[plain])
+                        & (buf[starts[plain]] != ord("#")))
 
-        loose = ([], [], [], [])  # window row, ticker, date, value
+        loose = {}  # block row: ticker, date and value texts
         for i in np.flatnonzero(~plain).tolist():
-            parts = _split(window[i])
+            parts = _split(raw[starts[i]:ends[i]].decode("utf-8",
+                                                         "surrogatepass"))
             if parts is None:
                 continue
             # no TSV holds an empty ticker or one with a tab
             if len(parts) != 3 or not parts[0] or textio.DELIM in parts[0]:
                 fault = True
                 break
-            for column, part in zip(loose, [i] + parts):
-                column.append(part)
+            loose[i] = parts
 
         kept = plain.copy()
-        kept[loose[0]] = True
+        kept[list(loose)] = True
         slot = np.cumsum(kept) + (n - 1)  # each record's column slot
         n += np.count_nonzero(kept)
         rows = np.flatnonzero(plain)
-        if rows.size:
-            # one byte slice per run of consecutive plain lines
-            cut = np.flatnonzero(np.diff(rows) != 1) + 1
-            spans = map(slice, starts[rows[np.r_[0, cut]]].tolist(),
-                        ends[rows[np.r_[cut - 1, rows.size - 1]]].tolist())
-            fields = (b"\n".join(map(raw.__getitem__, spans)).decode("ascii")
-                      .replace("\n", ",").split(","))
-            fault |= not put(rows, fields[0::3], fields[1::3], fields[2::3])
-        if loose[0]:
-            fault |= not put(*loose)
+        first, at_date, at_value = (starts[rows], stops[at_end[rows] - 2] + 1,
+                                    stops[at_end[rows] - 1] + 1)
+        code[slot[rows]] = _ticker_codes(buf, first, at_date - 1 - first,
+                                         tickers, code.dtype)
+        days, fast_day = _iso_days(buf, at_date, at_value - 1 - at_date)
+        day[slot[rows]] = days
+        values, fast_value = _decimals(buf, ends[rows], ends[rows] - at_value)
+        value[slot[rows]] = values
+
+        # the other fields, by block row
+        slow_days = _texts(raw, rows[~fast_day], at_date[~fast_day],
+                           at_value[~fast_day] - 1)
+        slow_values = _texts(raw, rows[~fast_value], at_value[~fast_value],
+                             ends[rows[~fast_value]])
+        for i, (ticker, date_text, value_text) in loose.items():
+            code[slot[i]] = tickers[ticker]
+            slow_days[i], slow_values[i] = date_text, value_text
+        for i, text in slow_days.items():
+            parsed = dates[text]
+            if parsed is None:  # a faulty line: any day will do
+                parsed, fault = 0, True
+            day[slot[i]] = parsed
+        # in file order, so that the NaN values from a bad one on are on
+        # later lines only
+        order = sorted(slow_values)
+        parsed, bad = _parse_floats([slow_values[i] for i in order])
+        value[slot[order]] = parsed
+        fault |= bad is not None
         if fault:
             break
 
-    return n, tickers, date_texts, fault
+    return n, tickers, fault
 
 
-def _records(columns, n, tickers, date_texts, fault):
+def _records(columns, n, tickers, fault):
     """The _Records of the first ``n`` records in :func:`_scan`'s columns,
     which it takes out of the list ``columns``, so that the key it builds
-    in the ticker-code column replaces both code columns, and the value
-    column, shrunk in place, holds the records' values only. A date text
-    that does not parse sets ``fault``."""
-    code, date_code, value = columns
+    in the ticker-code column replaces the code and day columns, and the
+    value column, shrunk in place, holds the records' values only."""
+    code, day, value = columns
     columns.clear()
     names = sorted(tickers)
-    days = np.empty(len(date_texts), "datetime64[D]")
-    for k, text in enumerate(date_texts):
-        try:
-            days[k] = _parse_date(text)
-        except DataError:
-            days[k], fault = None, True  # None is NaT
-    days, day = np.unique(days, return_inverse=True)
-    date_code = date_code[:n]
+    day = day[:n]
+    # the distinct day numbers, marked on the span of days they cover
+    lo, hi = (int(day.min()), int(day.max())) if n else (0, -1)
+    seen = np.zeros(hi - lo + 1, bool)
+    for start in range(0, n, CHUNK_LINES):
+        seen[day[start:start + CHUNK_LINES] - lo] = True
+    distinct = (np.flatnonzero(seen) + lo).astype(np.int32)
+    del seen
+    days = distinct.astype("datetime64[D]")
     # the key is built in the ticker-code column, unless the largest key
     # (and the bounds' last search value) does not fit in its dtype
     key = code[:n]
@@ -517,15 +698,14 @@ def _records(columns, n, tickers, date_texts, fault):
     del code
     rank = np.empty(len(names), key.dtype)
     rank[[tickers[t] for t in names]] = np.arange(len(names))
-    day = day.astype(key.dtype)
     # a slice at a time: take converts its indices to intp, and a
-    # window-sized slice keeps that copy below the CLI's mmap threshold
+    # slice-sized copy stays below the CLI's mmap threshold
     for start in range(0, n, CHUNK_LINES):
         part = key[start:start + CHUNK_LINES]
         np.take(rank, part, out=part, mode="clip")  # in place, unbuffered
         part *= days.size
-        part += day[date_code[start:start + CHUNK_LINES]]
-    del date_code
+        part += np.searchsorted(distinct, day[start:start + CHUNK_LINES])
+    del day
     # a key in order hands the value column back as it is; no view of it
     # is alive here, while a tracer's frame locals may still reference it
     value.resize(n, refcheck=False)

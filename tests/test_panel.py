@@ -407,9 +407,9 @@ class TestColumnarReaderMatchesReference:
         self._check(lines, "\n")
 
     def test_chunked_file_matches(self, tmp_path, monkeypatch):
-        # more plain lines than one bulk step, split around irregular ones
-        import scalecorr.panel as panel
-        monkeypatch.setattr(panel, "CHUNK_LINES", 7)
+        # more plain lines than one block holds, split around irregular
+        # ones: 64-byte windows hold three or four lines each
+        monkeypatch.setattr(panel_module, "WINDOW_BYTES", 64)
         lines = [f"T{i % 5},{(_DAY0 + dt.timedelta(i // 5)).isoformat()},"
                  f"{1 + i}" for i in range(100)]
         lines[40] = "# note"
@@ -418,13 +418,14 @@ class TestColumnarReaderMatchesReference:
         lines[77] = "T2,2020-01-01,5"  # duplicate past several chunks
         self._check(lines, "\n")
 
-    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 40])
     @settings(max_examples=100, deadline=None)
     @given(drawn=record_files())
     def test_chunk_edges_change_nothing(self, chunk, drawn):
-        # windows of 1, 2 and 7 lines put their edges inside runs of plain
+        # windows of 1, 2, 7 and 40 bytes put their edges inside fields,
+        # '\r\n' pairs and multi-byte characters, inside runs of plain
         # lines, next to irregular lines and on the last line
-        with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
+        with mock.patch.object(panel_module, "WINDOW_BYTES", chunk):
             self._check(*drawn)
 
 
@@ -461,8 +462,79 @@ class TestLineMap:
     @settings(max_examples=100, deadline=None)
     @given(lines=files_with_skipped_lines())
     def test_skipped_lines_across_windows_and_halves(self, chunk, lines):
-        with mock.patch.object(panel_module, "CHUNK_LINES", chunk):
+        with mock.patch.object(panel_module, "WINDOW_BYTES", chunk):
             TestColumnarReaderMatchesReference._check(lines, "\n")
+
+
+def _field_block(texts):
+    """A block of one line per text, each text right after 24 blanks, and
+    the ends and widths of the texts in it."""
+    raw = "".join(" " * 24 + text + "\n" for text in texts).encode()
+    buf = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    return buf, ends, np.array([len(text) for text in texts], np.intp)
+
+
+_DECIMAL_SHAPE = re.compile(r"-?(\d+\.?\d*|\.\d+)")
+
+
+class TestByteFields:
+    """The fields of plain lines parsed from bytes: a value or date of the
+    documented shape gives float()'s double or fromisoformat's day, and
+    any other text is left to them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text("0123456789.-+e_", min_size=1, max_size=26),
+        st.builds(_decimal, st.integers(0, 10 ** 18), st.integers(0, 24)),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr)),
+        min_size=1, max_size=20))
+    def test_decimals_are_floats_bits(self, texts):
+        values, fast = panel_module._decimals(*_field_block(texts))
+        for text, value, ok in zip(texts, values.tolist(), fast.tolist()):
+            shape = _DECIMAL_SHAPE.fullmatch(text)
+            digits = text.lstrip("-").replace(".", "")
+            after = text.partition(".")[2]
+            assert ok == bool(shape and len(text) <= 24
+                              and int(digits) < 2 ** 53 and len(after) <= 22)
+            if ok:
+                assert _bits([value]) == _bits([float(text)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.text("0123456789-", min_size=10, max_size=10),
+        st.tuples(st.integers(0, 9999), st.integers(0, 19),
+                  st.integers(0, 39)).map("{0[0]:04d}-{0[1]:02d}-{0[2]:02d}"
+                                          .format),
+        st.dates().map(dt.date.isoformat)), min_size=1, max_size=20))
+    def test_iso_days_are_fromisoformats(self, texts):
+        buf, ends, widths = _field_block(texts)
+        days, fast = panel_module._iso_days(buf, ends - widths, widths)
+        for text, day, ok in zip(texts, days.tolist(), fast.tolist()):
+            try:
+                want = dt.date.fromisoformat(text)
+            except ValueError:
+                want = None
+            shaped = re.fullmatch(r"\d{4}-\d{2}-\d{2}", text)
+            assert ok == bool(shaped and want)
+            if ok:
+                assert day == (want - dt.date(1970, 1, 1)).days
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(st.text("ab,\u00c4", max_size=4),
+                                    st.sampled_from(["\n", "\r\n", "\r"])),
+                          max_size=8),
+           at=st.integers(0, 60))
+    def test_split_is_the_first_line_start_after_the_byte(self, lines, at):
+        data = "".join(text + end for text, end in lines).encode()
+        at = min(at, len(data))
+        starts = np.cumsum([len(line) for line in data.splitlines(True)])
+        want = next((s for s in starts.tolist() if s > at), len(data))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lines")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert panel_module._line_start_after(path, at) == want
 
 
 class TestPriceRecords:
@@ -678,25 +750,29 @@ class TestFaultsAcrossTheSplit:
 
 class TestIngestMemory:
     """Ingest holds a bounded amount of memory per record: per-line and
-    per-byte work is done one window of lines at a time into compact
+    per-byte work is done one window of bytes at a time into compact
     columns, so the traced peak (numpy buffers included) grows with the
     record count only through those columns and the sort. The file is read
     in (ticker, day) order, which needs no sort, and shuffled, which takes
     lexsort's."""
 
-    # measured: ~33 with 4096-line windows and ~46 with 8192-line ones,
-    # which outweigh the columns of this 200k-record file; ~238 when the
-    # whole file's text, line index and per-byte arrays were held at once
-    BYTES_PER_RECORD = 64
-    # with 1024-line windows, shuffled: the sort sets the peak, ~20.3,
+    # measured: ~21.0 in order and ~20.8 shuffled (the sort sets that
+    # peak) with 64 KiB windows parsed from their bytes; ~29 with 4096-line
+    # windows of per-line and per-field strings, ~46 with 8192-line ones,
+    # which outweigh the columns of this 200k-record file, and ~238 when
+    # the whole file's text, line index and per-byte arrays were held at
+    # once. The bound keeps the ~0.7 margin of the one below
+    BYTES_PER_RECORD = 22
+    # with 32 KiB windows, shuffled: the sort sets the peak, ~20.3,
     # lexsort's int64 order beside the value and int32 key columns, which
     # the closes' gather into the order's own buffer matches; ~24.2 with a
     # line-number column beside them, ~26.2 when the order was gathered
     # from into a fresh array, ~30 with an int64 key, and ~41 when the sort
     # also held the file-order code columns, a repeat mask and a date-code
-    # gather. In order, the scan sets the peak, ~19.9: the two int32 code
-    # columns and the value column beside one window's lines, bytes and
-    # fields; the sort's check holds one slice, and nothing is gathered
+    # gather. In order, the scan sets the peak, ~18.6: the int32 ticker
+    # code and day number columns and the value column beside one window's
+    # text, bytes and per-line arrays (~19.9 with 1024-line windows of
+    # strings); the sort's check holds one slice, and nothing is gathered
     # (~20.3 when lexsort's order was built for this file too)
     SORT_BYTES_PER_RECORD = 21
     # preprocess of the loaded records holds the panel and its fill mask, 9
@@ -756,7 +832,7 @@ class TestIngestMemory:
         assert peak / n < self.BYTES_PER_RECORD
 
     def test_sort_peak_per_record(self, path, monkeypatch):
-        monkeypatch.setattr(panel_module, "CHUNK_LINES", 1024)
+        monkeypatch.setattr(panel_module, "WINDOW_BYTES", 1 << 15)
         assert self._peak_per_record(path) < self.SORT_BYTES_PER_RECORD
 
     def test_preprocess_peak_per_record(self, path):
