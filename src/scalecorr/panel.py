@@ -8,49 +8,58 @@ filled by dragging the last available price. Demeaned one-day log-returns
 are derived from the cleaned panel; per-ticker median capitalizations, and
 their logs, from a capitalization file's records, one array per ticker.
 
-Record files are read column-wise, one window of ``CHUNK_LINES`` lines at a
-time: the window's plain ``ticker,date,value`` lines are split in bulk and
-its values, ticker and date codes go to compact columns allocated once for
-the file's line count (int32 codes, float64 values). Records are then
-grouped, sorted and checked with array operations. Only lines that are not
-plain records (comments, blank lines, whitespace delimiters, padded fields,
-a leading comma) get per-line work, which normalises them into the same
-columns. The file's text is never held whole: beyond the columns, ingest
-holds one window's lines, bytes and fields. The ticker-code column then
-becomes the (ticker, day) key in place, a slice at a time, and the
-date-code column is freed; the key stays int32 unless the number of
-(ticker, day) pairs outgrows it. A key already in (ticker, day) order, as
-in a file written ticker by ticker, day by day, is checked a slice at a
-time and is neither sorted nor gathered: its order is the identity, and its
-closes are the value column itself, shrunk in place to the record count.
-Any other key is sorted in place next to lexsort's int64 order, and the
-closes are gathered into that order's own buffer, a slice at a time. The
-sorted key gives each ticker's bounds and, in place, each close's day
-index. So for 1.2M records ``load_prices`` peaks at 18.4 bytes per record
-for a file in order, at the scan, and at 20.1 for any other, at the sort
-and again at the gather (~30 for 200k, where a window outweighs the
-columns); its :class:`PriceRecords` keep 10: a close and a day index each
-(uint16 up to 65,536 distinct days). :func:`preprocess` takes those
-PriceRecords only, and builds the panel from their columns, one survivor's
-block at a time, so its peak beyond them is the panel and its fill mask.
-The heap pages ingest freed go back to the system before cleaning.
+Record files are read column-wise, one block of ``WINDOW_BYTES`` bytes at
+a time, decoded as text mode decodes them and cut after the block's last
+line break: the fields of its plain ``ticker,date,value`` lines are parsed
+from the block's bytes with array operations (:mod:`scalecorr._fields`,
+imported on the first read), and its ticker codes, day numbers and values
+go to compact columns allocated once for the file's line count (int32
+codes and days, float64 values). No Python object is
+made per record: tickers are compared as byte rows and looked up once per
+run of equal ones, ``dddd-dd-dd`` dates become day numbers by digit
+arithmetic checked against the calendar, and short decimals become the
+quotient of two exact doubles, which is the double ``float`` gives. Only
+lines that are not plain records (comments, blank lines, whitespace
+delimiters, padded fields, a leading comma) get per-line work, and only
+fields of another shape (``20200102``, ``1e3``) per-field work, each
+normalised into the same columns. Records are then grouped, sorted and
+checked with array operations. The file's text is never held whole:
+beyond the columns, ingest holds one block's text, bytes and per-line
+arrays. The ticker-code column then becomes the (ticker, day) key in
+place, a slice at a time, and the day column is freed; the key stays int32
+unless the number of (ticker, day) pairs outgrows it. A key already in
+(ticker, day) order, as in a file written ticker by ticker, day by day, is
+checked a slice at a time and is neither sorted nor gathered: its order is
+the identity, and its closes are the value column itself, shrunk in place
+to the record count. Any other key is sorted in place next to lexsort's
+int64 order, and the closes are gathered into that order's own buffer, a
+slice at a time. The sorted key gives each ticker's bounds and, in place,
+each close's day index. So for 1.2M records ``load_prices`` peaks at 16.9
+bytes per record for a file in order, at the scan, and at 20.1 for any
+other, at the sort and again at the gather (~21 for 200k, where a block
+weighs more beside the columns); its :class:`PriceRecords` keep 10: a
+close and a day index each (uint16 up to 65,536 distinct days).
+:func:`preprocess` takes those PriceRecords only, and builds the panel
+from their columns, one survivor's block at a time, so its peak beyond
+them is the panel and its fill mask. The heap pages ingest freed go back
+to the system before cleaning.
 
 The columnar pass only flags a faulty file; it keeps no line numbers. It
-stops after the window of a line it cannot read (a wrong field count, an
-empty ticker or one holding a tab, a value that does not parse), marks a
-date that does not parse, and the value and duplicate rules give the
-file-order indices of the records they reject. Where anything is flagged,
-:func:`_raise_first_fault` walks the file again from line 1, one line at a
-time, and raises DataError for the first faulty line in file order. A
-clean file never enters the walk.
+stops after the block of a line it cannot read (a wrong field count, an
+empty ticker or one holding a tab, a value or date that does not parse),
+and the value and duplicate rules give the file-order indices of the
+records they reject. Where anything is flagged, :func:`_raise_first_fault`
+walks the file again from line 1, one line at a time, and raises DataError
+for the first faulty line in file order. A clean file never enters the
+walk.
 
 Record files are UTF-8, with or without a leading byte order mark. From
 ``textio.SPLIT_READ_BYTES`` bytes on, a forked child (:func:`textio.halves`)
-reads the second half of the lines into its own columns while this process
-reads the first half; its columns come back through the pipe into the slots
-after this process's records, and its ticker and date codes are mapped onto
-this process's. The result is the one-process result: the same records and
-the same faults.
+reads the lines from the first line start after the middle byte into its
+own columns while this process reads the lines before it; its columns come
+back through the pipe into the slots after this process's records, and its
+ticker codes are mapped onto this process's. The result is the one-process
+result: the same records and the same faults.
 """
 
 import codecs
@@ -172,35 +181,6 @@ class ReturnPanel:
 
 
 _EPOCH = dt.date(1970, 1, 1).toordinal()
-
-
-def _calendar():
-    """The calendar of years 0 to 9999 (0 is not a year of
-    ``date.fromisoformat``): whether each is a leap year, and its first
-    day's number (days since 1970-01-01); each month's length and first day
-    in a common and in a leap year, zero for months 0 and 13 to 99."""
-    year = np.arange(10000)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    length = 365 + leap
-    year_start = np.cumsum(length) - length - (length[0] + _EPOCH - 1)
-    month_length = np.zeros((2, 100), np.int32)
-    month_length[:, 1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
-    month_length[1, 2] = 29
-    month_start = np.cumsum(month_length, 1, dtype=np.int32) - month_length
-    return leap, year_start.astype(np.int32), month_length, month_start
-
-
-_LEAP, _YEAR_START, _MONTH_LENGTH, _MONTH_START = _calendar()
-# year, month and day of a dddd-dd-dd field's ten digit values, each row
-# of them no more than 9999, exact in float32
-_YMD_WEIGHTS = np.array([[1000, 100, 10, 1, 0, 0, 0, 0, 0, 0],
-                         [0, 0, 0, 0, 0, 10, 1, 0, 0, 0],
-                         [0, 0, 0, 0, 0, 0, 0, 0, 10, 1]], np.float32)
-_YMD_LIMIT = np.array([[9999], [99], [99]], np.int32)
-# value fields beyond this many bytes are left to float(), so that one
-# long field does not widen every row of its block
-_DECIMAL_BYTES = 24
-_POWERS_OF_TEN = 10.0 ** np.arange(23)  # each exact
 
 
 def _parse_date(text):
@@ -361,92 +341,6 @@ def _parse_floats(texts):
         raise
 
 
-def _byte_rows(buf, starts, width):
-    """The ``width`` bytes of ``buf`` from each of ``starts`` on, as
-    ``width`` rows: row j holds the byte j places after each start."""
-    return np.array([buf[starts + j] for j in range(width)],
-                    np.uint8).reshape(width, starts.size)
-
-
-def _ticker_codes(buf, starts, widths, codes, dtype):
-    """The codes in ``codes`` of the ASCII tickers at ``starts``: the
-    tickers of each width are compared byte by byte with the one before
-    them, and each run of equal ones is looked up once."""
-    out = np.empty(starts.size, dtype)
-    for width in np.flatnonzero(np.bincount(widths)).tolist():
-        at = np.flatnonzero(widths == width)
-        names = _byte_rows(buf, starts[at], width)
-        new = np.concatenate(([True],
-                              (names[:, 1:] != names[:, :-1]).any(0)))
-        firsts = [buf[a:a + width].tobytes().decode("ascii")
-                  for a in starts[at[new]].tolist()]
-        looked_up = np.fromiter(map(codes.__getitem__, firsts), dtype,
-                                len(firsts))
-        out[at] = looked_up[np.cumsum(new) - 1]
-    return out
-
-
-def _iso_days(buf, starts, widths):
-    """The day numbers (days since 1970-01-01) of the ``dddd-dd-dd`` dates
-    at ``starts``, and whether each field is one: ASCII digits around two
-    dashes, and a day of the proleptic Gregorian calendar from year 1 on.
-    Those are the texts of that shape that ``date.fromisoformat``
-    accepts."""
-    days = np.zeros(starts.size, np.int32)
-    ok = widths == 10
-    field = _byte_rows(buf, starts[ok], 10)
-    digits = field - np.uint8(ord("0"))
-    y, m, d = np.minimum(
-        (_YMD_WEIGHTS @ digits.astype(np.float32)).astype(np.int32),
-        _YMD_LIMIT)
-    leap = _LEAP[y].view(np.uint8)
-    good = ((digits[[0, 1, 2, 3, 5, 6, 8, 9]] <= 9).all(0)
-            & (field[[4, 7]] == ord("-")).all(0)
-            & (y >= 1) & (d >= 1) & (d <= _MONTH_LENGTH[leap, m]))
-    days[ok] = _YEAR_START[y] + _MONTH_START[leap, m] + (d - 1)
-    ok[ok] = good
-    return days, ok
-
-
-def _decimals(buf, ends, widths):
-    """The values of the decimals that end at ``ends``, and whether each
-    field is one: up to ``_DECIMAL_BYTES`` bytes of ASCII digits, with at
-    most one '.' and an optional leading '-', whose digits, read as the
-    integer M with k of them after the '.', give M < 2**53 and k <= 22.
-    Then M and 10**k are exact doubles and M / 10**k, one correctly
-    rounded division, is the double that ``float`` gives the text."""
-    values = np.zeros(ends.size)
-    ok = (widths >= 1) & (widths <= _DECIMAL_BYTES)
-    width = int(widths[ok].max(initial=0))
-    ok &= ends >= width
-    at = np.flatnonzero(ok)
-    w = widths[at]
-    # the fields right-aligned in rows of ``width`` bytes, the bytes before
-    # each field masked out
-    window = _byte_rows(buf, ends[at] - width, width)
-    inside = np.arange(width)[:, None] >= width - w
-    digits = (window - np.uint8(ord("0"))) * inside
-    digit = digits <= 9
-    point = (window == ord(".")) & inside
-    lead = window[width - w, np.arange(at.size)] == ord("-")
-    n_points = point.sum(0, dtype=np.uint8)
-    good = ((digit & inside).sum(0, dtype=np.uint8) + n_points + lead == w)
-    digits *= digit
-    mantissa = np.zeros(at.size)
-    for row, past in zip(digits, ~point):  # Horner's rule, the '.' skipped
-        np.multiply(mantissa, 10, out=mantissa, where=past)
-        mantissa += row
-    # digits after the '.': its distance from the field's end
-    k = (np.arange(width - 1, -1, -1, dtype=np.float32)
-         @ point.astype(np.float32)).astype(np.intp)
-    good &= ((digit & inside).any(0) & (n_points <= 1)
-             & (mantissa < 2.0 ** 53) & (k <= 22))
-    value = mantissa / _POWERS_OF_TEN[np.minimum(k, 22)]
-    values[at] = np.where(lead, -value, value)
-    ok[at] = good
-    return values, ok
-
-
 def _open_records(path):
     # a leading UTF-8 byte order mark is not part of the first ticker
     return open(path, encoding="utf-8-sig")
@@ -586,8 +480,8 @@ def _scan(blocks, columns):
     lines, into the first slots of ``columns``.
 
     The fields of plain printable-ASCII ``a,b,c`` lines are parsed from the
-    block's bytes: tickers by :func:`_ticker_codes`, dates by
-    :func:`_iso_days` and values by :func:`_decimals`. Any other line goes
+    block's bytes by :mod:`scalecorr._fields`, which is imported here, on
+    the first read, rather than with this module. Any other line goes
     through :func:`_split`, and any other date or value field through
     :func:`_parse_date` and :func:`_parse_floats`. Each block's records go
     to their file-order slots, so no per-byte array outlives its block.
@@ -597,6 +491,8 @@ def _scan(blocks, columns):
     Returns the record count, the ticker codes, and whether a line was
     rejected.
     """
+    from . import _fields
+
     code, day, value = columns
     tickers, dates = _Codes(), _Days()
     fault = False
@@ -641,11 +537,13 @@ def _scan(blocks, columns):
         rows = np.flatnonzero(plain)
         first, at_date, at_value = (starts[rows], stops[at_end[rows] - 2] + 1,
                                     stops[at_end[rows] - 1] + 1)
-        code[slot[rows]] = _ticker_codes(buf, first, at_date - 1 - first,
-                                         tickers, code.dtype)
-        days, fast_day = _iso_days(buf, at_date, at_value - 1 - at_date)
+        code[slot[rows]] = _fields.ticker_codes(buf, first,
+                                                at_date - 1 - first, tickers)
+        days, fast_day = _fields.iso_days(buf, at_date,
+                                          at_value - 1 - at_date)
         day[slot[rows]] = days
-        values, fast_value = _decimals(buf, ends[rows], ends[rows] - at_value)
+        values, fast_value = _fields.decimals(buf, ends[rows],
+                                              ends[rows] - at_value)
         value[slot[rows]] = values
 
         # the other fields, by block row

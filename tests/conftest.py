@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scalecorr.association import build_report
 from scalecorr.config import PipelineConfig
@@ -12,6 +13,12 @@ from scalecorr.crosscorr import correlation_matrix
 from scalecorr.panel import ReturnPanel, load_prices
 from scalecorr.scaling import estimate_scaling_panel
 from scalecorr.synth import generate_coupled_market
+
+# CI draws the same examples on every run, so that a failure there is
+# reproduced by running the test again, and prints the blob that replays
+# it; local runs stay randomized
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

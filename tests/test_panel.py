@@ -11,12 +11,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalecorr
 import scalecorr.panel as panel_module
-from scalecorr import textio
+from scalecorr import _fields, textio
 from scalecorr.errors import DataError, EstimationError
 from scalecorr.panel import (PricePanel, RawPriceSeries, compute_returns,
                              load_capitalizations, load_prices,
@@ -489,8 +489,13 @@ class TestByteFields:
         st.builds(_decimal, st.integers(0, 10 ** 18), st.integers(0, 24)),
         st.floats(allow_nan=False, allow_infinity=False).map(repr)),
         min_size=1, max_size=20))
+    # the bounds: k = 22 and 23, M = 2**53 - 1, 2**53 and 2**53 + 1 (whose
+    # rounded M / 10**2 is another double), a 24- and a 25-byte field
+    @example(["0.0000000000000000000001", ".00000000000000000000001",
+              "9007199254740991", "9007199254740992", "90071992547409.93",
+              "-0.00000000000000000000", "00000000000000000000001.5"])
     def test_decimals_are_floats_bits(self, texts):
-        values, fast = panel_module._decimals(*_field_block(texts))
+        values, fast = _fields.decimals(*_field_block(texts))
         for text, value, ok in zip(texts, values.tolist(), fast.tolist()):
             shape = _DECIMAL_SHAPE.fullmatch(text)
             digits = text.lstrip("-").replace(".", "")
@@ -507,9 +512,12 @@ class TestByteFields:
                   st.integers(0, 39)).map("{0[0]:04d}-{0[1]:02d}-{0[2]:02d}"
                                           .format),
         st.dates().map(dt.date.isoformat)), min_size=1, max_size=20))
+    @example(["2020-02-29", "2021-02-29", "2000-02-29", "1900-02-29",
+              "0000-01-01", "0001-01-01", "9999-12-31", "2020-13-01",
+              "2020-00-10", "2020-04-31", "2020-04-30"])
     def test_iso_days_are_fromisoformats(self, texts):
         buf, ends, widths = _field_block(texts)
-        days, fast = panel_module._iso_days(buf, ends - widths, widths)
+        days, fast = _fields.iso_days(buf, ends - widths, widths)
         for text, day, ok in zip(texts, days.tolist(), fast.tolist()):
             try:
                 want = dt.date.fromisoformat(text)
@@ -756,8 +764,9 @@ class TestIngestMemory:
     in (ticker, day) order, which needs no sort, and shuffled, which takes
     lexsort's."""
 
-    # measured: ~21.0 in order and ~20.8 shuffled (the sort sets that
-    # peak) with 64 KiB windows parsed from their bytes; ~29 with 4096-line
+    # measured: ~20.8 in order and shuffled (the sort sets that peak) with
+    # 64 KiB windows parsed from their bytes, ~21.3 for a process's first
+    # load, which also imports scalecorr._fields; ~29 with 4096-line
     # windows of per-line and per-field strings, ~46 with 8192-line ones,
     # which outweigh the columns of this 200k-record file, and ~238 when
     # the whole file's text, line index and per-byte arrays were held at
