@@ -500,7 +500,7 @@ class TestByteFields:
             shape = _DECIMAL_SHAPE.fullmatch(text)
             digits = text.lstrip("-").replace(".", "")
             after = text.partition(".")[2]
-            assert ok == bool(shape and len(text) <= 24
+            assert ok == bool(shape and len(text) <= _fields.DECIMAL_BYTES
                               and int(digits) < 2 ** 53 and len(after) <= 22)
             if ok:
                 assert _bits([value]) == _bits([float(text)])
